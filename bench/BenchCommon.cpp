@@ -30,7 +30,7 @@ std::vector<WorkloadData> bpcr::loadSuite(uint64_t Seed, uint64_t MaxEvents,
     WorkloadData D;
     D.W = &W;
     D.M = std::make_unique<Module>();
-    D.T = traceWorkload(W, Seed, *D.M, MaxEvents);
+    D.T = traceWorkloadColumnar(W, Seed, *D.M, MaxEvents);
     D.PA = std::make_unique<ProgramAnalysis>(*D.M);
     D.Plain = std::make_unique<ProfileSet>(D.PA->numBranches());
     D.Plain->addTrace(D.T);

@@ -32,7 +32,8 @@ namespace bpcr {
 struct WorkloadData {
   const Workload *W = nullptr;
   std::unique_ptr<Module> M;
-  Trace T;
+  /// The run's trace, finalized for M's branch count.
+  ColumnarTrace T;
   std::unique_ptr<ProgramAnalysis> PA;
   /// Whole-trace profiles: unbounded software history (Tables 1/2).
   std::unique_ptr<ProfileSet> Plain;

@@ -13,7 +13,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
-#include "core/CorrelatedMachine.h"
 #include "core/LoopAwareProfiles.h"
 #include "core/MachineSearch.h"
 #include "core/ScoreKernels.h"
@@ -27,7 +26,6 @@
 #include "predict/DynamicPredictors.h"
 #include "predict/Evaluator.h"
 #include "predict/SemiStaticPredictors.h"
-#include "trace/Sinks.h"
 #include "trace/TraceFile.h"
 #include "workloads/Workload.h"
 
@@ -39,19 +37,27 @@
 #include <cstring>
 #include <functional>
 #include <string>
-#include <tuple>
 
 using namespace bpcr;
 
 namespace {
 
-const Trace &sharedTrace() {
-  static Trace T = [] {
-    Module M;
-    return traceWorkload(allWorkloads()[3], 1, M, 200'000);
+/// Ghostview's module and its 200k-event trace, finalized for the module.
+struct SharedRun {
+  Module M;
+  ColumnarTrace T;
+};
+
+const SharedRun &sharedRun() {
+  static SharedRun R = [] {
+    SharedRun X;
+    X.T = traceWorkloadColumnar(allWorkloads()[3], 1, X.M, 200'000);
+    return X;
   }();
-  return T;
+  return R;
 }
+
+const ColumnarTrace &sharedTrace() { return sharedRun().T; }
 
 void BM_InterpreterGhostview(benchmark::State &State) {
   Module M = buildWorkload("ghostview", 1);
@@ -69,7 +75,7 @@ void BM_InterpreterGhostview(benchmark::State &State) {
 BENCHMARK(BM_InterpreterGhostview);
 
 void BM_TwoLevelPredictor(benchmark::State &State) {
-  const Trace &T = sharedTrace();
+  const ColumnarTrace &T = sharedTrace();
   for (auto _ : State) {
     TwoLevelPredictor P(TwoLevelConfig::paperDefault());
     PredictionStats S = evaluatePredictor(P, T);
@@ -81,7 +87,7 @@ void BM_TwoLevelPredictor(benchmark::State &State) {
 BENCHMARK(BM_TwoLevelPredictor);
 
 void BM_LoopCorrelationTraining(benchmark::State &State) {
-  const Trace &T = sharedTrace();
+  const ColumnarTrace &T = sharedTrace();
   for (auto _ : State) {
     LoopCorrelationPredictor P;
     P.train(T);
@@ -93,7 +99,7 @@ void BM_LoopCorrelationTraining(benchmark::State &State) {
 BENCHMARK(BM_LoopCorrelationTraining);
 
 void BM_TraceEncode(benchmark::State &State) {
-  const Trace &T = sharedTrace();
+  const ColumnarTrace &T = sharedTrace();
   for (auto _ : State) {
     auto Buf = encodeTrace(T);
     benchmark::DoNotOptimize(Buf.size());
@@ -105,9 +111,10 @@ BENCHMARK(BM_TraceEncode);
 
 void BM_TraceDecode(benchmark::State &State) {
   static std::vector<uint8_t> Buf = encodeTrace(sharedTrace());
-  Trace Out;
+  ColumnarTrace Out;
+  std::string Error;
   for (auto _ : State) {
-    bool Ok = decodeTrace(Buf, Out);
+    bool Ok = decodeTraceColumnar(Buf, Out, Error);
     benchmark::DoNotOptimize(Ok);
   }
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
@@ -116,13 +123,8 @@ void BM_TraceDecode(benchmark::State &State) {
 BENCHMARK(BM_TraceDecode);
 
 void BM_LoopAwareProfiling(benchmark::State &State) {
-  static Module M = [] {
-    Module X;
-    traceWorkload(allWorkloads()[3], 1, X, 1);
-    return X;
-  }();
-  static ProgramAnalysis PA(M);
-  const Trace &T = sharedTrace();
+  static ProgramAnalysis PA(sharedRun().M);
+  const ColumnarTrace &T = sharedTrace();
   for (auto _ : State) {
     ProfileSet P = buildLoopAwareProfiles(PA, T);
     benchmark::DoNotOptimize(P.totalExecutions());
@@ -136,11 +138,9 @@ void BM_MachineSearchExact(benchmark::State &State) {
   // A branch with rich history: ghostview's dispatch pattern.
   static PatternTable Table = [] {
     PatternTable T(9);
-    Module M;
-    Trace Tr = traceWorkload(allWorkloads()[3], 1, M, 200'000);
-    for (const BranchEvent &E : Tr)
-      if (E.BranchId == 0)
-        T.record(E.Taken);
+    BranchColumn Col = sharedTrace().branch(0);
+    for (uint64_t I = 0; I < Col.Executions; ++I)
+      T.record(Col.Bits.bit(I));
     return T;
   }();
   for (auto _ : State) {
@@ -155,12 +155,10 @@ BENCHMARK(BM_MachineSearchExact)->Arg(3)->Arg(5)->Arg(7);
 
 //===----------------------------------------------------------------------===//
 // Sweep wall-time benchmark (--sweep-bench): times computeSizeSweep on the
-// largest workload at several --jobs settings and against an emulation of
-// the pre-ladder algorithm (family probe at MaxStates plus one fresh
-// search per rung, no cache — exactly what core/SizeSweep.cpp did before
-// the memoized downward-fill ladders). Emits BENCH_sweep.json. Timing
-// gauges are skip-listed in the compare thresholds; the cache hit rate and
-// the search counters are deterministic and gated.
+// largest workload at several --jobs settings, cold and warm, plus the event
+// path that feeds it (module build + trace + loop-aware profiles). Emits
+// BENCH_sweep.json. Timing gauges are skip-listed in the compare thresholds;
+// the cache hit rate and the search counters are deterministic and gated.
 //===----------------------------------------------------------------------===//
 
 double wallMs(const std::function<void()> &Fn) {
@@ -170,81 +168,21 @@ double wallMs(const std::function<void()> &Fn) {
   return std::chrono::duration<double, std::milli>(T1 - T0).count();
 }
 
-/// The searches the old computeSizeSweep issued, with identical options:
-/// per branch, one family-decision probe at the deepest budget, then one
-/// independent search per rung N=2..MaxStates. No ladder reuse, no cache.
-void legacySweepSearches(const ProgramAnalysis &PA, const ProfileSet &Profiles,
-                         const Trace &T, const SweepOptions &Opts) {
-  unsigned PathLen = std::min<unsigned>(4, Opts.MaxStates);
-  std::vector<std::vector<BranchPath>> Candidates(PA.numBranches());
-  for (uint32_t Id = 0; Id < PA.numBranches(); ++Id) {
-    const BranchProfile &P = Profiles.branch(static_cast<int32_t>(Id));
-    if (P.executions() < Opts.MinExecutions)
-      continue;
-    Candidates[Id] = PA.backwardPaths(static_cast<int32_t>(Id), PathLen,
-                                      /*ThroughJumps=*/true);
-  }
-  std::vector<PathProfile> Paths = profilePaths(Candidates, T, PathLen);
-
-  for (uint32_t Id = 0; Id < PA.numBranches(); ++Id) {
-    const BranchProfile &P = Profiles.branch(static_cast<int32_t>(Id));
-    if (P.executions() < Opts.MinExecutions)
-      continue;
-    const BranchClass &C = PA.classOf(static_cast<int32_t>(Id));
-
-    uint64_t BestLoopCorrect = 0;
-    uint64_t BestCorrCorrect = 0;
-    if (C.Kind == BranchKind::IntraLoop) {
-      MachineOptions MO;
-      MO.MaxStates = Opts.MaxStates;
-      MO.Exhaustive = Opts.Exhaustive;
-      MO.NodeBudget = Opts.NodeBudget;
-      BestLoopCorrect = buildIntraLoopMachine(P.Table, MO).Correct;
-    } else if (C.Kind == BranchKind::LoopExit) {
-      BestLoopCorrect =
-          buildExitMachine(P.Table, Opts.MaxStates, !C.TakenExits).Correct;
-    }
-    if (!Candidates[Id].empty()) {
-      CorrelatedOptions CO;
-      CO.MaxStates = Opts.MaxStates;
-      CO.MaxPathLen = PathLen;
-      CO.Exhaustive = Opts.Exhaustive;
-      CO.NodeBudget = Opts.NodeBudget;
-      BestCorrCorrect = buildCorrelatedMachineFromProfile(
-                            static_cast<int32_t>(Id), Paths[Id], CO)
-                            .Correct;
-    }
-
-    uint64_t ProfileCorrect = P.executions() - P.profileMispredictions();
-    bool UseLoopFamily = (C.Kind != BranchKind::NonLoop) &&
-                         BestLoopCorrect >= BestCorrCorrect &&
-                         BestLoopCorrect > ProfileCorrect;
-    bool UseCorrFamily = !UseLoopFamily && BestCorrCorrect > ProfileCorrect;
-    for (unsigned N = 2; N <= Opts.MaxStates; ++N) {
-      if (UseLoopFamily) {
-        if (C.Kind == BranchKind::IntraLoop) {
-          MachineOptions MO;
-          MO.MaxStates = N;
-          MO.Exhaustive = Opts.Exhaustive;
-          MO.NodeBudget = Opts.NodeBudget;
-          benchmark::DoNotOptimize(buildIntraLoopMachine(P.Table, MO).Correct);
-        } else {
-          benchmark::DoNotOptimize(
-              buildExitMachine(P.Table, N, !C.TakenExits).Correct);
-        }
-      } else if (UseCorrFamily) {
-        CorrelatedOptions CO;
-        CO.MaxStates = N;
-        CO.MaxPathLen = PathLen;
-        CO.Exhaustive = Opts.Exhaustive;
-        CO.NodeBudget = Opts.NodeBudget;
-        benchmark::DoNotOptimize(
-            buildCorrelatedMachineFromProfile(static_cast<int32_t>(Id),
-                                              Paths[Id], CO)
-                .Correct);
-      }
+/// The largest workload by trace length under \p Events (branch count
+/// breaks ties), traced with the registry off.
+const Workload *largestWorkload(uint64_t Events) {
+  const Workload *Largest = nullptr;
+  size_t LargestScore = 0;
+  for (const Workload &W : allWorkloads()) {
+    Module WM;
+    ColumnarTrace WT = traceWorkloadColumnar(W, 1, WM, Events);
+    size_t Score = WT.size() * 8 + WT.numBranches();
+    if (Score > LargestScore) {
+      LargestScore = Score;
+      Largest = &W;
     }
   }
+  return Largest;
 }
 
 int runSweepBench(BenchRunOptions RunOpts) {
@@ -266,27 +204,14 @@ int runSweepBench(BenchRunOptions RunOpts) {
   Registry::global().setEnabled(false);
 
   // The acceptance target is the *largest* workload's sweep; pick it by
-  // trace length (branch count breaks ties) instead of hardcoding a name.
-  const Workload *Largest = nullptr;
-  size_t LargestScore = 0;
-  for (const Workload &W : allWorkloads()) {
-    Module WM;
-    Trace WT = traceWorkload(W, 1, WM, Events);
-    ProgramAnalysis WPA(WM);
-    size_t Score = WT.size() * 8 + WPA.numBranches();
-    if (Score > LargestScore) {
-      LargestScore = Score;
-      Largest = &W;
-    }
-  }
+  // trace length instead of hardcoding a name.
+  const Workload *Largest = largestWorkload(Events);
   std::printf("sweep bench: largest workload is %s (%llu events cap)\n",
               Largest->Name, static_cast<unsigned long long>(Events));
   Module M;
-  Trace T = traceWorkload(*Largest, 1, M, Events);
-  Module MC;
-  ColumnarTrace CT = traceWorkloadColumnar(*Largest, 1, MC, Events);
+  ColumnarTrace CT = traceWorkloadColumnar(*Largest, 1, M, Events);
   ProgramAnalysis PA(M);
-  ProfileSet Profiles = buildLoopAwareProfiles(PA, T);
+  ProfileSet Profiles = buildLoopAwareProfiles(PA, CT);
 
   SweepOptions Opts;
   Opts.MaxStates = 8;
@@ -297,9 +222,6 @@ int runSweepBench(BenchRunOptions RunOpts) {
   Obs.setEnabled(true);
   SearchCache &Cache = SearchCache::global();
 
-  // The timed sweeps run on the columnar trace (the production layout);
-  // the cross-layout guard below re-runs one sweep on the legacy event
-  // vector and requires the identical curve.
   auto RunAt = [&](unsigned Jobs, bool Cold,
                    std::vector<SweepPoint> &Out) -> double {
     double Best = 0.0;
@@ -316,14 +238,6 @@ int runSweepBench(BenchRunOptions RunOpts) {
   };
 
   Cache.clear();
-  double LegacyMs = 0.0;
-  for (unsigned I = 0; I < Reps; ++I) {
-    double Ms = wallMs([&] { legacySweepSearches(PA, Profiles, T, Opts); });
-    if (I == 0 || Ms < LegacyMs)
-      LegacyMs = Ms;
-  }
-  Cache.clear();
-
   std::vector<SweepPoint> P1, P2, P4, P4W;
   double Jobs1Ms = RunAt(1, /*Cold=*/true, P1);
   SearchCache::Stats ColdStats = Cache.stats();
@@ -349,146 +263,61 @@ int runSweepBench(BenchRunOptions RunOpts) {
                  "sweep bench: FAIL — curves differ across --jobs runs\n");
     return 1;
   }
-  // Cross-layout guard: the legacy event-of-structs trace must produce
-  // the identical curve.
-  std::vector<SweepPoint> PLegacy;
-  Cache.clear();
-  {
-    SweepOptions O = Opts;
-    O.Jobs = 4;
-    PLegacy = computeSizeSweep(PA, Profiles, T, O);
-  }
-  if (!SameCurve(P1, PLegacy)) {
-    std::fprintf(stderr, "sweep bench: FAIL — columnar and legacy traces "
-                         "produce different curves\n");
-    return 1;
-  }
 
   uint64_t Lookups = ColdStats.Hits + ColdStats.Misses;
   double HitRate = Lookups ? 100.0 * static_cast<double>(ColdStats.Hits) /
                                  static_cast<double>(Lookups)
                            : 0.0;
-  double SpeedJobs1 = Jobs1Ms > 0 ? LegacyMs / Jobs1Ms : 0.0;
-  double SpeedJobs4 = Jobs4Ms > 0 ? LegacyMs / Jobs4Ms : 0.0;
 
-  //--------------------------------------------------------------------
-  // Columnar event path: the tentpole measurement. Legacy = one virtual
-  // sink call per event into an event-of-structs vector, then the
-  // hash-probe-per-event profile build. Columnar = batched emission into
-  // packed id/direction columns, then the flat-count fill kernel over
-  // 64-outcome words. Both are timed end to end (module build + trace +
-  // loop-aware profiles) best-of-N; the results must match exactly.
-  //--------------------------------------------------------------------
-  double LegacyPathMs = 0.0, ColumnarPathMs = 0.0;
-  Trace PathTrace;
+  // Event path: batched emission into the packed id/direction columns,
+  // then the flat-count fill kernel over 64-outcome words, timed end to end
+  // (module build + trace + loop-aware profiles) best-of-N.
+  double PathMs = 0.0;
   ColumnarTrace PathCT;
-  ProfileSet LegacyProfiles(0), ColumnarProfiles(0);
   for (unsigned I = 0; I < Reps; ++I) {
     double Ms = wallMs([&] {
-      Module LM;
-      PathTrace = traceWorkload(*Largest, 1, LM, Events);
-      LegacyProfiles = buildLoopAwareProfiles(PA, PathTrace);
+      Module PM;
+      PathCT = traceWorkloadColumnar(*Largest, 1, PM, Events);
+      benchmark::DoNotOptimize(buildLoopAwareProfiles(PA, PathCT));
     });
-    if (I == 0 || Ms < LegacyPathMs)
-      LegacyPathMs = Ms;
+    if (I == 0 || Ms < PathMs)
+      PathMs = Ms;
   }
-  for (unsigned I = 0; I < Reps; ++I) {
-    double Ms = wallMs([&] {
-      Module CM;
-      PathCT = traceWorkloadColumnar(*Largest, 1, CM, Events);
-      ColumnarProfiles = buildLoopAwareProfiles(PA, PathCT);
-    });
-    if (I == 0 || Ms < ColumnarPathMs)
-      ColumnarPathMs = Ms;
-  }
-
-  // Correctness guards: identical event stream, identical profiles.
-  if (!(PathCT.materialize() == PathTrace)) {
-    std::fprintf(stderr, "sweep bench: FAIL — columnar trace does not "
-                         "round-trip the legacy event stream\n");
-    return 1;
-  }
-  auto SameProfiles = [](const ProfileSet &A, const ProfileSet &B) {
-    if (A.numBranches() != B.numBranches())
-      return false;
-    for (uint32_t Id = 0; Id < A.numBranches(); ++Id) {
-      const BranchProfile &PA_ = A.branch(static_cast<int32_t>(Id));
-      const BranchProfile &PB = B.branch(static_cast<int32_t>(Id));
-      if (PA_.Outcomes != PB.Outcomes ||
-          PA_.ResetPositions != PB.ResetPositions ||
-          PA_.Table.executions() != PB.Table.executions())
-        return false;
-      std::vector<std::tuple<uint32_t, uint64_t, uint64_t>> TA, TB;
-      for (const auto &[Pat, C] : PA_.Table.full())
-        TA.emplace_back(Pat, C.Taken, C.NotTaken);
-      for (const auto &[Pat, C] : PB.Table.full())
-        TB.emplace_back(Pat, C.Taken, C.NotTaken);
-      std::sort(TA.begin(), TA.end());
-      std::sort(TB.begin(), TB.end());
-      if (TA != TB)
-        return false;
-    }
-    return true;
-  };
-  if (!SameProfiles(LegacyProfiles, ColumnarProfiles)) {
-    std::fprintf(stderr, "sweep bench: FAIL — columnar profile build "
-                         "differs from the legacy build\n");
-    return 1;
-  }
-
   double PathEvents = static_cast<double>(PathCT.size());
-  double LegacyEps =
-      LegacyPathMs > 0 ? 1000.0 * PathEvents / LegacyPathMs : 0.0;
-  double ColumnarEps =
-      ColumnarPathMs > 0 ? 1000.0 * PathEvents / ColumnarPathMs : 0.0;
-  double PathSpeedup = ColumnarPathMs > 0 ? LegacyPathMs / ColumnarPathMs
-                                          : 0.0;
+  double PathEps = PathMs > 0 ? 1000.0 * PathEvents / PathMs : 0.0;
   double BytesPerEvent =
       PathCT.size() ? static_cast<double>(PathCT.bytesUsed()) / PathEvents
                     : 0.0;
-  double LegacyBytesPerEvent = static_cast<double>(sizeof(BranchEvent));
 
-  Obs.gauge("sweep.workload_events").set(static_cast<double>(T.size()));
-  Obs.gauge("sweep.wall_ms.legacy").set(LegacyMs);
+  Obs.gauge("sweep.workload_events").set(static_cast<double>(CT.size()));
   Obs.gauge("sweep.wall_ms.jobs1").set(Jobs1Ms);
   Obs.gauge("sweep.wall_ms.jobs2").set(Jobs2Ms);
   Obs.gauge("sweep.wall_ms.jobs4").set(Jobs4Ms);
   Obs.gauge("sweep.wall_ms.jobs4_warm").set(WarmMs);
-  Obs.gauge("sweep.speedup.jobs1_vs_legacy").set(SpeedJobs1);
-  Obs.gauge("sweep.speedup.jobs4_vs_legacy").set(SpeedJobs4);
   Obs.gauge("sweep.speedup.jobs4_vs_jobs1")
       .set(Jobs4Ms > 0 ? Jobs1Ms / Jobs4Ms : 0.0);
   Obs.gauge("sweep.cache.hit_rate_percent").set(HitRate);
   Obs.gauge("sweep.events_per_sec.jobs4")
-      .set(Jobs4Ms > 0 ? 1000.0 * static_cast<double>(T.size()) / Jobs4Ms
+      .set(Jobs4Ms > 0 ? 1000.0 * static_cast<double>(CT.size()) / Jobs4Ms
                        : 0.0);
-  Obs.gauge("sweep.columnar.events_per_sec").set(ColumnarEps);
-  Obs.gauge("sweep.columnar.legacy_events_per_sec").set(LegacyEps);
-  Obs.gauge("sweep.columnar.speedup_vs_legacy").set(PathSpeedup);
+  Obs.gauge("sweep.columnar.events_per_sec").set(PathEps);
   Obs.gauge("sweep.columnar.bytes_per_event").set(BytesPerEvent);
 
   std::printf("sweep bench (%s, %zu events, states<=%u):\n", Largest->Name,
-              T.size(), Opts.MaxStates);
-  std::printf("  legacy per-rung search : %8.1f ms\n", LegacyMs);
-  std::printf("  ladder --jobs 1 (cold) : %8.1f ms  (%.2fx vs legacy)\n",
-              Jobs1Ms, SpeedJobs1);
+              CT.size(), Opts.MaxStates);
+  std::printf("  ladder --jobs 1 (cold) : %8.1f ms\n", Jobs1Ms);
   std::printf("  ladder --jobs 2 (cold) : %8.1f ms\n", Jobs2Ms);
-  std::printf("  ladder --jobs 4 (cold) : %8.1f ms  (%.2fx vs legacy)\n",
-              Jobs4Ms, SpeedJobs4);
+  std::printf("  ladder --jobs 4 (cold) : %8.1f ms\n", Jobs4Ms);
   std::printf("  ladder --jobs 4 (warm) : %8.1f ms\n", WarmMs);
   std::printf("  cache hit rate (cold)  : %7.1f%%  (%llu hits / %llu "
               "lookups)\n",
               HitRate, static_cast<unsigned long long>(ColdStats.Hits),
               static_cast<unsigned long long>(Lookups));
   std::printf("event path (%s, %.0f events, simd tier %s):\n",
-              Largest->Name, PathEvents,
-              simdTierName(activeSimdTier()));
-  std::printf("  legacy event path      : %8.1f ms  (%12.0f events/sec, "
+              Largest->Name, PathEvents, simdTierName(activeSimdTier()));
+  std::printf("  trace + profiles       : %8.1f ms  (%12.0f events/sec, "
               "%5.2f bytes/event)\n",
-              LegacyPathMs, LegacyEps, LegacyBytesPerEvent);
-  std::printf("  columnar event path    : %8.1f ms  (%12.0f events/sec, "
-              "%5.2f bytes/event, %.2fx vs legacy)\n",
-              ColumnarPathMs, ColumnarEps, BytesPerEvent, PathSpeedup);
+              PathMs, PathEps, BytesPerEvent);
 
   if (RunOpts.MetricsOut.empty())
     RunOpts.MetricsOut = "BENCH_sweep.json";
@@ -519,18 +348,7 @@ int runProfileBench(BenchRunOptions RunOpts) {
   // is armed — and with the registry off, in case parseBenchArgs enabled
   // it — so the probe traces pollute neither span nor interp counts.
   Registry::global().setEnabled(false);
-  const Workload *Largest = nullptr;
-  size_t LargestScore = 0;
-  for (const Workload &W : allWorkloads()) {
-    Module WM;
-    Trace WT = traceWorkload(W, 1, WM, Events);
-    ProgramAnalysis WPA(WM);
-    size_t Score = WT.size() * 8 + WPA.numBranches();
-    if (Score > LargestScore) {
-      LargestScore = Score;
-      Largest = &W;
-    }
-  }
+  const Workload *Largest = largestWorkload(Events);
   std::printf("profile bench: largest workload is %s (%llu events cap)\n",
               Largest->Name, static_cast<unsigned long long>(Events));
 
@@ -539,9 +357,9 @@ int runProfileBench(BenchRunOptions RunOpts) {
   Prof.setEnabled(true);
   SearchCache::global().clear();
 
-  // The profiled run exercises the production (columnar) event path, so
-  // the interp/kernel profiler categories and the trace.columnar.* /
-  // search.simd.* counters land in the report.
+  // The profiled run exercises the whole event path, so the interp/kernel
+  // profiler categories and the trace.columnar.* / search.simd.* counters
+  // land in the report.
   Module M;
   ColumnarTrace CT;
   double PathMs = wallMs([&] {

@@ -72,10 +72,12 @@ int main() {
   std::printf("== Original loop (the alternating branch is id 0) ==\n%s\n",
               printFunction(M.Functions[0], &M).c_str());
 
-  // Profile the loop.
-  CollectingSink Sink;
+  // Profile the loop: collect the trace into its id and direction columns,
+  // then index it per branch.
+  ColumnarSink Sink;
   ExecResult Orig = execute(M, &Sink);
-  Trace T = Sink.takeTrace();
+  ColumnarTrace T = Sink.takeTrace();
+  T.finalize(2);
   ProfileSet Profiles(2);
   Profiles.addTrace(T);
   std::printf("Alternating branch: %llu executions, %llu taken -> profile "

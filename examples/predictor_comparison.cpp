@@ -46,7 +46,7 @@ int main(int argc, char **argv) {
   }
 
   Module M;
-  Trace T = traceWorkload(*W, Seed, M, 1'000'000);
+  ColumnarTrace T = traceWorkloadColumnar(*W, Seed, M, 1'000'000);
   std::printf("%s (seed %llu): %zu branch events, %llu static branches\n\n",
               W->Name, static_cast<unsigned long long>(Seed), T.size(),
               static_cast<unsigned long long>(M.conditionalBranchCount()));

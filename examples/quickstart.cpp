@@ -82,15 +82,18 @@ int main() {
   }
   std::printf("== The program ==\n%s\n", printModule(M).c_str());
 
-  // -- 2. Trace it ---------------------------------------------------------------
-  CollectingSink Sink;
+  // -- 2. Record its branch trace ------------------------------------------------
+  // The trace is the (branch id, direction) event stream, kept as two
+  // columns; finalize() indexes it per branch for the profile builders.
+  ColumnarSink Sink;
   ExecResult Res = execute(M, &Sink);
   std::printf("== Execution ==\nreturn=%lld, %llu instructions, %llu branch "
               "events\n\n",
               static_cast<long long>(Res.ReturnValue),
               static_cast<unsigned long long>(Res.InstructionsExecuted),
               static_cast<unsigned long long>(Res.BranchEvents));
-  Trace T = Sink.takeTrace();
+  ColumnarTrace T = Sink.takeTrace();
+  T.finalize(static_cast<uint32_t>(M.conditionalBranchCount()));
 
   // -- 3. Train semi-static predictors --------------------------------------------
   ProfilePredictor Prof;

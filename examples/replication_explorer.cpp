@@ -41,7 +41,7 @@ int main(int argc, char **argv) {
   }
 
   Module M;
-  Trace T = traceWorkload(*W, Seed, M, 500'000);
+  ColumnarTrace T = traceWorkloadColumnar(*W, Seed, M, 500'000);
   TraceStats Stats(static_cast<uint32_t>(M.conditionalBranchCount()));
   Stats.addTrace(T);
 

@@ -37,26 +37,6 @@ unsigned PatternTable::distinctPatterns(unsigned Bits) const {
 ProfileSet::ProfileSet(uint32_t NumBranches, unsigned MaxBits)
     : Profiles(NumBranches, BranchProfile(MaxBits)) {}
 
-void ProfileSet::addTrace(const Trace &T) {
-  // Counting pass first: each branch's outcome vector is reserved to its
-  // final size, so the recording pass appends without reallocating. The
-  // pattern table gets a capped hint — a branch sees at most 2^MaxBits
-  // distinct patterns however long its stream is.
-  std::vector<uint64_t> PerBranch(Profiles.size(), 0);
-  for (const BranchEvent &E : T)
-    if (static_cast<uint32_t>(E.BranchId) < Profiles.size())
-      ++PerBranch[static_cast<uint32_t>(E.BranchId)];
-  for (size_t Id = 0; Id < Profiles.size(); ++Id) {
-    if (!PerBranch[Id])
-      continue;
-    BranchProfile &P = Profiles[Id];
-    P.Outcomes.reserve(P.Outcomes.size() + PerBranch[Id]);
-    P.Table.reserveHint(PerBranch[Id]);
-  }
-  for (const BranchEvent &E : T)
-    record(E.BranchId, E.Taken);
-}
-
 void ProfileSet::addTrace(const ColumnarTrace &CT) {
   assert(CT.indexed() && "finalize() the columnar trace first");
   const uint32_t NumBranches = std::min<uint32_t>(

@@ -16,8 +16,8 @@
 #define BPCR_CORE_BRANCHPROFILES_H
 
 #include "predict/SemiStaticPredictors.h" // DirCounts
+#include "support/CountingAlloc.h"
 #include "trace/Bitstream.h"
-#include "trace/Trace.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -152,49 +152,20 @@ public:
   /// \param MaxBits pattern-table width (the paper uses 9).
   ProfileSet(uint32_t NumBranches, unsigned MaxBits = 9);
 
-  /// Accumulates a whole trace.
-  void addTrace(const Trace &T);
-
-  /// Columnar fast path: per-branch outcome streams come straight from the
-  /// finalized index and the pattern tables from the flat-count fill
-  /// kernel — no per-event hash probes. The resulting set is equivalent to
-  /// addTrace(CT.materialize()) (pattern maps may differ in iteration
-  /// order only, which nothing downstream observes).
+  /// Accumulates a whole finalized trace. Per-branch outcome streams come
+  /// straight from the index and the pattern tables from the flat-count
+  /// fill kernel — no per-event hash probes. The tables equal recording
+  /// each branch's outcomes in order with PatternTable::record() (pattern
+  /// maps may differ in iteration order only, which nothing downstream
+  /// observes).
   void addTrace(const ColumnarTrace &CT);
-
-  /// Records one event.
-  void record(int32_t Id, bool Taken) {
-    BranchProfile &P = Profiles[static_cast<uint32_t>(Id)];
-    P.Outcomes.push_back(Taken ? 1 : 0);
-    P.DirBits.push(Taken);
-    P.Table.record(Taken);
-  }
-
-  /// Records one event into the outcome stream only, leaving the pattern
-  /// table empty. Used for branches whose direction is statically proven:
-  /// the machine search is pruned for them, so their table is never read,
-  /// and skipping the fill keeps the proof savings real.
-  void recordOutcomeOnly(int32_t Id, bool Taken) {
-    BranchProfile &P = Profiles[static_cast<uint32_t>(Id)];
-    P.Outcomes.push_back(Taken ? 1 : 0);
-    P.DirBits.push(Taken);
-  }
-
-  /// Marks a loop re-entry for branch \p Id: the next recorded outcome
-  /// starts from a zero-filled history.
-  void resetHistory(int32_t Id) {
-    BranchProfile &P = Profiles[static_cast<uint32_t>(Id)];
-    P.ResetPositions.push_back(P.Outcomes.size());
-    P.Table.resetHistory();
-  }
 
   const BranchProfile &branch(int32_t Id) const {
     return Profiles[static_cast<uint32_t>(Id)];
   }
 
-  /// Mutable access for the columnar bulk-fill builders
-  /// (core/LoopAwareProfiles.cpp), which write outcome streams and reset
-  /// positions wholesale instead of event-at-a-time.
+  /// Mutable access for the bulk-fill builders (core/LoopAwareProfiles.cpp),
+  /// which write outcome streams and reset positions wholesale.
   BranchProfile &branchMutable(int32_t Id) {
     return Profiles[static_cast<uint32_t>(Id)];
   }

@@ -61,15 +61,9 @@ int CorrelatedMachine::match(const std::vector<PathStep> &Recent) const {
   return -1;
 }
 
-namespace {
-
-/// Shared global-order pass of profilePaths. \p EventAt yields the I-th
-/// event (id, taken) so the legacy vector-of-structs trace and the
-/// columnar trace share one body and stay bit-identical.
-template <class EventFn>
-std::vector<PathProfile> profilePathsImpl(
+std::vector<PathProfile> bpcr::profilePaths(
     const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
-    size_t NumEvents, EventFn EventAt, unsigned MaxPathLen) {
+    const ColumnarTrace &CT, unsigned MaxPathLen) {
   size_t NumBranches = CandidatesByBranch.size();
   std::vector<PathProfile> Out(NumBranches);
 
@@ -86,15 +80,18 @@ std::vector<PathProfile> profilePathsImpl(
       Longest[B] = std::max(Longest[B], P.Steps.size());
     }
 
-  // One pass; the window holds the last MaxPathLen encoded events. Both
-  // the window and the probe key are reused across the whole trace — this
-  // loop runs once per branch event and must not allocate per event.
+  // One global-order pass over the id column and the packed direction
+  // words; the window holds the last MaxPathLen encoded events. Both the
+  // window and the probe key are reused across the whole trace — this loop
+  // runs once per branch event and must not allocate per event.
+  const int32_t *Ids = CT.ids().data();
+  const BitstreamView Dirs = CT.directions();
   SymbolString Window;
   Window.reserve(MaxPathLen + 1);
   SymbolString Key;
   Key.reserve(MaxPathLen);
-  for (size_t I = 0; I < NumEvents; ++I) {
-    const PathStep E = EventAt(I);
+  for (size_t I = 0, N = CT.size(); I < N; ++I) {
+    const PathStep E{Ids[I], Dirs.bit(I)};
     size_t B = static_cast<size_t>(E.BranchId);
     if (B < NumBranches && !Lookup[B].empty()) {
       bool Matched = false;
@@ -124,33 +121,6 @@ std::vector<PathProfile> profilePathsImpl(
       Out[B].PerPath.emplace_back(Path, Counts);
   }
   return Out;
-}
-
-} // namespace
-
-std::vector<PathProfile> bpcr::profilePaths(
-    const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
-    const Trace &T, unsigned MaxPathLen) {
-  return profilePathsImpl(
-      CandidatesByBranch, T.size(),
-      [&T](size_t I) {
-        return PathStep{T[I].BranchId, T[I].Taken};
-      },
-      MaxPathLen);
-}
-
-std::vector<PathProfile> bpcr::profilePaths(
-    const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
-    const ColumnarTrace &CT, unsigned MaxPathLen) {
-  const int32_t *Ids = CT.ids().data();
-  const uint64_t *Dirs = CT.directions().data();
-  return profilePathsImpl(
-      CandidatesByBranch, CT.size(),
-      [Ids, Dirs](size_t I) {
-        bool Taken = (Dirs[I >> 6] >> (I & 63)) & 1;
-        return PathStep{Ids[I], Taken};
-      },
-      MaxPathLen);
 }
 
 CorrelatedMachine
@@ -190,24 +160,26 @@ bpcr::buildCorrelatedMachineFromProfile(int32_t BranchId,
 CorrelatedMachine
 bpcr::buildCorrelatedMachine(int32_t BranchId,
                              const std::vector<BranchPath> &CandidatePaths,
-                             const Trace &T, const CorrelatedOptions &Opts) {
+                             const ColumnarTrace &CT,
+                             const CorrelatedOptions &Opts) {
   std::vector<std::vector<BranchPath>> ByBranch(
       static_cast<size_t>(BranchId) + 1);
   ByBranch[static_cast<size_t>(BranchId)] = CandidatePaths;
   std::vector<PathProfile> Profiles =
-      profilePaths(ByBranch, T, Opts.MaxPathLen);
+      profilePaths(ByBranch, CT, Opts.MaxPathLen);
   return buildCorrelatedMachineFromProfile(
       BranchId, Profiles[static_cast<size_t>(BranchId)], Opts);
 }
 
 PredictionStats bpcr::evaluateCorrelatedMachine(const CorrelatedMachine &M,
-                                                const Trace &T) {
+                                                const ColumnarTrace &CT) {
   PredictionStats Stats;
   std::vector<PathStep> Recent;
-  for (const BranchEvent &E : T) {
+  for (size_t I = 0, N = CT.size(); I < N; ++I) {
+    const PathStep E{CT.branchId(I), CT.taken(I)};
     if (E.BranchId == M.BranchId)
       Stats.record(M.predictFor(Recent) == E.Taken);
-    Recent.push_back({E.BranchId, E.Taken});
+    Recent.push_back(E);
     if (Recent.size() > M.MaxPathLen)
       Recent.erase(Recent.begin());
   }

@@ -23,7 +23,6 @@
 #include "analysis/PathEnum.h"
 #include "core/SuffixSelect.h"
 #include "support/Statistics.h"
-#include "trace/Trace.h"
 
 #include <cstdint>
 #include <vector>
@@ -93,12 +92,6 @@ SymbolString encodePathSteps(const BranchPath &P);
 /// \param MaxPathLen window length (must cover the longest candidate).
 std::vector<PathProfile>
 profilePaths(const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
-             const Trace &T, unsigned MaxPathLen);
-
-/// Columnar overload: same global-order pass over ids() plus the packed
-/// direction words; identical profiles to the legacy trace.
-std::vector<PathProfile>
-profilePaths(const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
              const ColumnarTrace &CT, unsigned MaxPathLen);
 
 /// Fits a correlated machine from a precomputed profile.
@@ -106,18 +99,18 @@ CorrelatedMachine buildCorrelatedMachineFromProfile(
     int32_t BranchId, const PathProfile &Profile,
     const CorrelatedOptions &Opts);
 
-/// Convenience wrapper: profiles \p T for one branch and fits the machine.
+/// Convenience wrapper: profiles \p CT for one branch and fits the machine.
 ///
 /// \param CandidatePaths CFG-valid decision paths into the branch's block
 ///        (from enumerateBackwardPaths).
-/// \param T training trace.
+/// \param CT training trace.
 CorrelatedMachine buildCorrelatedMachine(
     int32_t BranchId, const std::vector<BranchPath> &CandidatePaths,
-    const Trace &T, const CorrelatedOptions &Opts);
+    const ColumnarTrace &CT, const CorrelatedOptions &Opts);
 
-/// Replays \p T and measures the machine's realized accuracy on its branch.
+/// Replays \p CT and measures the machine's realized accuracy on its branch.
 PredictionStats evaluateCorrelatedMachine(const CorrelatedMachine &M,
-                                          const Trace &T);
+                                          const ColumnarTrace &CT);
 
 } // namespace bpcr
 

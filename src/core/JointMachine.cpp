@@ -339,15 +339,10 @@ std::string JointLoopMachine::describe() const {
   return Out;
 }
 
-namespace {
-
-/// Shared global-order pass of profileJointLoop; \p EventAt yields the
-/// I-th (id, taken) so both trace layouts share one body.
-template <class EventFn>
-JointProfile profileJointLoopImpl(const ProgramAnalysis &PA,
-                                  const std::vector<int32_t> &Members,
-                                  size_t NumEvents, EventFn EventAt,
-                                  unsigned MaxLen) {
+JointProfile bpcr::profileJointLoop(const ProgramAnalysis &PA,
+                                    const std::vector<int32_t> &Members,
+                                    const ColumnarTrace &CT,
+                                    unsigned MaxLen) {
   JointProfile Out;
   uint32_t FuncIdx = 0;
   const Loop *L = nullptr;
@@ -363,9 +358,12 @@ JointProfile profileJointLoopImpl(const ProgramAnalysis &PA,
                : -1;
   };
 
+  // One global-order pass over the id column and the packed directions.
+  const int32_t *Ids = CT.ids().data();
+  const BitstreamView Dirs = CT.directions();
   SymbolString History;
-  for (size_t I = 0; I < NumEvents; ++I) {
-    const auto [Id, Taken] = EventAt(I);
+  for (size_t I = 0, N = CT.size(); I < N; ++I) {
+    const int32_t Id = Ids[I];
     const BranchRef &R = PA.ref(Id);
     bool Inside = R.FuncIdx == FuncIdx && L->contains(R.BlockIdx);
     if (!Inside) {
@@ -375,6 +373,7 @@ JointProfile profileJointLoopImpl(const ProgramAnalysis &PA,
     int MI = MemberIdxOf(Id);
     if (MI < 0)
       continue; // in-loop non-member: no transition, no reset
+    const bool Taken = Dirs.bit(I);
     auto &PerMember = Out.PerPattern[History];
     if (PerMember.empty())
       PerMember.resize(Sorted.size());
@@ -385,34 +384,6 @@ JointProfile profileJointLoopImpl(const ProgramAnalysis &PA,
       History.erase(History.begin());
   }
   return Out;
-}
-
-} // namespace
-
-JointProfile bpcr::profileJointLoop(const ProgramAnalysis &PA,
-                                    const std::vector<int32_t> &Members,
-                                    const Trace &T, unsigned MaxLen) {
-  return profileJointLoopImpl(
-      PA, Members, T.size(),
-      [&T](size_t I) {
-        return std::pair<int32_t, bool>(T[I].BranchId, T[I].Taken);
-      },
-      MaxLen);
-}
-
-JointProfile bpcr::profileJointLoop(const ProgramAnalysis &PA,
-                                    const std::vector<int32_t> &Members,
-                                    const ColumnarTrace &CT,
-                                    unsigned MaxLen) {
-  const int32_t *Ids = CT.ids().data();
-  const uint64_t *Dirs = CT.directions().data();
-  return profileJointLoopImpl(
-      PA, Members, CT.size(),
-      [Ids, Dirs](size_t I) {
-        bool Taken = (Dirs[I >> 6] >> (I & 63)) & 1;
-        return std::pair<int32_t, bool>(Ids[I], Taken);
-      },
-      MaxLen);
 }
 
 JointLoopMachine
@@ -466,7 +437,7 @@ bpcr::buildJointLoopMachine(const std::vector<int32_t> &Members,
 
 PredictionStats bpcr::evaluateJointMachine(const JointLoopMachine &M,
                                            const ProgramAnalysis &PA,
-                                           const Trace &T) {
+                                           const ColumnarTrace &CT) {
   PredictionStats Stats;
   if (M.Members.empty())
     return Stats;
@@ -476,18 +447,20 @@ PredictionStats bpcr::evaluateJointMachine(const JointLoopMachine &M,
     return Stats;
 
   unsigned State = M.initialState();
-  for (const BranchEvent &E : T) {
-    const BranchRef &R = PA.ref(E.BranchId);
+  for (size_t I = 0, N = CT.size(); I < N; ++I) {
+    const int32_t Id = CT.branchId(I);
+    const BranchRef &R = PA.ref(Id);
     bool Inside = R.FuncIdx == FuncIdx && L->contains(R.BlockIdx);
     if (!Inside) {
       State = M.initialState();
       continue;
     }
-    int MI = M.memberIndex(E.BranchId);
+    int MI = M.memberIndex(Id);
     if (MI < 0)
       continue;
-    Stats.record(M.predictTaken(State, MI) == E.Taken);
-    State = M.next(State, MI, E.Taken);
+    const bool Taken = CT.taken(I);
+    Stats.record(M.predictTaken(State, MI) == Taken);
+    State = M.next(State, MI, Taken);
   }
   return Stats;
 }

@@ -29,7 +29,6 @@
 #include "core/Replication.h" // ReplicationStats
 #include "core/SuffixSelect.h"
 #include "support/Statistics.h"
-#include "trace/Trace.h"
 
 #include <cstdint>
 #include <map>
@@ -96,11 +95,6 @@ struct JointProfile {
 /// innermost loop.
 JointProfile profileJointLoop(const ProgramAnalysis &PA,
                               const std::vector<int32_t> &Members,
-                              const Trace &T, unsigned MaxLen);
-
-/// Columnar overload: identical profile from the SoA trace.
-JointProfile profileJointLoop(const ProgramAnalysis &PA,
-                              const std::vector<int32_t> &Members,
                               const ColumnarTrace &CT, unsigned MaxLen);
 
 /// Selects the best joint machine by branch-and-bound over candidate
@@ -109,11 +103,11 @@ JointLoopMachine buildJointLoopMachine(const std::vector<int32_t> &Members,
                                        const JointProfile &Profile,
                                        const JointOptions &Opts);
 
-/// Replays \p T and measures the joint machine's realized accuracy over
+/// Replays \p CT and measures the joint machine's realized accuracy over
 /// its member branches (resetting at loop exits, like the profile).
 PredictionStats evaluateJointMachine(const JointLoopMachine &M,
                                      const ProgramAnalysis &PA,
-                                     const Trace &T);
+                                     const ColumnarTrace &CT);
 
 /// Materializes a joint machine: one copy of \p LoopBlocks per state;
 /// every member branch drives the transitions and carries its per-state

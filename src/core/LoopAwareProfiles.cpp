@@ -19,13 +19,10 @@ using namespace bpcr;
 namespace {
 
 /// Tracked loops: innermost loops of loop branches, keyed (func, loop).
-/// Shared between the legacy and columnar builders so both reset on
-/// exactly the same loop set.
 struct TrackedLoopSet {
   struct TrackedLoop {
     uint32_t FuncIdx;
     const Loop *L;
-    uint64_t LastOutside = 0;
   };
   std::vector<TrackedLoop> Loops;
   std::vector<int32_t> LoopOfBranch;
@@ -44,55 +41,13 @@ struct TrackedLoopSet {
         Loops.push_back(
             {Key.first,
              &PA.loopInfoFor(static_cast<int32_t>(Id))
-                  .loops()[static_cast<size_t>(C.LoopIdx)],
-             0});
+                  .loops()[static_cast<size_t>(C.LoopIdx)]});
       LoopOfBranch[Id] = static_cast<int32_t>(It->second);
     }
   }
 };
 
 } // namespace
-
-ProfileSet bpcr::buildLoopAwareProfiles(const ProgramAnalysis &PA,
-                                        const Trace &T, unsigned MaxBits,
-                                        const sa::BranchProofs *Proofs) {
-  uint32_t NumBranches = PA.numBranches();
-  ProfileSet P(NumBranches, MaxBits);
-
-  TrackedLoopSet TLS(PA);
-  std::vector<TrackedLoopSet::TrackedLoop> &Loops = TLS.Loops;
-  std::vector<int32_t> &LoopOfBranch = TLS.LoopOfBranch;
-
-  std::vector<uint64_t> LastExec(NumBranches, 0);
-  uint64_t Time = 0;
-  for (const BranchEvent &E : T) {
-    ++Time;
-    uint32_t Id = static_cast<uint32_t>(E.BranchId);
-    const BranchRef &R = PA.ref(E.BranchId);
-
-    // Update the outside markers of every tracked loop this event is not
-    // inside of.
-    for (TrackedLoopSet::TrackedLoop &TL : Loops) {
-      bool Inside = TL.FuncIdx == R.FuncIdx && TL.L->contains(R.BlockIdx);
-      if (!Inside)
-        TL.LastOutside = Time;
-    }
-
-    int32_t LI = LoopOfBranch[Id];
-    if (LI >= 0 &&
-        Loops[static_cast<size_t>(LI)].LastOutside > LastExec[Id])
-      P.resetHistory(E.BranchId);
-    // Proven-unidirectional branches keep their outcome stream (profile
-    // scores and Table 5 need it) but skip the pattern-table fill: no
-    // machine search will ever consult their table.
-    if (Proofs && Proofs->proven(E.BranchId))
-      P.recordOutcomeOnly(E.BranchId, E.Taken);
-    else
-      P.record(E.BranchId, E.Taken);
-    LastExec[Id] = Time;
-  }
-  return P;
-}
 
 ProfileSet bpcr::buildLoopAwareProfiles(const ProgramAnalysis &PA,
                                         const ColumnarTrace &CT,
@@ -122,12 +77,15 @@ ProfileSet bpcr::buildLoopAwareProfiles(const ProgramAnalysis &PA,
   }
   ContainOffsets[NumBranches] = ContainLists.size();
 
-  // Reset scan. Invariant per tracked loop L: InsideCount[L] = events so
-  // far inside L. Per branch b with loop L(b): SnapInside[b] is
-  // InsideCount[L(b)] right after b's last execution, so b re-entered its
-  // loop iff the events since then were not all inside, i.e.
-  //   InsideCount[L] - SnapInside[b] != (t-1) - LastExec[b]
-  // — exactly the legacy LastOutside > LastExec condition.
+  // Reset scan. A loop branch b resets before event t iff some event
+  // strictly between b's previous execution and t lay outside b's loop.
+  // Invariant per tracked loop L: InsideCount[L] = events so far inside L.
+  // Per branch b with loop L(b): SnapInside[b] is InsideCount[L(b)] right
+  // after b's last execution, so b re-entered its loop iff the events since
+  // then were not all inside, i.e.
+  //   InsideCount[L] - SnapInside[b] != (t-1) - LastExec[b].
+  // (A branch's first execution resets too, unless every earlier event of
+  // the trace was inside its loop.)
   std::vector<uint64_t> InsideCount(NumLoops, 0);
   std::vector<uint64_t> SnapInside(NumBranches, 0);
   std::vector<uint64_t> LastExec(NumBranches, 0);

@@ -21,9 +21,10 @@
 
 #include "core/BranchProfiles.h"
 #include "core/ProgramAnalysis.h"
-#include "trace/Trace.h"
 
 namespace bpcr {
+
+class ColumnarTrace;
 
 namespace sa {
 struct BranchProofs;
@@ -34,21 +35,16 @@ struct BranchProofs;
 /// Events from other functions count as outside (a fresh call re-enters the
 /// loop through its header).
 ///
+/// The reset scan costs O(loop-nesting depth) per event: each tracked loop
+/// carries an inside-event counter, and a branch re-entered its loop iff
+/// the events since its last execution were not all inside. The pattern
+/// tables come from the flat-count fill kernel over the per-branch
+/// bitstreams, one segment per reset. \p CT must be finalized for
+/// PA.numBranches().
+///
 /// When \p Proofs is non-null, branches proven unidirectional record their
 /// outcome stream but skip the pattern-table fill — the machine search is
 /// pruned for them, so nothing ever reads their table.
-ProfileSet buildLoopAwareProfiles(const ProgramAnalysis &PA, const Trace &T,
-                                  unsigned MaxBits = 9,
-                                  const sa::BranchProofs *Proofs = nullptr);
-
-/// Columnar fast path, equivalent to the Trace overload on
-/// CT.materialize(): the reset scan costs O(loop-nesting depth) per event
-/// instead of O(tracked loops) — each tracked loop carries an
-/// inside-event counter, and a branch re-entered its loop iff the events
-/// since its last execution were not all inside — and the pattern tables
-/// come from the flat-count fill kernel over the per-branch bitstreams
-/// (one segment per reset) instead of a hash probe per event. \p CT must
-/// be finalized for PA.numBranches().
 ProfileSet buildLoopAwareProfiles(const ProgramAnalysis &PA,
                                   const ColumnarTrace &CT,
                                   unsigned MaxBits = 9,

@@ -68,16 +68,6 @@ bool findInstance(const Module &M, int32_t OrigId, uint32_t &FuncIdx,
 
 } // namespace
 
-PipelineResult bpcr::replicateModule(const Module &M, const Trace &T,
-                                     const PipelineOptions &Opts) {
-  // Legacy adapter: pack the event vector once and run the columnar
-  // pipeline. Identical output — the columnar profiling/search paths are
-  // bit-for-bit equivalent to the legacy per-event walks.
-  ColumnarTrace CT = ColumnarTrace::fromEvents(T);
-  CT.finalize(static_cast<uint32_t>(M.conditionalBranchCount()));
-  return replicateModule(M, CT, Opts);
-}
-
 PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
                                      const PipelineOptions &Opts) {
   PipelineResult R;

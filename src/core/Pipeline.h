@@ -25,7 +25,6 @@
 #include "obs/DecisionLog.h"
 #include "obs/TimeSeries.h"
 #include "sa/Diagnostic.h"
-#include "trace/Trace.h"
 
 namespace bpcr {
 
@@ -101,16 +100,10 @@ struct PipelineResult {
   }
 };
 
-/// Profiles \p M with trace \p T, replicates the profitable branches and
+/// Profiles \p M with trace \p CT, replicates the profitable branches and
 /// annotates everything else with profile predictions. \p M must have
-/// branch ids assigned and \p T must stem from it.
-PipelineResult replicateModule(const Module &M, const Trace &T,
-                               const PipelineOptions &Opts);
-
-/// Columnar primary: the whole pipeline (profiling, strategy search,
-/// joint-loop profiling, measurement sizing) reads the SoA trace. The
-/// legacy Trace overload packs its events and delegates here. \p CT must
-/// be finalized for the module's branch count.
+/// branch ids assigned, \p CT must stem from it and be finalized for the
+/// module's branch count.
 PipelineResult replicateModule(const Module &M, const ColumnarTrace &CT,
                                const PipelineOptions &Opts);
 

@@ -68,15 +68,10 @@ uint64_t estimateCorrelatedCost(const CorrelatedMachine &M,
 
 } // namespace
 
-namespace {
-
-/// Shared body; \p T is either the legacy Trace or a ColumnarTrace (the
-/// only trace use is the single profilePaths pass, overloaded for both).
-template <class TraceT>
-std::vector<SweepPoint> computeSizeSweepImpl(const ProgramAnalysis &PA,
-                                             const ProfileSet &Profiles,
-                                             const TraceT &T,
-                                             const SweepOptions &Opts) {
+std::vector<SweepPoint> bpcr::computeSizeSweep(const ProgramAnalysis &PA,
+                                               const ProfileSet &Profiles,
+                                               const ColumnarTrace &CT,
+                                               const SweepOptions &Opts) {
   Span SweepSpan("sweep.compute", "sweep");
   const Module &Mod = PA.module();
   const uint64_t OrigSize = Mod.instructionCount();
@@ -99,7 +94,7 @@ std::vector<SweepPoint> computeSizeSweepImpl(const ProgramAnalysis &PA,
     Candidates[Id] = PA.backwardPaths(static_cast<int32_t>(Id), PathLen,
                                       /*ThroughJumps=*/true);
   }
-  std::vector<PathProfile> Paths = profilePaths(Candidates, T, PathLen);
+  std::vector<PathProfile> Paths = profilePaths(Candidates, CT, PathLen);
 
   // Build ladders, one independent task per branch. Each branch's whole
   // ladder comes from the memoized downward-fill search (one deep run
@@ -290,20 +285,4 @@ std::vector<SweepPoint> computeSizeSweepImpl(const ProgramAnalysis &PA,
   }
   SweepSpan.arg("points", static_cast<uint64_t>(Points.size()));
   return Points;
-}
-
-} // namespace
-
-std::vector<SweepPoint> bpcr::computeSizeSweep(const ProgramAnalysis &PA,
-                                               const ProfileSet &Profiles,
-                                               const Trace &T,
-                                               const SweepOptions &Opts) {
-  return computeSizeSweepImpl(PA, Profiles, T, Opts);
-}
-
-std::vector<SweepPoint> bpcr::computeSizeSweep(const ProgramAnalysis &PA,
-                                               const ProfileSet &Profiles,
-                                               const ColumnarTrace &CT,
-                                               const SweepOptions &Opts) {
-  return computeSizeSweepImpl(PA, Profiles, CT, Opts);
 }

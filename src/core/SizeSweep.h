@@ -68,12 +68,6 @@ struct SweepOptions {
 /// all-profile program at size factor 1.0.
 std::vector<SweepPoint> computeSizeSweep(const ProgramAnalysis &PA,
                                          const ProfileSet &Profiles,
-                                         const Trace &T,
-                                         const SweepOptions &Opts);
-
-/// Columnar overload: identical curve driven by the SoA trace.
-std::vector<SweepPoint> computeSizeSweep(const ProgramAnalysis &PA,
-                                         const ProfileSet &Profiles,
                                          const ColumnarTrace &CT,
                                          const SweepOptions &Opts);
 

@@ -30,16 +30,10 @@ const char *bpcr::strategyKindName(StrategyKind K) {
   return "<bad>";
 }
 
-namespace {
-
-/// Shared body; \p T is either the legacy Trace or a ColumnarTrace (the
-/// only trace use is the single profilePaths pass, which is overloaded
-/// for both layouts and produces identical profiles).
-template <class TraceT>
 std::vector<BranchStrategy>
-selectStrategiesImpl(const ProgramAnalysis &PA, const ProfileSet &Profiles,
-                     const TraceT &T, const StrategyOptions &Opts,
-                     SelectionTrace *TraceOut) {
+bpcr::selectStrategies(const ProgramAnalysis &PA, const ProfileSet &Profiles,
+                       const ColumnarTrace &CT, const StrategyOptions &Opts,
+                       SelectionTrace *TraceOut) {
   assert(Opts.MaxStates >= 2 && "strategy selection needs a state budget");
   if (TraceOut) {
     TraceOut->PerBranch.clear();
@@ -64,7 +58,7 @@ selectStrategiesImpl(const ProgramAnalysis &PA, const ProfileSet &Profiles,
     Candidates[Id] = PA.backwardPaths(static_cast<int32_t>(Id), PathLen,
                                       !Opts.DirectPathsOnly);
   }
-  std::vector<PathProfile> PathProfiles = profilePaths(Candidates, T, PathLen);
+  std::vector<PathProfile> PathProfiles = profilePaths(Candidates, CT, PathLen);
 
   Registry &Obs = Registry::global();
   const bool ObsOn = Obs.enabled();
@@ -203,22 +197,6 @@ selectStrategiesImpl(const ProgramAnalysis &PA, const ProfileSet &Profiles,
   };
   parallelForJobs(Opts.Jobs, Out.size(), ScoreBranch);
   return Out;
-}
-
-} // namespace
-
-std::vector<BranchStrategy>
-bpcr::selectStrategies(const ProgramAnalysis &PA, const ProfileSet &Profiles,
-                       const Trace &T, const StrategyOptions &Opts,
-                       SelectionTrace *TraceOut) {
-  return selectStrategiesImpl(PA, Profiles, T, Opts, TraceOut);
-}
-
-std::vector<BranchStrategy>
-bpcr::selectStrategies(const ProgramAnalysis &PA, const ProfileSet &Profiles,
-                       const ColumnarTrace &CT, const StrategyOptions &Opts,
-                       SelectionTrace *TraceOut) {
-  return selectStrategiesImpl(PA, Profiles, CT, Opts, TraceOut);
 }
 
 PredictionStats

@@ -25,7 +25,6 @@
 #include "core/MachineSearch.h"
 #include "core/ProgramAnalysis.h"
 #include "obs/Attribution.h"
-#include "trace/Trace.h"
 
 #include <memory>
 #include <vector>
@@ -102,15 +101,8 @@ struct SelectionTrace {
 };
 
 /// Chooses the best strategy for every branch. When \p TraceOut is non-null
-/// every candidate score (winner and losers) is recorded into it.
-std::vector<BranchStrategy> selectStrategies(const ProgramAnalysis &PA,
-                                             const ProfileSet &Profiles,
-                                             const Trace &T,
-                                             const StrategyOptions &Opts,
-                                             SelectionTrace *TraceOut = nullptr);
-
-/// Columnar overload: identical selection driven by the SoA trace (the
-/// correlated-path profiling pass reads packed direction words).
+/// every candidate score (winner and losers) is recorded into it. The only
+/// trace use is the correlated-path profiling pass over \p CT's columns.
 std::vector<BranchStrategy> selectStrategies(const ProgramAnalysis &PA,
                                              const ProfileSet &Profiles,
                                              const ColumnarTrace &CT,

@@ -40,7 +40,7 @@ public:
 
   /// Batched delivery: \p N events in execution order. The interpreter
   /// calls only this (one virtual call per buffer flush); the default
-  /// forwards event-at-a-time so existing sinks observe the exact legacy
+  /// forwards event-at-a-time so per-event sinks observe the exact
   /// stream. Columnar/bulk sinks override it to append whole batches.
   virtual void onBatch(const BranchBatchEvent *Events, size_t N) {
     for (size_t I = 0; I < N; ++I)

@@ -10,23 +10,13 @@
 
 using namespace bpcr;
 
-PredictionStats bpcr::evaluatePredictor(Predictor &P, const Trace &T) {
-  PredictionStats S;
-  for (const BranchEvent &E : T) {
-    S.record(P.predict(E.BranchId) == E.Taken);
-    P.update(E.BranchId, E.Taken);
-  }
-  return S;
-}
-
 PredictionStats bpcr::evaluatePredictor(Predictor &P,
                                         const ColumnarTrace &CT) {
   PredictionStats S;
   const int32_t *Ids = CT.ids().data();
-  const uint64_t *Dirs = CT.directions().data();
-  size_t N = CT.size();
-  for (size_t I = 0; I < N; ++I) {
-    bool Taken = (Dirs[I >> 6] >> (I & 63)) & 1;
+  const BitstreamView Dirs = CT.directions();
+  for (size_t I = 0, N = CT.size(); I < N; ++I) {
+    const bool Taken = Dirs.bit(I);
     S.record(P.predict(Ids[I]) == Taken);
     P.update(Ids[I], Taken);
   }
@@ -34,28 +24,14 @@ PredictionStats bpcr::evaluatePredictor(Predictor &P,
 }
 
 std::vector<PredictionStats>
-bpcr::evaluatePredictorPerBranch(Predictor &P, const Trace &T,
-                                 uint32_t NumBranches) {
-  std::vector<PredictionStats> Per(NumBranches);
-  for (const BranchEvent &E : T) {
-    bool Correct = P.predict(E.BranchId) == E.Taken;
-    P.update(E.BranchId, E.Taken);
-    if (static_cast<uint32_t>(E.BranchId) < NumBranches)
-      Per[E.BranchId].record(Correct);
-  }
-  return Per;
-}
-
-std::vector<PredictionStats>
 bpcr::evaluatePredictorPerBranch(Predictor &P, const ColumnarTrace &CT,
                                  uint32_t NumBranches) {
   std::vector<PredictionStats> Per(NumBranches);
   const int32_t *Ids = CT.ids().data();
-  const uint64_t *Dirs = CT.directions().data();
-  size_t N = CT.size();
-  for (size_t I = 0; I < N; ++I) {
-    bool Taken = (Dirs[I >> 6] >> (I & 63)) & 1;
-    bool Correct = P.predict(Ids[I]) == Taken;
+  const BitstreamView Dirs = CT.directions();
+  for (size_t I = 0, N = CT.size(); I < N; ++I) {
+    const bool Taken = Dirs.bit(I);
+    const bool Correct = P.predict(Ids[I]) == Taken;
     P.update(Ids[I], Taken);
     if (static_cast<uint32_t>(Ids[I]) < NumBranches)
       Per[Ids[I]].record(Correct);
@@ -64,25 +40,28 @@ bpcr::evaluatePredictorPerBranch(Predictor &P, const ColumnarTrace &CT,
 }
 
 std::vector<BranchEvalStats>
-bpcr::evaluatePredictorPerBranchDetailed(Predictor &P, const Trace &T,
+bpcr::evaluatePredictorPerBranchDetailed(Predictor &P, const ColumnarTrace &CT,
                                          uint32_t NumBranches) {
   std::vector<BranchEvalStats> Per(NumBranches);
-  for (const BranchEvent &E : T) {
-    bool Correct = P.predict(E.BranchId) == E.Taken;
-    P.update(E.BranchId, E.Taken);
-    if (static_cast<uint32_t>(E.BranchId) >= NumBranches)
+  const int32_t *Ids = CT.ids().data();
+  const BitstreamView Dirs = CT.directions();
+  for (size_t I = 0, N = CT.size(); I < N; ++I) {
+    const bool Taken = Dirs.bit(I);
+    const bool Correct = P.predict(Ids[I]) == Taken;
+    P.update(Ids[I], Taken);
+    if (static_cast<uint32_t>(Ids[I]) >= NumBranches)
       continue;
-    BranchEvalStats &S = Per[E.BranchId];
+    BranchEvalStats &S = Per[Ids[I]];
     ++S.Executions;
-    S.Taken += E.Taken;
+    S.Taken += Taken;
     S.Mispredictions += !Correct;
   }
   return Per;
 }
 
 PredictionStats bpcr::evaluateTrained(TrainablePredictor &P,
-                                      const Trace &TrainTrace,
-                                      const Trace &TestTrace) {
+                                      const ColumnarTrace &TrainTrace,
+                                      const ColumnarTrace &TestTrace) {
   P.train(TrainTrace);
   P.reset();
   return evaluatePredictor(P, TestTrace);

@@ -18,7 +18,6 @@
 
 #include "predict/Predictor.h"
 #include "support/Statistics.h"
-#include "trace/Trace.h"
 
 #include <vector>
 
@@ -26,18 +25,11 @@ namespace bpcr {
 
 class ColumnarTrace;
 
-/// Streams \p T through \p P (predict, compare, update per event).
-PredictionStats evaluatePredictor(Predictor &P, const Trace &T);
-
-/// Columnar overload: same event order from ids() plus packed directions.
+/// Streams \p CT through \p P (predict, compare, update per event).
 PredictionStats evaluatePredictor(Predictor &P, const ColumnarTrace &CT);
 
 /// Like evaluatePredictor but also splits the statistics per branch.
-/// \param NumBranches upper bound on branch ids in \p T.
-std::vector<PredictionStats>
-evaluatePredictorPerBranch(Predictor &P, const Trace &T, uint32_t NumBranches);
-
-/// Columnar overload of evaluatePredictorPerBranch.
+/// \param NumBranches upper bound on branch ids in \p CT.
 std::vector<PredictionStats>
 evaluatePredictorPerBranch(Predictor &P, const ColumnarTrace &CT,
                            uint32_t NumBranches);
@@ -64,19 +56,20 @@ struct BranchEvalStats {
 
 /// Like evaluatePredictorPerBranch but also records taken bias per branch.
 std::vector<BranchEvalStats>
-evaluatePredictorPerBranchDetailed(Predictor &P, const Trace &T,
+evaluatePredictorPerBranchDetailed(Predictor &P, const ColumnarTrace &CT,
                                    uint32_t NumBranches);
 
 /// Trains a semi-static predictor on \p TrainTrace, resets its history
 /// registers, then evaluates on \p TestTrace.
-PredictionStats evaluateTrained(TrainablePredictor &P, const Trace &TrainTrace,
-                                const Trace &TestTrace);
+PredictionStats evaluateTrained(TrainablePredictor &P,
+                                const ColumnarTrace &TrainTrace,
+                                const ColumnarTrace &TestTrace);
 
 /// Self-prediction: train and evaluate on the same trace (the paper's
 /// default methodology).
 inline PredictionStats evaluateSelfTrained(TrainablePredictor &P,
-                                           const Trace &T) {
-  return evaluateTrained(P, T, T);
+                                           const ColumnarTrace &CT) {
+  return evaluateTrained(P, CT, CT);
 }
 
 } // namespace bpcr

@@ -18,12 +18,13 @@
 #define BPCR_PREDICT_PREDICTOR_H
 
 #include "support/Statistics.h"
-#include "trace/Trace.h"
 
 #include <cstdint>
 #include <string>
 
 namespace bpcr {
+
+class ColumnarTrace;
 
 /// Streaming branch predictor.
 class Predictor {
@@ -46,8 +47,8 @@ public:
 /// A predictor whose tables are fixed from a profiling run.
 class TrainablePredictor : public Predictor {
 public:
-  /// Builds the prediction tables from \p T. May be called once.
-  virtual void train(const Trace &T) = 0;
+  /// Builds the prediction tables from \p CT. May be called once.
+  virtual void train(const ColumnarTrace &CT) = 0;
 };
 
 } // namespace bpcr

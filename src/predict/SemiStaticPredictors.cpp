@@ -6,13 +6,15 @@
 
 #include "predict/SemiStaticPredictors.h"
 
+#include "trace/ColumnarTrace.h"
+
 using namespace bpcr;
 
 // -- ProfilePredictor --------------------------------------------------------
 
-void ProfilePredictor::train(const Trace &T) {
-  for (const BranchEvent &E : T)
-    Counts[E.BranchId].record(E.Taken);
+void ProfilePredictor::train(const ColumnarTrace &CT) {
+  for (size_t I = 0, N = CT.size(); I < N; ++I)
+    Counts[CT.branchId(I)].record(CT.taken(I));
 }
 
 bool ProfilePredictor::predict(int32_t BranchId) {
@@ -24,12 +26,14 @@ void ProfilePredictor::update(int32_t, bool) {}
 
 // -- CorrelationPredictor ----------------------------------------------------
 
-void CorrelationPredictor::train(const Trace &T) {
+void CorrelationPredictor::train(const ColumnarTrace &CT) {
   BitHistory H(HistoryBits);
-  for (const BranchEvent &E : T) {
-    Table[key(E.BranchId, H.value())].record(E.Taken);
-    Fallback[E.BranchId].record(E.Taken);
-    H.push(E.Taken);
+  for (size_t I = 0, N = CT.size(); I < N; ++I) {
+    const int32_t Id = CT.branchId(I);
+    const bool Taken = CT.taken(I);
+    Table[key(Id, H.value())].record(Taken);
+    Fallback[Id].record(Taken);
+    H.push(Taken);
   }
 }
 
@@ -51,14 +55,16 @@ uint32_t &LoopHistoryPredictor::history(int32_t BranchId) {
   return Histories[BranchId];
 }
 
-void LoopHistoryPredictor::train(const Trace &T) {
+void LoopHistoryPredictor::train(const ColumnarTrace &CT) {
   std::unordered_map<int32_t, uint32_t> H;
   uint32_t Mask = (HistoryBits >= 32) ? ~0U : ((1U << HistoryBits) - 1U);
-  for (const BranchEvent &E : T) {
-    uint32_t &Pattern = H[E.BranchId];
-    Table[key(E.BranchId, Pattern)].record(E.Taken);
-    Fallback[E.BranchId].record(E.Taken);
-    Pattern = ((Pattern << 1) | (E.Taken ? 1U : 0U)) & Mask;
+  for (size_t I = 0, N = CT.size(); I < N; ++I) {
+    const int32_t Id = CT.branchId(I);
+    const bool Taken = CT.taken(I);
+    uint32_t &Pattern = H[Id];
+    Table[key(Id, Pattern)].record(Taken);
+    Fallback[Id].record(Taken);
+    Pattern = ((Pattern << 1) | (Taken ? 1U : 0U)) & Mask;
   }
 }
 
@@ -82,26 +88,28 @@ LoopCorrelationPredictor::LoopCorrelationPredictor(unsigned CorrelationBits,
                                                    unsigned LoopBits)
     : Corr(CorrelationBits), Loop(LoopBits) {}
 
-void LoopCorrelationPredictor::train(const Trace &T) {
-  Corr.train(T);
-  Loop.train(T);
+void LoopCorrelationPredictor::train(const ColumnarTrace &CT) {
+  Corr.train(CT);
+  Loop.train(CT);
 
   // Second pass: count per-branch mispredictions of each trained scheme and
   // of profile, then pick per branch.
   std::unordered_map<int32_t, uint64_t> CorrMiss, LoopMiss, ProfMiss;
   std::unordered_map<int32_t, DirCounts> Counts;
-  for (const BranchEvent &E : T)
-    Counts[E.BranchId].record(E.Taken);
+  for (size_t I = 0, N = CT.size(); I < N; ++I)
+    Counts[CT.branchId(I)].record(CT.taken(I));
 
   Corr.reset();
   Loop.reset();
-  for (const BranchEvent &E : T) {
-    if (Corr.predict(E.BranchId) != E.Taken)
-      ++CorrMiss[E.BranchId];
-    if (Loop.predict(E.BranchId) != E.Taken)
-      ++LoopMiss[E.BranchId];
-    Corr.update(E.BranchId, E.Taken);
-    Loop.update(E.BranchId, E.Taken);
+  for (size_t I = 0, N = CT.size(); I < N; ++I) {
+    const int32_t Id = CT.branchId(I);
+    const bool Taken = CT.taken(I);
+    if (Corr.predict(Id) != Taken)
+      ++CorrMiss[Id];
+    if (Loop.predict(Id) != Taken)
+      ++LoopMiss[Id];
+    Corr.update(Id, Taken);
+    Loop.update(Id, Taken);
   }
 
   ImprovedBranches = 0;

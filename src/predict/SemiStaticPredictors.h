@@ -44,7 +44,7 @@ struct DirCounts {
 /// "Predict the most frequent direction" per branch.
 class ProfilePredictor : public TrainablePredictor {
 public:
-  void train(const Trace &T) override;
+  void train(const ColumnarTrace &CT) override;
   void reset() override {}
   bool predict(int32_t BranchId) override;
   void update(int32_t BranchId, bool Taken) override;
@@ -68,7 +68,7 @@ public:
   explicit CorrelationPredictor(unsigned HistoryBits = 1)
       : HistoryBits(HistoryBits), History(HistoryBits) {}
 
-  void train(const Trace &T) override;
+  void train(const ColumnarTrace &CT) override;
   void reset() override { History.clear(); }
   bool predict(int32_t BranchId) override;
   void update(int32_t BranchId, bool Taken) override;
@@ -99,7 +99,7 @@ public:
   explicit LoopHistoryPredictor(unsigned HistoryBits = 9)
       : HistoryBits(HistoryBits) {}
 
-  void train(const Trace &T) override;
+  void train(const ColumnarTrace &CT) override;
   void reset() override { Histories.clear(); }
   bool predict(int32_t BranchId) override;
   void update(int32_t BranchId, bool Taken) override;
@@ -131,7 +131,7 @@ public:
   LoopCorrelationPredictor(unsigned CorrelationBits = 1,
                            unsigned LoopBits = 9);
 
-  void train(const Trace &T) override;
+  void train(const ColumnarTrace &CT) override;
   void reset() override;
   bool predict(int32_t BranchId) override;
   void update(int32_t BranchId, bool Taken) override;

@@ -9,6 +9,7 @@
 #include "analysis/CFG.h"
 #include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
+#include "trace/ColumnarTrace.h"
 
 using namespace bpcr;
 
@@ -221,14 +222,15 @@ StaticPredictions bpcr::predictBallLarus(const Module &M) {
 }
 
 PredictionStats
-bpcr::evaluateStaticPredictions(const StaticPredictions &P, const Trace &T) {
+bpcr::evaluateStaticPredictions(const StaticPredictions &P,
+                                const ColumnarTrace &CT) {
   PredictionStats S;
-  for (const BranchEvent &E : T) {
+  for (size_t I = 0, N = CT.size(); I < N; ++I) {
+    const int32_t Id = CT.branchId(I);
     Prediction Pred = Prediction::Taken;
-    if (static_cast<size_t>(E.BranchId) < P.size() &&
-        P[E.BranchId] != Prediction::Unknown)
-      Pred = P[E.BranchId];
-    S.record((Pred == Prediction::Taken) == E.Taken);
+    if (static_cast<size_t>(Id) < P.size() && P[Id] != Prediction::Unknown)
+      Pred = P[Id];
+    S.record((Pred == Prediction::Taken) == CT.taken(I));
   }
   return S;
 }

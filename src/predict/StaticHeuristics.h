@@ -18,11 +18,12 @@
 
 #include "ir/Module.h"
 #include "support/Statistics.h"
-#include "trace/Trace.h"
 
 #include <vector>
 
 namespace bpcr {
+
+class ColumnarTrace;
 
 /// Per-branch static predictions, indexed by BranchId (ids must be
 /// assigned). Unknown entries are evaluated as predict-taken.
@@ -44,7 +45,7 @@ StaticPredictions predictBallLarus(const Module &M);
 
 /// Evaluates fixed per-branch predictions over a trace.
 PredictionStats evaluateStaticPredictions(const StaticPredictions &P,
-                                          const Trace &T);
+                                          const ColumnarTrace &CT);
 
 } // namespace bpcr
 

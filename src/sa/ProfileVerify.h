@@ -42,7 +42,6 @@
 
 #include "ir/Module.h"
 #include "sa/Diagnostic.h"
-#include "trace/Trace.h"
 
 #include <cstdint>
 #include <memory>
@@ -70,29 +69,9 @@ struct BranchProfileCounts {
   uint64_t OutOfRange = 0;
 
   /// Aggregates a trace into counts for a module with \p NumBranches
-  /// conditional branches.
-  static BranchProfileCounts fromTrace(size_t NumBranches, const Trace &T) {
-    BranchProfileCounts P;
-    P.Counts.assign(NumBranches, BranchCounts{});
-    for (const BranchEvent &E : T) {
-      if (E.BranchId < 0 || static_cast<size_t>(E.BranchId) >= NumBranches) {
-        ++P.OutOfRange;
-        continue;
-      }
-      BranchCounts &C = P.Counts[static_cast<size_t>(E.BranchId)];
-      if (E.Taken)
-        ++C.Taken;
-      else
-        ++C.NotTaken;
-    }
-    return P;
-  }
-
-  /// Columnar equivalent of fromTrace: walks the id column plus packed
-  /// direction words, so `bpcr lint --profile` never materializes an
-  /// event-of-structs copy of the trace. Identical counts (including
-  /// OutOfRange) to fromTrace on the same event stream; works on
-  /// unfinalized traces.
+  /// conditional branches, walking the id column plus packed direction
+  /// words. Events with ids outside [0, NumBranches) are counted in
+  /// OutOfRange only. Works on unfinalized traces.
   static BranchProfileCounts fromColumnar(size_t NumBranches,
                                           const ColumnarTrace &CT);
 };

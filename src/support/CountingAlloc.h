@@ -37,7 +37,7 @@ namespace bpcr {
 
 /// The instrumented pools. Order is the report/profile emission order.
 enum class AllocTag : unsigned {
-  TraceBuffer = 0, ///< trace::Trace event vectors
+  TraceBuffer = 0, ///< ColumnarTrace id and direction columns
   Ladder,          ///< SearchCache MachineLadder rung vectors
   PatternTable,    ///< BranchProfiles pattern-table hash maps
 };

@@ -54,7 +54,7 @@ private:
 };
 
 /// Owning, appendable packed stream. Storage is charged to the trace-buffer
-/// allocation pool like the legacy event vectors.
+/// allocation pool like the trace's id column.
 class BitstreamBuilder {
 public:
   using WordVector =
@@ -134,8 +134,8 @@ inline uint64_t popcountBitsScalar(BitstreamView V) {
   return N;
 }
 
-/// Expands \p V into one byte per bit (0/1), the legacy outcome-stream
-/// shape. \p Out must hold V.size() bytes.
+/// Expands \p V into one byte per bit (0/1), the shape of
+/// BranchProfile::Outcomes. \p Out must hold V.size() bytes.
 inline void expandBitsToBytes(BitstreamView V, uint8_t *Out) {
   uint64_t I = 0;
   const uint64_t N = V.size();

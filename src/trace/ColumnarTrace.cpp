@@ -57,9 +57,18 @@ void ColumnarTrace::finalize(uint32_t NumBranches) {
     Obs.counter("trace.columnar.events").add(N);
     Obs.counter("trace.columnar.index_words").add(TotalWords);
     Obs.counter("trace.columnar.out_of_range_events").add(OutOfRangeEvents);
-    if (N > 0)
-      Obs.gauge("trace.columnar.bytes_per_event")
-          .set(static_cast<double>(bytesUsed()) / static_cast<double>(N));
+    // The largest figure of the run: traces finalized in parallel (bench
+    // suites) report the same value whatever order they finish in.
+    if (N > 0) {
+      const double BytesPerEvent =
+          static_cast<double>(bytesUsed()) / static_cast<double>(N);
+      Gauge &G = Obs.gauge("trace.columnar.bytes_per_event");
+      double Cur = G.value();
+      while (BytesPerEvent > Cur &&
+             !G.Value.compare_exchange_weak(Cur, BytesPerEvent,
+                                            std::memory_order_relaxed))
+        ;
+    }
   }
 }
 
@@ -70,21 +79,4 @@ size_t ColumnarTrace::bytesUsed() const {
     Bytes += BranchWords.size() * sizeof(uint64_t) +
              Counts.size() * (2 * sizeof(uint64_t) + sizeof(size_t));
   return Bytes;
-}
-
-ColumnarTrace ColumnarTrace::fromEvents(const Trace &T) {
-  ColumnarTrace CT;
-  CT.reserve(T.size());
-  for (const BranchEvent &E : T)
-    CT.append(E.BranchId, E.Taken);
-  return CT;
-}
-
-Trace ColumnarTrace::materialize() const {
-  Trace T;
-  T.reserve(Ids.size());
-  const BitstreamView Dir = Dirs.view();
-  for (size_t I = 0, E = Ids.size(); I != E; ++I)
-    T.push_back({Ids[I], Dir.bit(I)});
-  return T;
 }

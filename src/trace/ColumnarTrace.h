@@ -5,27 +5,30 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Columnar (structure-of-arrays) trace storage. Where the legacy Trace is
-/// one 8-byte BranchEvent per event, the columnar form keeps two parallel
-/// columns — a flat int32 branch-id array and a bit-packed direction
-/// stream (trace/Bitstream.h) — plus an optional per-branch index:
-/// execution count, taken count, and a word-aligned per-branch direction
-/// bitstream for every static branch. The whole event path (profile fill,
-/// machine scoring, predictor evaluation) walks these flat buffers instead
-/// of an object-at-a-time event vector; see docs/PERFORMANCE.md.
+/// The branch trace: the sequence of (branch id, direction) events a program
+/// run produces, in execution order. This is the paper's central data
+/// structure — every prediction strategy and every state machine is trained
+/// on and evaluated against such traces.
 ///
-/// Event order is identical to the legacy trace: materialize() is the
-/// exact inverse of fromEvents(). The per-branch bitstream of branch b is
-/// the subsequence of direction bits at positions where Ids[i] == b, in
-/// global order — the same stream a BranchProfile's Outcomes vector holds.
+/// Storage is columnar (structure-of-arrays): two parallel columns — a flat
+/// int32 branch-id array and a bit-packed direction stream
+/// (trace/Bitstream.h), about 4.1 bytes per event — plus an optional
+/// per-branch index: execution count, taken count, and a word-aligned
+/// per-branch direction bitstream for every static branch. The whole event
+/// path (profile fill, machine scoring, predictor evaluation) walks these
+/// flat buffers; see docs/PERFORMANCE.md.
+///
+/// The per-branch bitstream of branch b is the subsequence of direction
+/// bits at positions where Ids[i] == b, in global order — the same stream a
+/// BranchProfile's Outcomes vector holds.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BPCR_TRACE_COLUMNARTRACE_H
 #define BPCR_TRACE_COLUMNARTRACE_H
 
+#include "support/CountingAlloc.h"
 #include "trace/Bitstream.h"
-#include "trace/Trace.h"
 
 #include <cstdint>
 #include <vector>
@@ -43,6 +46,9 @@ struct BranchColumn {
 
 class ColumnarTrace {
 public:
+  /// The id column is one of the process's largest allocations, so it
+  /// reports into the opt-in allocation tracker (support/CountingAlloc.h)
+  /// for `bpcr profile`.
   using IdVector =
       std::vector<int32_t, CountingAllocator<int32_t, AllocTag::TraceBuffer>>;
 
@@ -92,7 +98,7 @@ public:
   /// Builds the per-branch index for ids in [0, NumBranches): execution
   /// and taken counts plus the word-aligned per-branch bitstreams. Events
   /// with out-of-range ids are counted in outOfRange() and left out of the
-  /// index (mirrors sa::BranchProfileCounts::fromTrace). Records
+  /// index (mirrors sa::BranchProfileCounts::fromColumnar). Records
   /// `trace.columnar.*` metrics when the observability registry is on.
   void finalize(uint32_t NumBranches);
 
@@ -114,13 +120,6 @@ public:
   /// Bytes held by the id column, direction column and index — the
   /// numerator of the bytes/event figure in `micro_throughput`.
   size_t bytesUsed() const;
-
-  /// Converts a legacy event vector (same order).
-  static ColumnarTrace fromEvents(const Trace &T);
-
-  /// Expands back to the legacy event vector (exact inverse of
-  /// fromEvents; used by round-trip tests and legacy consumers).
-  Trace materialize() const;
 
 private:
   IdVector Ids;

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// TraceSink implementations: collect events into a Trace, count them, or
-/// fan out to several sinks at once.
+/// TraceSink implementations: collect events into a ColumnarTrace, count
+/// them, or fan out to several sinks at once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,56 +15,10 @@
 
 #include "interp/TraceSink.h"
 #include "trace/ColumnarTrace.h"
-#include "trace/Trace.h"
 
 #include <vector>
 
 namespace bpcr {
-
-/// Appends every event to an in-memory Trace.
-class CollectingSink : public TraceSink {
-public:
-  /// Pre-sizes the event buffer; callers that know the branch-event cap
-  /// pass it here so the per-event push_back never reallocates.
-  void reserve(size_t N) { Events.reserve(N); }
-
-  void onBranch(const Instruction &Br, bool Taken) override {
-    Events.push_back({Br.BranchId, Taken});
-  }
-
-  void onBatch(const BranchBatchEvent *Ev, size_t N) override {
-    for (size_t I = 0; I < N; ++I)
-      Events.push_back({Ev[I].Br->BranchId, Ev[I].Taken});
-  }
-
-  const Trace &trace() const { return Events; }
-  Trace takeTrace() { return std::move(Events); }
-
-private:
-  Trace Events;
-};
-
-/// Like CollectingSink but records the *original* branch ids, so that a
-/// replicated program produces a trace comparable with its source program.
-class OrigIdCollectingSink : public TraceSink {
-public:
-  void reserve(size_t N) { Events.reserve(N); }
-
-  void onBranch(const Instruction &Br, bool Taken) override {
-    Events.push_back({Br.OrigBranchId, Taken});
-  }
-
-  void onBatch(const BranchBatchEvent *Ev, size_t N) override {
-    for (size_t I = 0; I < N; ++I)
-      Events.push_back({Ev[I].Br->OrigBranchId, Ev[I].Taken});
-  }
-
-  const Trace &trace() const { return Events; }
-  Trace takeTrace() { return std::move(Events); }
-
-private:
-  Trace Events;
-};
 
 /// Counts events without storing them.
 class CountingSink : public TraceSink {
@@ -101,7 +55,7 @@ public:
 
   /// Forwards whole batches so each child pays one virtual call per flush
   /// (children without an override expand them in registration order,
-  /// preserving the exact legacy event interleaving).
+  /// preserving the exact per-event interleaving).
   void onBatch(const BranchBatchEvent *Ev, size_t N) override {
     for (TraceSink *S : Sinks)
       S->onBatch(Ev, N);
@@ -113,13 +67,14 @@ private:
 
 /// Appends every event to a ColumnarTrace: the id column and the packed
 /// direction bits, no per-event virtual call (batches arrive via
-/// onBatch). Set \p UseOrigIds to record original branch ids, like
-/// OrigIdCollectingSink.
-class ColumnarCollectingSink : public TraceSink {
+/// onBatch). Set \p UseOrigIds to record the *original* branch ids, so that
+/// a replicated program produces a trace comparable with its source program.
+class ColumnarSink : public TraceSink {
 public:
-  explicit ColumnarCollectingSink(bool UseOrigIds = false)
-      : UseOrigIds(UseOrigIds) {}
+  explicit ColumnarSink(bool UseOrigIds = false) : UseOrigIds(UseOrigIds) {}
 
+  /// Pre-sizes the columns; callers that know the branch-event cap pass it
+  /// here so the per-event append never reallocates.
   void reserve(size_t N) { Events.reserve(N); }
 
   void onBranch(const Instruction &Br, bool Taken) override {
@@ -142,9 +97,6 @@ private:
   ColumnarTrace Events;
   bool UseOrigIds;
 };
-
-/// Historical name of MultiSink.
-using TeeSink = MultiSink;
 
 } // namespace bpcr
 

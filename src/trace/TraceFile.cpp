@@ -58,13 +58,40 @@ int64_t unzigzag(uint64_t V) {
 constexpr uint8_t Magic[4] = {'B', 'P', 'C', 'T'};
 constexpr uint8_t Version = 1;
 
-/// Shared decode loop: parses the header and event groups, handing each
-/// run to \p Emit(Id, Taken, Run). \p Reserve(Count) is called once with
-/// the declared event count; \p Decoded must be advanced by the caller's
-/// emitter so the error messages match the legacy decoder exactly.
-template <class ReserveFn, class EmitFn>
-bool decodeTraceImpl(const std::vector<uint8_t> &Buf, std::string &Error,
-                     ReserveFn Reserve, EmitFn Emit) {
+} // namespace
+
+std::vector<uint8_t> bpcr::encodeTrace(const ColumnarTrace &CT) {
+  const size_t N = CT.size();
+  std::vector<uint8_t> Buf;
+  Buf.reserve(16 + N / 2);
+  for (uint8_t B : Magic)
+    Buf.push_back(B);
+  Buf.push_back(Version);
+  putVarint(Buf, N);
+
+  const int32_t *Ids = CT.ids().data();
+  const BitstreamView Dirs = CT.directions();
+  int32_t PrevId = 0;
+  size_t I = 0;
+  while (I < N) {
+    const int32_t Id = Ids[I];
+    const bool Taken = Dirs.bit(I);
+    size_t Run = 1;
+    while (I + Run < N && Ids[I + Run] == Id && Dirs.bit(I + Run) == Taken)
+      ++Run;
+    uint64_t Header =
+        (zigzag(static_cast<int64_t>(Id) - PrevId) << 1) | (Taken ? 1 : 0);
+    putVarint(Buf, Header);
+    putVarint(Buf, Run - 1);
+    PrevId = Id;
+    I += Run;
+  }
+  return Buf;
+}
+
+bool bpcr::decodeTraceColumnar(const std::vector<uint8_t> &Buf,
+                               ColumnarTrace &Out, std::string &Error) {
+  Out.clear();
   Error.clear();
   auto Fail = [&Error](std::string Msg) {
     Error = std::move(Msg);
@@ -86,7 +113,12 @@ bool decodeTraceImpl(const std::vector<uint8_t> &Buf, std::string &Error,
   if (!getVarint(Buf, Pos, Count))
     return Fail("truncated or overlong varint in event count at byte " +
                 std::to_string(Pos));
-  Reserve(Count);
+  // The header's count is untrusted: it only bounds the decode, and the
+  // columns grow with the groups actually present.
+  if (Count > MaxTraceFileEvents)
+    return Fail("declared event count " + std::to_string(Count) +
+                " exceeds the decoder limit of " +
+                std::to_string(MaxTraceFileEvents) + " events");
 
   int64_t PrevId = 0;
   uint64_t Decoded = 0;
@@ -104,12 +136,12 @@ bool decodeTraceImpl(const std::vector<uint8_t> &Buf, std::string &Error,
       return Fail("branch id " + std::to_string(Id) +
                   " out of range at byte " + std::to_string(GroupStart));
     uint64_t Run = RunMinus1 + 1;
-    if (Decoded + Run > Count)
+    if (Run > Count - Decoded)
       return Fail("run of " + std::to_string(Run) +
                   " events at byte " + std::to_string(GroupStart) +
                   " overflows the declared event count " +
                   std::to_string(Count));
-    Emit(static_cast<int32_t>(Id), Taken, Run);
+    Out.appendRun(static_cast<int32_t>(Id), Taken, Run);
     Decoded += Run;
     PrevId = Id;
   }
@@ -119,57 +151,8 @@ bool decodeTraceImpl(const std::vector<uint8_t> &Buf, std::string &Error,
   return true;
 }
 
-} // namespace
-
-std::vector<uint8_t> bpcr::encodeTrace(const Trace &T) {
-  std::vector<uint8_t> Buf;
-  Buf.reserve(16 + T.size() / 2);
-  for (uint8_t B : Magic)
-    Buf.push_back(B);
-  Buf.push_back(Version);
-  putVarint(Buf, T.size());
-
-  int32_t PrevId = 0;
-  size_t I = 0;
-  while (I < T.size()) {
-    const BranchEvent &E = T[I];
-    size_t Run = 1;
-    while (I + Run < T.size() && T[I + Run] == E)
-      ++Run;
-    uint64_t Header =
-        (zigzag(static_cast<int64_t>(E.BranchId) - PrevId) << 1) |
-        (E.Taken ? 1 : 0);
-    putVarint(Buf, Header);
-    putVarint(Buf, Run - 1);
-    PrevId = E.BranchId;
-    I += Run;
-  }
-  return Buf;
-}
-
-bool bpcr::decodeTrace(const std::vector<uint8_t> &Buf, Trace &Out,
-                       std::string &Error) {
-  Out.clear();
-  return decodeTraceImpl(
-      Buf, Error, [&Out](uint64_t Count) { Out.reserve(Count); },
-      [&Out](int32_t Id, bool Taken, uint64_t Run) {
-        for (uint64_t K = 0; K < Run; ++K)
-          Out.push_back({Id, Taken});
-      });
-}
-
-bool bpcr::decodeTraceColumnar(const std::vector<uint8_t> &Buf,
-                               ColumnarTrace &Out, std::string &Error) {
-  Out.clear();
-  return decodeTraceImpl(
-      Buf, Error, [&Out](uint64_t Count) { Out.reserve(Count); },
-      [&Out](int32_t Id, bool Taken, uint64_t Run) {
-        Out.appendRun(Id, Taken, Run);
-      });
-}
-
-bool bpcr::writeTraceFile(const std::string &Path, const Trace &T) {
-  std::vector<uint8_t> Buf = encodeTrace(T);
+bool bpcr::writeTraceFile(const std::string &Path, const ColumnarTrace &CT) {
+  std::vector<uint8_t> Buf = encodeTrace(CT);
   std::FILE *F = std::fopen(Path.c_str(), "wb");
   if (!F)
     return false;
@@ -202,18 +185,6 @@ bool readFileBytes(const std::string &Path, std::vector<uint8_t> &Buf,
 }
 
 } // namespace
-
-bool bpcr::readTraceFile(const std::string &Path, Trace &Out,
-                         std::string &Error) {
-  std::vector<uint8_t> Buf;
-  if (!readFileBytes(Path, Buf, Error))
-    return false;
-  if (!decodeTrace(Buf, Out, Error)) {
-    Error = "'" + Path + "': " + Error;
-    return false;
-  }
-  return true;
-}
 
 bool bpcr::readTraceFileColumnar(const std::string &Path, ColumnarTrace &Out,
                                  std::string &Error) {

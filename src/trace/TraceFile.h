@@ -15,8 +15,6 @@
 #ifndef BPCR_TRACE_TRACEFILE_H
 #define BPCR_TRACE_TRACEFILE_H
 
-#include "trace/Trace.h"
-
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -25,42 +23,32 @@ namespace bpcr {
 
 class ColumnarTrace;
 
-/// Encodes \p T into the compact binary format.
-std::vector<uint8_t> encodeTrace(const Trace &T);
+/// Largest event count a trace file may declare. Decoding materializes
+/// every event into the columns (about 4.1 bytes per event), so this caps a
+/// decode at roughly 1.1 GiB while still admitting runs 268 times longer
+/// than the paper's 1M-event traces. Larger declarations are rejected with
+/// a diagnostic before any event is decoded.
+constexpr uint64_t MaxTraceFileEvents = uint64_t{1} << 28;
 
-/// Decodes a buffer produced by encodeTrace.
-/// \param[out] Out receives the decoded events.
+/// Encodes \p CT into the compact binary format.
+std::vector<uint8_t> encodeTrace(const ColumnarTrace &CT);
+
+/// Decodes a buffer produced by encodeTrace. Run-length groups become
+/// appendRun calls, and the columns grow only as groups are decoded.
+/// \param[out] Out receives the decoded events (unfinalized).
 /// \param[out] Error describes the failure (bad magic, unsupported
-///             version, truncation, corrupt varint, ...) with its byte
-///             offset where applicable.
+///             version, truncation, corrupt varint, declared count above
+///             MaxTraceFileEvents, ...) with its byte offset where
+///             applicable.
 /// \returns false if the buffer is truncated or malformed.
-bool decodeTrace(const std::vector<uint8_t> &Buf, Trace &Out,
-                 std::string &Error);
-
-inline bool decodeTrace(const std::vector<uint8_t> &Buf, Trace &Out) {
-  std::string Error;
-  return decodeTrace(Buf, Out, Error);
-}
-
-/// Writes \p T to \p Path. \returns false on I/O failure.
-bool writeTraceFile(const std::string &Path, const Trace &T);
-
-/// Reads a trace from \p Path. \returns false on I/O or format failure
-/// with \p Error describing it.
-bool readTraceFile(const std::string &Path, Trace &Out, std::string &Error);
-
-inline bool readTraceFile(const std::string &Path, Trace &Out) {
-  std::string Error;
-  return readTraceFile(Path, Out, Error);
-}
-
-/// Decodes straight into the columnar layout: run-length groups become
-/// appendRun calls, so no event-of-structs copy is ever built. Identical
-/// acceptance and error messages to decodeTrace.
 bool decodeTraceColumnar(const std::vector<uint8_t> &Buf, ColumnarTrace &Out,
                          std::string &Error);
 
-/// Columnar counterpart of readTraceFile.
+/// Writes \p CT to \p Path. \returns false on I/O failure.
+bool writeTraceFile(const std::string &Path, const ColumnarTrace &CT);
+
+/// Reads a trace from \p Path. \returns false on I/O or format failure
+/// with \p Error describing it.
 bool readTraceFileColumnar(const std::string &Path, ColumnarTrace &Out,
                            std::string &Error);
 

@@ -15,7 +15,6 @@
 #define BPCR_TRACE_TRACESTATS_H
 
 #include "trace/ColumnarTrace.h"
-#include "trace/Trace.h"
 
 #include <cstdint>
 #include <vector>
@@ -46,15 +45,9 @@ public:
   ///        appearing in traces fed to addTrace).
   explicit TraceStats(uint32_t NumBranches) : PerBranch(NumBranches) {}
 
-  /// Accumulates every event of \p T.
-  void addTrace(const Trace &T) {
-    for (const BranchEvent &E : T)
-      record(E.BranchId, E.Taken);
-  }
-
-  /// Columnar fast path: counts come straight from the finalized index
-  /// (no per-event work at all). Identical totals to addTrace on
-  /// CT.materialize().
+  /// Accumulates every event of the finalized trace \p CT. Counts come
+  /// straight from the per-branch index, with no per-event work; ids at or
+  /// above numBranches() are ignored.
   void addTrace(const ColumnarTrace &CT) {
     uint32_t N = CT.numBranches() < numBranches() ? CT.numBranches()
                                                   : numBranches();

@@ -1,4 +1,4 @@
-//===- workloads/PredictTool.cpp - Trace-analysis tool --------------------===//
+//===- workloads/PredictTool.cpp - Branch-trace analysis tool -------------===//
 //
 // Part of the bpcr project (Krall, PLDI 1994 reproduction).
 //

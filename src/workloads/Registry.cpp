@@ -37,37 +37,18 @@ Module bpcr::buildWorkload(const std::string &Name, uint64_t Seed) {
   return Module();
 }
 
-Trace bpcr::traceWorkload(const Workload &W, uint64_t Seed, Module &OutModule,
-                          uint64_t MaxBranchEvents) {
+ColumnarTrace bpcr::traceWorkloadColumnar(const Workload &W, uint64_t Seed,
+                                          Module &OutModule,
+                                          uint64_t MaxBranchEvents) {
   Span S("workload.trace", "interp");
   S.arg("workload", W.Name);
   S.arg("seed", Seed);
   OutModule = W.Build(Seed);
-  OutModule.assignBranchIds();
-  CollectingSink Sink;
+  uint32_t NumBranches = OutModule.assignBranchIds();
+  ColumnarSink Sink;
   // The cap is an upper bound on the trace length; short workloads leave
   // slack, but one oversized reservation beats ~20 growth copies of a
-  // million-event vector.
-  Sink.reserve(static_cast<size_t>(
-      std::min<uint64_t>(MaxBranchEvents, 1u << 21)));
-  ExecOptions Opts;
-  Opts.MaxBranchEvents = MaxBranchEvents;
-  ExecResult R = execute(OutModule, &Sink, Opts);
-  assert(R.Ok && "workload execution failed");
-  S.arg("branch_events", R.BranchEvents);
-  (void)R;
-  return Sink.takeTrace();
-}
-
-ColumnarTrace bpcr::traceWorkloadColumnar(const Workload &W, uint64_t Seed,
-                                          Module &OutModule,
-                                          uint64_t MaxBranchEvents) {
-  Span S("workload.trace_columnar", "interp");
-  S.arg("workload", W.Name);
-  S.arg("seed", Seed);
-  OutModule = W.Build(Seed);
-  uint32_t NumBranches = OutModule.assignBranchIds();
-  ColumnarCollectingSink Sink;
+  // million-event column.
   Sink.reserve(static_cast<size_t>(
       std::min<uint64_t>(MaxBranchEvents, 1u << 21)));
   ExecOptions Opts;

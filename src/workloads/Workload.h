@@ -30,7 +30,6 @@
 
 #include "ir/Module.h"
 #include "trace/ColumnarTrace.h"
-#include "trace/Trace.h"
 
 #include <cstdint>
 #include <string>
@@ -52,15 +51,9 @@ const std::vector<Workload> &allWorkloads();
 Module buildWorkload(const std::string &Name, uint64_t Seed);
 
 /// Builds the workload, executes it (capped at \p MaxBranchEvents like the
-/// paper's 1M-branch traces) and returns the trace. Branch ids are assigned
-/// on \p OutModule.
-Trace traceWorkload(const Workload &W, uint64_t Seed, Module &OutModule,
-                    uint64_t MaxBranchEvents = 1'000'000);
-
-/// Like traceWorkload but collects into the columnar representation
-/// (trace/ColumnarTrace.h) via batched emission, and finalizes the
-/// per-branch index for \p OutModule. Event-for-event identical to the
-/// legacy trace.
+/// paper's 1M-branch traces) and returns its trace, collected through
+/// batched emission with the per-branch index finalized for \p OutModule.
+/// Branch ids are assigned on \p OutModule.
 ColumnarTrace traceWorkloadColumnar(const Workload &W, uint64_t Seed,
                                     Module &OutModule,
                                     uint64_t MaxBranchEvents = 1'000'000);

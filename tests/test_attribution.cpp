@@ -28,11 +28,11 @@ const Workload &workloadNamed(const char *Name) {
 
 /// Runs the compress pipeline with the global registry enabled and returns
 /// the result; the caller owns restoring the registry.
-PipelineResult runObservedPipeline(Module &M, Trace &T) {
+PipelineResult runObservedPipeline(Module &M, ColumnarTrace &T) {
   Registry &G = Registry::global();
   G.clear();
   G.setEnabled(true);
-  T = traceWorkload(workloadNamed("compress"), 1, M, 20'000);
+  T = traceWorkloadColumnar(workloadNamed("compress"), 1, M, 20'000);
   PipelineOptions Opts;
   Opts.Strategy.MaxStates = 6;
   Opts.Strategy.NodeBudget = 30'000;
@@ -51,7 +51,7 @@ void restoreRegistry() {
 
 TEST(Attribution, LedgerMatchesTrainingTrace) {
   Module M;
-  Trace T;
+  ColumnarTrace T;
   PipelineResult PR = runObservedPipeline(M, T);
 
   ASSERT_FALSE(PR.Attribution.empty());
@@ -59,10 +59,10 @@ TEST(Attribution, LedgerMatchesTrainingTrace) {
 
   // Training-side executions/taken counts are the trace's, per branch.
   std::map<int32_t, std::pair<uint64_t, uint64_t>> FromTrace;
-  for (const BranchEvent &E : T) {
-    FromTrace[E.BranchId].first++;
-    if (E.Taken)
-      FromTrace[E.BranchId].second++;
+  for (size_t I = 0; I < T.size(); ++I) {
+    FromTrace[T.branchId(I)].first++;
+    if (T.taken(I))
+      FromTrace[T.branchId(I)].second++;
   }
   for (const BranchAttribution &B : PR.Attribution.all()) {
     auto It = FromTrace.find(B.BranchId);
@@ -77,7 +77,7 @@ TEST(Attribution, LedgerMatchesTrainingTrace) {
 
 TEST(Attribution, ExactlyOneChosenCandidateReconstructsSelection) {
   Module M;
-  Trace T;
+  ColumnarTrace T;
   PipelineResult PR = runObservedPipeline(M, T);
 
   for (const BranchAttribution &B : PR.Attribution.all()) {
@@ -120,7 +120,7 @@ TEST(Attribution, ExactlyOneChosenCandidateReconstructsSelection) {
 
 TEST(Attribution, ReplicasAttributeToOriginalBranchId) {
   Module M;
-  Trace T;
+  ColumnarTrace T;
   PipelineResult PR = runObservedPipeline(M, T);
   ASSERT_GT(PR.LoopReplications + PR.JointReplications +
                 PR.CorrelatedReplications,
@@ -161,7 +161,7 @@ TEST(Attribution, ReplicasAttributeToOriginalBranchId) {
 
 TEST(Attribution, PerReplicaMeasurementMatchesAggregate) {
   Module M;
-  Trace T;
+  ColumnarTrace T;
   PipelineResult PR = runObservedPipeline(M, T);
 
   ExecOptions EO;
@@ -194,7 +194,8 @@ TEST(Attribution, DisabledRegistryLeavesLedgerEmpty) {
   G.setEnabled(false);
 
   Module M;
-  Trace T = traceWorkload(workloadNamed("compress"), 1, M, 5'000);
+  ColumnarTrace T =
+      traceWorkloadColumnar(workloadNamed("compress"), 1, M, 5'000);
   PipelineOptions Opts;
   Opts.Strategy.MaxStates = 4;
   Opts.Strategy.NodeBudget = 10'000;

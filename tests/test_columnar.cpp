@@ -3,33 +3,42 @@
 // Part of the bpcr project (Krall, PLDI 1994 reproduction).
 //
 // The columnar trace (trace/ColumnarTrace.h) and the packed-word scoring
-// kernels (core/ScoreKernels.h) replace the object-at-a-time event path.
-// Everything here pins the bit-for-bit equivalence that lets the pipeline
-// route through the columnar layout without changing a single report:
-// round-trips against the legacy trace on all eight workloads, bitstream
-// word-boundary edges, scalar-vs-SIMD kernel equality under fuzz, and the
-// columnar overloads of profiling, decoding and predictor evaluation.
+// kernels (core/ScoreKernels.h) that walk it. The batched paths are held
+// against small per-event oracles: batched emission against per-event sink
+// delivery on all eight workloads, the per-branch index against the event
+// stream, bitstream word-boundary edges, scalar-vs-SIMD kernel equality
+// under fuzz, and the loop-aware profile builder, profile counts, decoder
+// errors and predictor evaluation against per-event references.
 //
 //===----------------------------------------------------------------------===//
+
+#include "TraceTestUtil.h"
 
 #include "core/LoopAwareProfiles.h"
 #include "core/Machines.h"
 #include "core/ScoreKernels.h"
+#include "interp/Interpreter.h"
 #include "predict/DynamicPredictors.h"
 #include "predict/Evaluator.h"
+#include "sa/Dataflow.h"
 #include "sa/ProfileVerify.h"
 #include "trace/Bitstream.h"
 #include "trace/ColumnarTrace.h"
+#include "trace/Sinks.h"
 #include "trace/TraceFile.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <random>
 #include <vector>
 
 using namespace bpcr;
+using bpcr::test::Event;
+using bpcr::test::eventsOf;
+using bpcr::test::makeTrace;
 
 namespace {
 
@@ -92,21 +101,98 @@ bool sameProfiles(const ProfileSet &A, const ProfileSet &B) {
   return true;
 }
 
+/// Records every event one onBranch call at a time: the interpreter's
+/// batches reach it through TraceSink's default per-event expansion.
+class PerEventSink : public TraceSink {
+public:
+  void onBranch(const Instruction &Br, bool Taken) override {
+    Events.emplace_back(Br.BranchId, Taken);
+  }
+  std::vector<Event> Events;
+};
+
+const Workload &workloadNamed(const std::string &Name) {
+  for (const Workload &W : allWorkloads())
+    if (Name == W.Name)
+      return W;
+  ADD_FAILURE() << "unknown workload " << Name;
+  return allWorkloads().front();
+}
+
+/// Per-event reference of buildLoopAwareProfiles: before each event of a
+/// loop branch b, b's history resets iff some event since b's previous
+/// execution (or since the trace start) lay outside b's innermost loop.
+/// Each tracked loop keeps the time of the last event outside it, and the
+/// scan touches every tracked loop on every event.
+ProfileSet referenceLoopAwareProfiles(const ProgramAnalysis &PA,
+                                      const ColumnarTrace &CT,
+                                      const sa::BranchProofs *Proofs) {
+  struct TrackedLoop {
+    uint32_t FuncIdx;
+    const Loop *L;
+    uint64_t LastOutside = 0;
+  };
+  std::vector<TrackedLoop> Loops;
+  std::vector<int32_t> LoopOfBranch(PA.numBranches(), -1);
+  std::map<std::pair<uint32_t, int32_t>, size_t> LoopIndex;
+  for (uint32_t Id = 0; Id < PA.numBranches(); ++Id) {
+    const BranchClass &C = PA.classOf(static_cast<int32_t>(Id));
+    if (C.Kind == BranchKind::NonLoop)
+      continue;
+    std::pair<uint32_t, int32_t> Key{PA.ref(static_cast<int32_t>(Id)).FuncIdx,
+                                     C.LoopIdx};
+    auto [It, Inserted] = LoopIndex.emplace(Key, Loops.size());
+    if (Inserted)
+      Loops.push_back({Key.first,
+                       &PA.loopInfoFor(static_cast<int32_t>(Id))
+                            .loops()[static_cast<size_t>(C.LoopIdx)]});
+    LoopOfBranch[Id] = static_cast<int32_t>(It->second);
+  }
+
+  ProfileSet P(PA.numBranches());
+  std::vector<uint64_t> LastExec(PA.numBranches(), 0);
+  for (size_t I = 0; I < CT.size(); ++I) {
+    const uint64_t Time = I + 1;
+    const int32_t Id = CT.branchId(I);
+    const bool Taken = CT.taken(I);
+    const BranchRef &R = PA.ref(Id);
+    for (TrackedLoop &TL : Loops)
+      if (TL.FuncIdx != R.FuncIdx || !TL.L->contains(R.BlockIdx))
+        TL.LastOutside = Time;
+    BranchProfile &BP = P.branchMutable(Id);
+    const int32_t LI = LoopOfBranch[static_cast<uint32_t>(Id)];
+    if (LI >= 0 && Loops[static_cast<size_t>(LI)].LastOutside >
+                       LastExec[static_cast<uint32_t>(Id)]) {
+      BP.ResetPositions.push_back(BP.Outcomes.size());
+      BP.Table.resetHistory();
+    }
+    BP.Outcomes.push_back(Taken ? 1 : 0);
+    // Proven branches keep their outcome stream but no pattern table.
+    if (!Proofs || !Proofs->proven(Id))
+      BP.Table.record(Taken);
+    LastExec[static_cast<uint32_t>(Id)] = Time;
+  }
+  return P;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Round-trips against the legacy trace
+// Batched emission and the per-branch index
 //===----------------------------------------------------------------------===//
 
-TEST(ColumnarTrace, RoundTripsAllEightWorkloads) {
+TEST(ColumnarTrace, BatchedEmissionMatchesPerEventDeliveryOnAllWorkloads) {
   for (const Workload &W : allWorkloads()) {
-    Module M1, M2;
-    Trace T = traceWorkload(W, 1, M1, 20000);
-    ColumnarTrace CT = traceWorkloadColumnar(W, 1, M2, 20000);
-    ASSERT_EQ(CT.size(), T.size()) << W.Name;
-    EXPECT_TRUE(CT.materialize() == T) << W.Name;
-    EXPECT_TRUE(ColumnarTrace::fromEvents(T).materialize() == T) << W.Name;
+    Module M;
+    ColumnarTrace CT = traceWorkloadColumnar(W, 1, M, 20000);
     EXPECT_TRUE(CT.indexed()) << W.Name;
+    EXPECT_EQ(CT.numBranches(), M.conditionalBranchCount()) << W.Name;
+
+    PerEventSink Reference;
+    ExecOptions Opts;
+    Opts.MaxBranchEvents = 20000;
+    ASSERT_TRUE(execute(M, &Reference, Opts).Ok) << W.Name;
+    EXPECT_EQ(eventsOf(CT), Reference.Events) << W.Name;
   }
 }
 
@@ -114,17 +200,16 @@ TEST(ColumnarTrace, IndexMatchesPerBranchSubsequence) {
   Module M;
   const Workload &W = allWorkloads()[2]; // compress
   ColumnarTrace CT = traceWorkloadColumnar(W, 1, M, 20000);
-  Trace T = CT.materialize();
   ASSERT_TRUE(CT.indexed());
   ASSERT_EQ(CT.numBranches(), M.conditionalBranchCount());
   for (uint32_t Id = 0; Id < CT.numBranches(); ++Id) {
     std::vector<uint8_t> Expected;
     uint64_t Taken = 0;
-    for (const BranchEvent &E : T) {
-      if (E.BranchId != static_cast<int32_t>(Id))
+    for (const auto &[EventId, EventTaken] : eventsOf(CT)) {
+      if (EventId != static_cast<int32_t>(Id))
         continue;
-      Expected.push_back(E.Taken ? 1 : 0);
-      Taken += E.Taken;
+      Expected.push_back(EventTaken ? 1 : 0);
+      Taken += EventTaken;
     }
     BranchColumn C = CT.branch(Id);
     ASSERT_EQ(C.Executions, Expected.size()) << "branch " << Id;
@@ -152,9 +237,8 @@ TEST(ColumnarTrace, OutOfRangeEventsCountedNotIndexed) {
   EXPECT_EQ(CT.branch(1).TakenCount, 0u);
   // The raw columns still hold all five events in order.
   EXPECT_EQ(CT.size(), 5u);
-  Trace T = CT.materialize();
-  EXPECT_EQ(T[1].BranchId, 5);
-  EXPECT_EQ(T[3].BranchId, -3);
+  EXPECT_EQ(CT.branchId(1), 5);
+  EXPECT_EQ(CT.branchId(3), -3);
 }
 
 TEST(ColumnarTrace, EmptyAndSingleEventBranches) {
@@ -172,7 +256,7 @@ TEST(ColumnarTrace, EmptyAndSingleEventBranches) {
   EXPECT_FALSE(CT.indexed());
   CT.finalize(0);
   EXPECT_EQ(CT.numBranches(), 0u);
-  EXPECT_TRUE(CT.materialize().empty());
+  EXPECT_EQ(CT.size(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -431,135 +515,138 @@ TEST(ScoreKernels, DenseEncodeMatchesVirtualMachine) {
 }
 
 //===----------------------------------------------------------------------===//
-// Columnar overloads of the event-path consumers
+// Event-path consumers against per-event references
 //===----------------------------------------------------------------------===//
 
-TEST(ColumnarConsumers, LoopAwareProfilesMatchLegacy) {
-  for (const char *Name : {"compress", "scheduler", "prolog"}) {
-    const Workload *W = nullptr;
-    for (const Workload &Cand : allWorkloads())
-      if (std::string(Cand.Name) == Name)
-        W = &Cand;
-    ASSERT_NE(W, nullptr) << Name;
-    Module M1, M2;
-    Trace T = traceWorkload(*W, 1, M1, 20000);
-    ColumnarTrace CT = traceWorkloadColumnar(*W, 1, M2, 20000);
-    ProgramAnalysis PA(M1);
-    ProfileSet Legacy = buildLoopAwareProfiles(PA, T);
-    ProfileSet Columnar = buildLoopAwareProfiles(PA, CT);
-    EXPECT_TRUE(sameProfiles(Legacy, Columnar)) << Name;
+TEST(ColumnarConsumers, LoopAwareProfilesMatchPerEventReference) {
+  for (const char *Name : {"compress", "scheduler", "prolog", "ghostview"}) {
+    Module M;
+    ColumnarTrace CT = traceWorkloadColumnar(workloadNamed(Name), 1, M, 20000);
+    ProgramAnalysis PA(M);
+    ProfileSet Reference = referenceLoopAwareProfiles(PA, CT, nullptr);
+    EXPECT_TRUE(sameProfiles(buildLoopAwareProfiles(PA, CT), Reference))
+        << Name;
+    // The reset positions are the point of the builder: some loop branch
+    // of every one of these workloads re-enters its loop.
+    uint64_t Resets = 0;
+    for (uint32_t Id = 0; Id < PA.numBranches(); ++Id)
+      Resets += Reference.branch(static_cast<int32_t>(Id))
+                    .ResetPositions.size();
+    EXPECT_GT(Resets, 0u) << Name;
+
+    sa::BranchProofs Proofs = sa::computeBranchProofs(M);
+    EXPECT_TRUE(sameProfiles(buildLoopAwareProfiles(PA, CT, 9, &Proofs),
+                             referenceLoopAwareProfiles(PA, CT, &Proofs)))
+        << Name << " with proofs";
   }
 }
 
-TEST(ColumnarConsumers, ProfileVerifyCountsMatchFromTrace) {
+TEST(ColumnarConsumers, ProfileVerifyCountsMatchTheEventStream) {
   Module M;
-  const Workload &W = allWorkloads()[2]; // compress
-  ColumnarTrace CT = traceWorkloadColumnar(W, 1, M, 20000);
-  Trace T = CT.materialize();
+  ColumnarTrace CT = traceWorkloadColumnar(allWorkloads()[2], 1, M, 20000);
   size_t NumBranches = M.conditionalBranchCount();
-  sa::BranchProfileCounts Legacy =
-      sa::BranchProfileCounts::fromTrace(NumBranches, T);
-  sa::BranchProfileCounts Columnar =
-      sa::BranchProfileCounts::fromColumnar(NumBranches, CT);
-  ASSERT_EQ(Columnar.Counts.size(), Legacy.Counts.size());
-  EXPECT_EQ(Columnar.OutOfRange, Legacy.OutOfRange);
-  for (size_t I = 0; I < Legacy.Counts.size(); ++I) {
-    EXPECT_EQ(Columnar.Counts[I].Taken, Legacy.Counts[I].Taken) << I;
-    EXPECT_EQ(Columnar.Counts[I].NotTaken, Legacy.Counts[I].NotTaken) << I;
-  }
+  // Two events outside [0, NumBranches) ride along in an unfinalized copy
+  // (the lint path decodes straight into one without finalizing).
+  std::vector<Event> Events = eventsOf(CT);
+  Events.emplace_back(-1, true);
+  Events.emplace_back(static_cast<int32_t>(NumBranches), false);
 
-  // fromColumnar also accepts unfinalized traces (the lint path decodes
-  // straight into one without finalizing).
-  ColumnarTrace Raw = ColumnarTrace::fromEvents(T);
-  sa::BranchProfileCounts FromRaw =
-      sa::BranchProfileCounts::fromColumnar(NumBranches, Raw);
-  EXPECT_EQ(FromRaw.OutOfRange, Legacy.OutOfRange);
-  for (size_t I = 0; I < Legacy.Counts.size(); ++I)
-    EXPECT_EQ(FromRaw.Counts[I].Taken, Legacy.Counts[I].Taken) << I;
+  std::vector<sa::BranchCounts> Expected(NumBranches);
+  for (const auto &[Id, Taken] : Events)
+    if (Id >= 0 && static_cast<size_t>(Id) < NumBranches)
+      ++(Taken ? Expected[static_cast<size_t>(Id)].Taken
+               : Expected[static_cast<size_t>(Id)].NotTaken);
+
+  sa::BranchProfileCounts Counts =
+      sa::BranchProfileCounts::fromColumnar(NumBranches, makeTrace(Events));
+  ASSERT_EQ(Counts.Counts.size(), NumBranches);
+  EXPECT_EQ(Counts.OutOfRange, 2u);
+  for (size_t I = 0; I < NumBranches; ++I) {
+    EXPECT_EQ(Counts.Counts[I].Taken, Expected[I].Taken) << I;
+    EXPECT_EQ(Counts.Counts[I].NotTaken, Expected[I].NotTaken) << I;
+    EXPECT_EQ(Counts.Counts[I].total(), CT.branch(I).Executions) << I;
+  }
 }
 
-TEST(ColumnarConsumers, EvaluatorMatchesLegacy) {
+TEST(ColumnarConsumers, EvaluatorMatchesPerEventReference) {
   Module M;
-  const Workload &W = allWorkloads()[6]; // scheduler
-  ColumnarTrace CT = traceWorkloadColumnar(W, 1, M, 20000);
-  Trace T = CT.materialize();
+  ColumnarTrace CT = traceWorkloadColumnar(allWorkloads()[6], 1, M, 20000);
+  uint32_t NumBranches = M.conditionalBranchCount();
+
+  // Reference: predict, compare, update, one event at a time.
+  LastDirectionPredictor RefPred;
+  PredictionStats RefTotal;
+  std::vector<PredictionStats> RefPer(NumBranches);
+  for (const auto &[Id, Taken] : eventsOf(CT)) {
+    bool Correct = RefPred.predict(Id) == Taken;
+    RefPred.update(Id, Taken);
+    RefTotal.record(Correct);
+    RefPer[static_cast<uint32_t>(Id)].record(Correct);
+  }
 
   LastDirectionPredictor Last;
-  PredictionStats LegacyStats = evaluatePredictor(Last, T);
+  PredictionStats Total = evaluatePredictor(Last, CT);
+  EXPECT_EQ(Total.Predictions, RefTotal.Predictions);
+  EXPECT_EQ(Total.Mispredictions, RefTotal.Mispredictions);
+
   Last.reset();
-  PredictionStats ColumnarStats = evaluatePredictor(Last, CT);
-  EXPECT_EQ(ColumnarStats.Predictions, LegacyStats.Predictions);
-  EXPECT_EQ(ColumnarStats.Mispredictions, LegacyStats.Mispredictions);
-
-  CounterPredictor Counter(2);
-  uint32_t NumBranches = M.conditionalBranchCount();
-  std::vector<PredictionStats> LegacyPer =
-      evaluatePredictorPerBranch(Counter, T, NumBranches);
-  Counter.reset();
-  std::vector<PredictionStats> ColumnarPer =
-      evaluatePredictorPerBranch(Counter, CT, NumBranches);
-  ASSERT_EQ(ColumnarPer.size(), LegacyPer.size());
-  for (size_t I = 0; I < LegacyPer.size(); ++I) {
-    EXPECT_EQ(ColumnarPer[I].Predictions, LegacyPer[I].Predictions) << I;
-    EXPECT_EQ(ColumnarPer[I].Mispredictions, LegacyPer[I].Mispredictions)
-        << I;
+  std::vector<PredictionStats> Per =
+      evaluatePredictorPerBranch(Last, CT, NumBranches);
+  Last.reset();
+  std::vector<BranchEvalStats> Detailed =
+      evaluatePredictorPerBranchDetailed(Last, CT, NumBranches);
+  ASSERT_EQ(Per.size(), RefPer.size());
+  ASSERT_EQ(Detailed.size(), RefPer.size());
+  for (uint32_t I = 0; I < NumBranches; ++I) {
+    EXPECT_EQ(Per[I].Predictions, RefPer[I].Predictions) << I;
+    EXPECT_EQ(Per[I].Mispredictions, RefPer[I].Mispredictions) << I;
+    EXPECT_EQ(Detailed[I].Executions, RefPer[I].Predictions) << I;
+    EXPECT_EQ(Detailed[I].Mispredictions, RefPer[I].Mispredictions) << I;
+    EXPECT_EQ(Detailed[I].Taken, CT.branch(I).TakenCount) << I;
   }
 }
 
-TEST(ColumnarConsumers, DecodeTraceColumnarMatchesLegacyDecoder) {
+TEST(ColumnarConsumers, WorkloadTraceRoundTripsThroughTheCodec) {
   Module M;
-  const Workload &W = allWorkloads()[0]; // abalone
-  Trace T = traceWorkload(W, 1, M, 20000);
-  std::vector<uint8_t> Buf = encodeTrace(T);
-
-  Trace Legacy;
-  ColumnarTrace Columnar;
-  std::string LegacyError, ColumnarError;
-  ASSERT_TRUE(decodeTrace(Buf, Legacy, LegacyError));
-  ASSERT_TRUE(decodeTraceColumnar(Buf, Columnar, ColumnarError));
-  EXPECT_TRUE(Columnar.materialize() == Legacy);
-  EXPECT_TRUE(Legacy == T);
+  ColumnarTrace CT = traceWorkloadColumnar(allWorkloads()[0], 1, M, 20000);
+  std::vector<uint8_t> Buf = encodeTrace(CT);
+  ColumnarTrace Decoded;
+  std::string Error;
+  ASSERT_TRUE(decodeTraceColumnar(Buf, Decoded, Error)) << Error;
+  EXPECT_FALSE(Decoded.indexed());
+  EXPECT_EQ(eventsOf(Decoded), eventsOf(CT));
+  EXPECT_EQ(encodeTrace(Decoded), Buf);
 }
 
-TEST(ColumnarConsumers, DecoderErrorsAreIdenticalAcrossLayouts) {
+TEST(ColumnarConsumers, DecoderErrorsAreExact) {
   Module M;
-  Trace T = traceWorkload(allWorkloads()[0], 1, M, 2000);
-  std::vector<uint8_t> Good = encodeTrace(T);
+  std::vector<uint8_t> Good =
+      encodeTrace(traceWorkloadColumnar(allWorkloads()[0], 1, M, 2000));
 
-  std::vector<std::vector<uint8_t>> Corruptions;
-  Corruptions.push_back({});                         // empty
-  Corruptions.push_back({'B', 'P', 'C', 'T'});       // header truncated
-  {
-    std::vector<uint8_t> Bad = Good;
-    Bad[0] = 'X'; // bad magic
-    Corruptions.push_back(Bad);
-  }
-  {
-    std::vector<uint8_t> Bad = Good;
-    Bad[4] = 9; // unsupported version
-    Corruptions.push_back(Bad);
-  }
-  {
-    std::vector<uint8_t> Bad = Good;
-    Bad.resize(Bad.size() / 2); // truncated mid-group
-    Corruptions.push_back(Bad);
-  }
-  {
-    std::vector<uint8_t> Bad = Good;
-    Bad.push_back(0); // trailing bytes
-    Bad.push_back(0);
-    Corruptions.push_back(Bad);
-  }
-
-  for (size_t I = 0; I < Corruptions.size(); ++I) {
-    Trace LegacyOut;
-    ColumnarTrace ColumnarOut;
-    std::string LegacyError, ColumnarError;
-    bool LegacyOk = decodeTrace(Corruptions[I], LegacyOut, LegacyError);
-    bool ColumnarOk =
-        decodeTraceColumnar(Corruptions[I], ColumnarOut, ColumnarError);
-    EXPECT_EQ(ColumnarOk, LegacyOk) << "corruption " << I;
-    EXPECT_EQ(ColumnarError, LegacyError) << "corruption " << I;
-    EXPECT_FALSE(LegacyOk) << "corruption " << I;
-  }
+  auto ErrorOf = [](const std::vector<uint8_t> &Buf) {
+    ColumnarTrace Out;
+    std::string Error;
+    EXPECT_FALSE(decodeTraceColumnar(Buf, Out, Error));
+    return Error;
+  };
+  EXPECT_EQ(ErrorOf({}),
+            "trace header truncated: 0 bytes, need at least 5 (magic + "
+            "version)");
+  EXPECT_EQ(ErrorOf({'B', 'P', 'C', 'T'}),
+            "trace header truncated: 4 bytes, need at least 5 (magic + "
+            "version)");
+  std::vector<uint8_t> Bad = Good;
+  Bad[0] = 'X';
+  EXPECT_EQ(ErrorOf(Bad), "bad magic: not a BPCT trace file");
+  Bad = Good;
+  Bad[4] = 9;
+  EXPECT_EQ(ErrorOf(Bad), "unsupported trace version 9 (expected 1)");
+  Bad = Good;
+  Bad.resize(Bad.size() / 2);
+  EXPECT_EQ(ErrorOf(Bad).rfind("truncated event group at byte ", 0), 0u);
+  EXPECT_NE(ErrorOf(Bad).find(" of 2000 events)"), std::string::npos);
+  Bad = Good;
+  Bad.push_back(0);
+  Bad.push_back(0);
+  EXPECT_EQ(ErrorOf(Bad), "2 trailing bytes after the last event");
 }

@@ -6,6 +6,7 @@
 
 #include "core/CorrelatedMachine.h"
 #include "support/Rng.h"
+#include "trace/ColumnarTrace.h"
 
 #include <gtest/gtest.h>
 
@@ -22,14 +23,14 @@ BranchPath path(std::initializer_list<std::pair<int32_t, bool>> Steps) {
 
 /// Branch 2's outcome equals branch 0's previous outcome; branch 1 sits in
 /// between as noise.
-Trace copyThroughNoise(size_t N, uint64_t Seed) {
+ColumnarTrace copyThroughNoise(size_t N, uint64_t Seed) {
   Rng G(Seed);
-  Trace T;
+  ColumnarTrace T;
   for (size_t I = 0; I < N; ++I) {
     bool A = G.chance(1, 2);
-    T.push_back({0, A});
-    T.push_back({1, G.chance(1, 4)});
-    T.push_back({2, A});
+    T.append(0, A);
+    T.append(1, G.chance(1, 4));
+    T.append(2, A);
   }
   return T;
 }
@@ -45,7 +46,7 @@ TEST(PathProfiler, CountsLongestMatchingPath) {
               path({{0, true}, {1, false}}),
               path({{0, false}, {1, true}}),
               path({{0, false}, {1, false}})};
-  Trace T = copyThroughNoise(1000, 3);
+  ColumnarTrace T = copyThroughNoise(1000, 3);
   auto Profiles = profilePaths(Cands, T, 2);
   // Every execution of branch 2 is preceded by (0,x),(1,y): the longest
   // candidates match, so nothing lands in shorter ones or unmatched.
@@ -61,7 +62,7 @@ TEST(PathProfiler, CountsLongestMatchingPath) {
 TEST(PathProfiler, UnmatchedBucketCatchesTheRest) {
   std::vector<std::vector<BranchPath>> Cands(3);
   Cands[2] = {path({{1, true}})}; // only one direction covered
-  Trace T = copyThroughNoise(1000, 5);
+  ColumnarTrace T = copyThroughNoise(1000, 5);
   auto Profiles = profilePaths(Cands, T, 2);
   uint64_t Matched = 0;
   for (const auto &[Key, C] : Profiles[2].PerPath)
@@ -76,7 +77,7 @@ TEST(CorrelatedMachine, SolvesCopyBranch) {
       path({{0, false}, {1, true}}),  path({{0, false}, {1, false}}),
       path({{1, true}}),              path({{1, false}}),
   };
-  Trace T = copyThroughNoise(2000, 7);
+  ColumnarTrace T = copyThroughNoise(2000, 7);
   CorrelatedOptions Opts;
   Opts.MaxStates = 5; // 4 paths + catch-all
   Opts.MaxPathLen = 2;
@@ -89,13 +90,13 @@ TEST(CorrelatedMachine, SolvesCopyBranch) {
 
 TEST(CorrelatedMachine, BudgetTwoUsesBestSinglePath) {
   std::vector<BranchPath> Cands = {path({{1, true}}), path({{1, false}})};
-  Trace T;
+  ColumnarTrace T;
   // Branch 2 is taken exactly when branch 1 was taken.
   Rng G(9);
   for (int I = 0; I < 1000; ++I) {
     bool A = G.chance(1, 3);
-    T.push_back({1, A});
-    T.push_back({2, A});
+    T.append(1, A);
+    T.append(2, A);
   }
   CorrelatedOptions Opts;
   Opts.MaxStates = 2;
@@ -114,7 +115,7 @@ TEST(CorrelatedMachine, AssignmentScoreMatchesEvaluation) {
       path({{0, false}, {1, true}}), path({{0, false}, {1, false}}),
       path({{1, true}}),             path({{1, false}}),
   };
-  Trace T = copyThroughNoise(1500, 11);
+  ColumnarTrace T = copyThroughNoise(1500, 11);
   CorrelatedOptions Opts;
   Opts.MaxStates = 4;
   Opts.MaxPathLen = 2;
@@ -158,7 +159,7 @@ TEST(CorrelatedMachine, StateBudgetMonotone) {
       path({{0, false}, {1, true}}), path({{0, false}, {1, false}}),
       path({{1, true}}),             path({{1, false}}),
   };
-  Trace T = copyThroughNoise(1500, 13);
+  ColumnarTrace T = copyThroughNoise(1500, 13);
   uint64_t Prev = 0;
   for (unsigned States = 2; States <= 6; ++States) {
     CorrelatedOptions Opts;

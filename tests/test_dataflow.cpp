@@ -21,6 +21,7 @@
 #include "sa/Dataflow.h"
 #include "sa/Passes.h"
 #include "sa/ProfileVerify.h"
+#include "trace/ColumnarTrace.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -289,25 +290,18 @@ TEST(BranchProofs, DataDependentBranchesStayUnproven) {
     if (Name == "compress" || Name == "c-compiler") {
       EXPECT_GT(P.provenCount(), 0u) << Name;
     }
-    Trace T;
-    Module Traced = W.Build(1);
-    T = traceWorkload(W, 1, Traced, 20'000);
-    std::vector<uint64_t> Taken(M.conditionalBranchCount(), 0);
-    std::vector<uint64_t> Total(M.conditionalBranchCount(), 0);
-    for (const BranchEvent &E : T) {
-      if (E.BranchId < 0 ||
-          static_cast<size_t>(E.BranchId) >= Total.size())
-        continue;
-      ++Total[static_cast<size_t>(E.BranchId)];
-      Taken[static_cast<size_t>(E.BranchId)] += E.Taken ? 1 : 0;
-    }
-    for (size_t Id = 0; Id < Total.size(); ++Id) {
+    Module Traced;
+    ColumnarTrace T = traceWorkloadColumnar(W, 1, Traced, 20'000);
+    ASSERT_EQ(T.numBranches(), M.conditionalBranchCount()) << Name;
+    for (uint32_t Id = 0; Id < T.numBranches(); ++Id) {
       Prediction Dir = P.dirOf(static_cast<int32_t>(Id));
-      if (Dir == Prediction::Unknown || Total[Id] == 0)
+      BranchColumn Col = T.branch(Id);
+      if (Dir == Prediction::Unknown || Col.Executions == 0)
         continue;
-      uint64_t Agree =
-          Dir == Prediction::Taken ? Taken[Id] : Total[Id] - Taken[Id];
-      EXPECT_EQ(Agree, Total[Id])
+      uint64_t Agree = Dir == Prediction::Taken
+                           ? Col.TakenCount
+                           : Col.Executions - Col.TakenCount;
+      EXPECT_EQ(Agree, Col.Executions)
           << Name << " branch " << Id << ": proof contradicts the trace";
     }
   }
@@ -507,12 +501,11 @@ TEST(ProfileVerify, CountShapeMismatchIsRejected) {
 
 TEST(ProfileVerify, UnknownBranchEventsAreRejected) {
   Module M = buildFlowModule();
-  Trace T;
-  for (int N = 0; N < 4; ++N)
-    T.push_back({0, true});
-  T.push_back({9, true}); // no branch 9
+  ColumnarTrace T;
+  T.appendRun(0, true, 4);
+  T.append(9, true); // no branch 9
   sa::BranchProfileCounts P =
-      sa::BranchProfileCounts::fromTrace(M.conditionalBranchCount(), T);
+      sa::BranchProfileCounts::fromColumnar(M.conditionalBranchCount(), T);
   EXPECT_EQ(P.OutOfRange, 1u);
   std::vector<Diagnostic> D = verifyProfileRealizability(M, P);
   EXPECT_TRUE(hasRule(D, "profile-verify.unknown-branch")) << renderAll(D);
@@ -590,9 +583,9 @@ TEST(ProfileVerify, RecordedWorkloadTracesAreAdmitted) {
   // (truncated-tail notes are expected — the traces are event-capped).
   for (const Workload &W : allWorkloads()) {
     Module M;
-    Trace T = traceWorkload(W, 1, M, 20'000);
+    ColumnarTrace T = traceWorkloadColumnar(W, 1, M, 20'000);
     sa::BranchProfileCounts P =
-        sa::BranchProfileCounts::fromTrace(M.conditionalBranchCount(), T);
+        sa::BranchProfileCounts::fromColumnar(M.conditionalBranchCount(), T);
     std::vector<Diagnostic> D = verifyProfileRealizability(M, P);
     EXPECT_FALSE(sa::anyAtOrAbove(D, Severity::Warning))
         << W.Name << ":\n"
@@ -605,9 +598,10 @@ TEST(ProfileVerify, FlippedWorkloadProfileIsRejected) {
   // conservation somewhere downstream — the gate must notice, strict mode
   // makes it an error.
   Module M;
-  Trace T = traceWorkload(allWorkloads()[2] /* compress */, 1, M, 20'000);
+  ColumnarTrace T =
+      traceWorkloadColumnar(allWorkloads()[2] /* compress */, 1, M, 20'000);
   sa::BranchProfileCounts P =
-      sa::BranchProfileCounts::fromTrace(M.conditionalBranchCount(), T);
+      sa::BranchProfileCounts::fromColumnar(M.conditionalBranchCount(), T);
   size_t Busiest = 0;
   for (size_t Id = 1; Id < P.Counts.size(); ++Id)
     if (P.Counts[Id].total() > P.Counts[Busiest].total())
@@ -732,7 +726,7 @@ TEST(ProofPruning, PrunedPipelineChoosesIdenticalStrategies) {
         W = &Cand;
     ASSERT_NE(W, nullptr);
     Module M;
-    Trace T = traceWorkload(*W, 1, M, 20'000);
+    ColumnarTrace T = traceWorkloadColumnar(*W, 1, M, 20'000);
 
     PipelineOptions On;
     On.Strategy.MaxStates = 4;
@@ -771,7 +765,7 @@ TEST(ProofPruning, SearchCounterRecordsPrunedBranches) {
         W = &Cand;
     ASSERT_NE(W, nullptr);
     Module M;
-    Trace T = traceWorkload(*W, 1, M, 20'000);
+    ColumnarTrace T = traceWorkloadColumnar(*W, 1, M, 20'000);
     PipelineOptions Opts;
     Opts.Strategy.MaxStates = 4;
     Opts.Strategy.NodeBudget = 50'000;

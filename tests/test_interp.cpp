@@ -168,14 +168,14 @@ TEST(Interp, LoopCountsAndEmitsBranchEvents) {
   B.ret(R(X));
   M.assignBranchIds();
 
-  CollectingSink Sink;
+  ColumnarSink Sink;
   ExecResult Res = execute(M, &Sink);
   ASSERT_TRUE(Res.Ok);
   EXPECT_EQ(Res.ReturnValue, 5);
   ASSERT_EQ(Sink.trace().size(), 5u);
   for (int I = 0; I < 4; ++I)
-    EXPECT_TRUE(Sink.trace()[I].Taken);
-  EXPECT_FALSE(Sink.trace()[4].Taken);
+    EXPECT_TRUE(Sink.trace().taken(I));
+  EXPECT_FALSE(Sink.trace().taken(4));
   EXPECT_EQ(Res.BranchEvents, 5u);
 }
 

@@ -7,6 +7,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TraceTestUtil.h"
+
 #include "core/JointMachine.h"
 #include "core/LoopAwareProfiles.h"
 #include "core/MachineSearch.h"
@@ -88,7 +90,7 @@ Module twoAlternating(int64_t Iters) {
 
 TEST(JointProfile, CollectsPerMemberCounts) {
   Module M = twoAlternating(100);
-  CollectingSink Sink;
+  ColumnarSink Sink;
   ASSERT_TRUE(execute(M, &Sink).Ok);
   ProgramAnalysis PA(M);
   JointProfile P = profileJointLoop(PA, {1, 2}, Sink.trace(), 3);
@@ -102,7 +104,7 @@ TEST(JointProfile, CollectsPerMemberCounts) {
 
 TEST(JointMachine, TwoStatesSolveBothAlternations) {
   Module M = twoAlternating(400);
-  CollectingSink Sink;
+  ColumnarSink Sink;
   ASSERT_TRUE(execute(M, &Sink).Ok);
   ProgramAnalysis PA(M);
   JointProfile P = profileJointLoop(PA, {1, 2}, Sink.trace(), 2);
@@ -124,7 +126,7 @@ TEST(JointMachine, TwoStatesSolveBothAlternations) {
 
 TEST(JointMachine, AssignmentScoreMatchesEvaluation) {
   Module M = twoAlternating(300);
-  CollectingSink Sink;
+  ColumnarSink Sink;
   ASSERT_TRUE(execute(M, &Sink).Ok);
   ProgramAnalysis PA(M);
   JointProfile P = profileJointLoop(PA, {1, 2}, Sink.trace(), 3);
@@ -158,9 +160,10 @@ TEST(JointMachine, TransitionsFollowLongestSuffix) {
 
 TEST(JointReplication, TwoStatesInsteadOfFour) {
   Module M = twoAlternating(400);
-  CollectingSink Sink;
+  ColumnarSink Sink;
   ASSERT_TRUE(execute(M, &Sink).Ok);
-  Trace T = Sink.takeTrace();
+  ColumnarTrace T = Sink.takeTrace();
+  T.finalize(static_cast<uint32_t>(M.conditionalBranchCount()));
   ProgramAnalysis PA(M);
 
   JointProfile P = profileJointLoop(PA, {1, 2}, T, 2);
@@ -188,13 +191,13 @@ TEST(JointReplication, TwoStatesInsteadOfFour) {
             M.Functions[0].instructionCount() + 4 * LoopSize);
 
   // Behaviour preserved.
-  OrigIdCollectingSink SA, SB;
+  ColumnarSink SA(/*UseOrigIds=*/true), SB(/*UseOrigIds=*/true);
   ExecResult RA = execute(M, &SA);
   ExecResult RB = execute(X, &SB);
   ASSERT_TRUE(RA.Ok);
   ASSERT_TRUE(RB.Ok);
   EXPECT_EQ(RA.ReturnValue, RB.ReturnValue);
-  EXPECT_EQ(SA.trace(), SB.trace());
+  EXPECT_EQ(test::eventsOf(SA.trace()), test::eventsOf(SB.trace()));
 
   // Realized predictions: both alternating branches near-perfect.
   TraceStats Stats(3);
@@ -247,7 +250,7 @@ TEST(JointPipeline, FiresWhenLoopBranchesShareAMachine) {
   // correlated ones): they share the interpreter loop, so the pipeline
   // should fuse them into one joint machine rather than pay the product.
   Module M;
-  Trace T = traceWorkload(allWorkloads()[3], 1, M, 200'000);
+  ColumnarTrace T = traceWorkloadColumnar(allWorkloads()[3], 1, M, 200'000);
   PipelineOptions Opts;
   Opts.Strategy.MaxStates = 4;
   Opts.Strategy.NodeBudget = 20'000;
@@ -261,13 +264,13 @@ TEST(JointPipeline, FiresWhenLoopBranchesShareAMachine) {
   // Behaviour preserved.
   ExecOptions EO;
   EO.MaxBranchEvents = 200'000;
-  OrigIdCollectingSink SA, SB;
+  ColumnarSink SA(/*UseOrigIds=*/true), SB(/*UseOrigIds=*/true);
   ExecResult RA = execute(M, &SA, EO);
   ExecResult RB = execute(PR.Transformed, &SB, EO);
   ASSERT_TRUE(RA.Ok);
   ASSERT_TRUE(RB.Ok);
   EXPECT_EQ(RA.Memory, RB.Memory);
-  EXPECT_EQ(SA.trace(), SB.trace());
+  EXPECT_EQ(test::eventsOf(SA.trace()), test::eventsOf(SB.trace()));
 
   // And the joint machine must not be worse than profile.
   TraceStats Stats(static_cast<uint32_t>(M.conditionalBranchCount()));

@@ -9,11 +9,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TraceTestUtil.h"
+
 #include "core/LoopAwareProfiles.h"
 #include "core/MachineSearch.h"
 #include "interp/Interpreter.h"
 #include "ir/IRBuilder.h"
-#include "trace/Sinks.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -68,10 +69,10 @@ Module nested(int64_t Outer, int64_t Inner) {
 
 TEST(LoopAware, ResetsAtEveryInnerLoopReentry) {
   Module M = nested(50, 4);
-  CollectingSink Sink;
-  ASSERT_TRUE(execute(M, &Sink).Ok);
+  test::TracedRun Run = test::traceModule(M);
+  ASSERT_TRUE(Run.Result.Ok);
   ProgramAnalysis PA(M);
-  ProfileSet P = buildLoopAwareProfiles(PA, Sink.trace());
+  ProfileSet P = buildLoopAwareProfiles(PA, Run.Trace);
   // The inner header branch executes 5 times per invocation over 50
   // invocations; each outer iteration interposes the latch branch, so
   // every invocation after the first starts with a reset.
@@ -84,10 +85,10 @@ TEST(LoopAware, ResetsAtEveryInnerLoopReentry) {
 
 TEST(LoopAware, PlainProfilesNeverReset) {
   Module M = nested(50, 4);
-  CollectingSink Sink;
-  ASSERT_TRUE(execute(M, &Sink).Ok);
+  test::TracedRun Run = test::traceModule(M);
+  ASSERT_TRUE(Run.Result.Ok);
   ProfileSet P(2);
-  P.addTrace(Sink.trace());
+  P.addTrace(Run.Trace);
   EXPECT_TRUE(P.branch(0).ResetPositions.empty());
 }
 
@@ -96,10 +97,10 @@ TEST(LoopAware, SegmentedSimulationMatchesFitScore) {
   // simulation exactly: this is the invariant that makes construction-time
   // scores trustworthy for replication.
   Module M = nested(80, 5);
-  CollectingSink Sink;
-  ASSERT_TRUE(execute(M, &Sink).Ok);
+  test::TracedRun Run = test::traceModule(M);
+  ASSERT_TRUE(Run.Result.Ok);
   ProgramAnalysis PA(M);
-  ProfileSet P = buildLoopAwareProfiles(PA, Sink.trace());
+  ProfileSet P = buildLoopAwareProfiles(PA, Run.Trace);
 
   const BranchClass &C = PA.classOf(0);
   ASSERT_EQ(C.Kind, BranchKind::LoopExit);
@@ -156,13 +157,13 @@ TEST(LoopAware, WholeTraceHistoryOverestimatesWithoutResets) {
   B.ret(R(I));
   M.assignBranchIds();
 
-  CollectingSink Sink;
-  ASSERT_TRUE(execute(M, &Sink).Ok);
+  test::TracedRun Run = test::traceModule(M);
+  ASSERT_TRUE(Run.Result.Ok);
   ProgramAnalysis PA(M);
 
   ProfileSet Plain(PA.numBranches());
-  Plain.addTrace(Sink.trace());
-  ProfileSet Aware = buildLoopAwareProfiles(PA, Sink.trace());
+  Plain.addTrace(Run.Trace);
+  ProfileSet Aware = buildLoopAwareProfiles(PA, Run.Trace);
 
   MachineOptions MO;
   MO.MaxStates = 6; // enough for the period-6 whole-trace pattern
@@ -186,7 +187,8 @@ TEST(LoopAware, WholeTraceHistoryOverestimatesWithoutResets) {
 TEST(LoopAware, NonLoopBranchesUnaffected) {
   for (size_t WI : {1u, 3u}) {
     Module M;
-    Trace T = traceWorkload(allWorkloads()[WI], 1, M, 100'000);
+    ColumnarTrace T =
+        traceWorkloadColumnar(allWorkloads()[WI], 1, M, 100'000);
     ProgramAnalysis PA(M);
     ProfileSet Plain(PA.numBranches());
     Plain.addTrace(T);
@@ -204,7 +206,7 @@ TEST(LoopAware, NonLoopBranchesUnaffected) {
 
 TEST(Recursion, DetectedInAbalone) {
   Module M;
-  traceWorkload(allWorkloads()[0], 1, M, 1'000);
+  traceWorkloadColumnar(allWorkloads()[0], 1, M, 1'000);
   ProgramAnalysis PA(M);
   // negamax calls itself; eval_leaf and main do not.
   bool AnyRecursive = false, AnyPlain = false;
@@ -220,7 +222,7 @@ TEST(Recursion, DetectedInAbalone) {
 
 TEST(Recursion, SingleFunctionWorkloadsAreNotRecursive) {
   Module M;
-  traceWorkload(allWorkloads()[5], 1, M, 1'000); // prolog
+  traceWorkloadColumnar(allWorkloads()[5], 1, M, 1'000); // prolog
   ProgramAnalysis PA(M);
   for (uint32_t FI = 0; FI < M.Functions.size(); ++FI)
     EXPECT_FALSE(PA.isRecursive(FI));

@@ -714,7 +714,8 @@ TEST(Report, PipelineRunProducesPhasesAndDecisions) {
   G.setEnabled(true);
 
   Module M;
-  Trace T = traceWorkload(workloadNamed("compress"), 1, M, 20'000);
+  ColumnarTrace T =
+      traceWorkloadColumnar(workloadNamed("compress"), 1, M, 20'000);
   PipelineOptions Opts;
   Opts.Strategy.MaxStates = 6;
   Opts.Strategy.NodeBudget = 30'000;
@@ -774,7 +775,8 @@ TEST(Report, DisabledGlobalRegistryRecordsNothing) {
   G.setEnabled(false);
 
   Module M;
-  Trace T = traceWorkload(workloadNamed("compress"), 1, M, 5'000);
+  ColumnarTrace T =
+      traceWorkloadColumnar(workloadNamed("compress"), 1, M, 5'000);
   PipelineOptions Opts;
   Opts.Strategy.MaxStates = 4;
   Opts.Strategy.NodeBudget = 10'000;

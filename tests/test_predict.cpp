@@ -21,27 +21,28 @@ using namespace bpcr;
 namespace {
 
 /// One branch alternating T,N,T,N...
-Trace alternating(int32_t Id, size_t N) {
-  Trace T;
+ColumnarTrace alternating(int32_t Id, size_t N) {
+  ColumnarTrace T;
   for (size_t I = 0; I < N; ++I)
-    T.push_back({Id, I % 2 == 0});
+    T.append(Id, I % 2 == 0);
   return T;
 }
 
 /// One branch with a fixed direction.
-Trace constant(int32_t Id, size_t N, bool Taken) {
-  Trace T(N, BranchEvent{Id, Taken});
+ColumnarTrace constant(int32_t Id, size_t N, bool Taken) {
+  ColumnarTrace T;
+  T.appendRun(Id, Taken, N);
   return T;
 }
 
 /// Branch 1 copies the previous outcome of branch 0; branch 0 is random.
-Trace correlatedPair(size_t N, uint64_t Seed) {
+ColumnarTrace correlatedPair(size_t N, uint64_t Seed) {
   Rng G(Seed);
-  Trace T;
+  ColumnarTrace T;
   for (size_t I = 0; I < N; ++I) {
     bool A = G.chance(1, 2);
-    T.push_back({0, A});
-    T.push_back({1, A});
+    T.append(0, A);
+    T.append(1, A);
   }
   return T;
 }
@@ -65,9 +66,9 @@ TEST(LastDirection, WorstCaseOnAlternating) {
 
 TEST(Counter, TwoBitAbsorbsRareFlips) {
   CounterPredictor P(2);
-  Trace T;
+  ColumnarTrace T;
   for (int I = 0; I < 1000; ++I)
-    T.push_back({0, I % 10 != 9}); // one not-taken in ten
+    T.append(0, I % 10 != 9); // one not-taken in ten
   PredictionStats S = evaluatePredictor(P, T);
   // The 2-bit counter never flips its prediction on isolated outliers.
   EXPECT_LE(S.mispredictionPercent(), 11.0);
@@ -78,10 +79,10 @@ TEST(Counter, TwoBitAbsorbsRareFlips) {
 
 TEST(Counter, IndependentPerBranch) {
   CounterPredictor P(2);
-  Trace T;
+  ColumnarTrace T;
   for (int I = 0; I < 100; ++I) {
-    T.push_back({0, true});
-    T.push_back({1, false});
+    T.append(0, true);
+    T.append(1, false);
   }
   PredictionStats S = evaluatePredictor(P, T);
   // Both branches converge to their direction after warmup.
@@ -96,9 +97,9 @@ TEST(TwoLevel, LearnsAlternation) {
 
 TEST(TwoLevel, LearnsPeriodicPattern) {
   TwoLevelPredictor P;
-  Trace T;
+  ColumnarTrace T;
   for (int I = 0; I < 3000; ++I)
-    T.push_back({0, (I % 3) != 0}); // N,T,T repeating
+    T.append(0, (I % 3) != 0); // N,T,T repeating
   PredictionStats S = evaluatePredictor(P, T);
   EXPECT_LT(S.mispredictionPercent(), 2.0);
 }
@@ -136,11 +137,11 @@ TEST_P(TwoLevelScopes, ReasonableOnMixedTrace) {
   Cfg.HistoryBits = 6;
   TwoLevelPredictor P(Cfg);
   Rng G(7);
-  Trace T;
+  ColumnarTrace T;
   for (int I = 0; I < 5000; ++I) {
-    T.push_back({0, I % 2 == 0});                      // alternating
-    T.push_back({1, true});                            // constant
-    T.push_back({2, G.chance(9, 10)});                 // biased
+    T.append(0, I % 2 == 0);                      // alternating
+    T.append(1, true);                            // constant
+    T.append(2, G.chance(9, 10));                 // biased
   }
   PredictionStats S = evaluatePredictor(P, T);
   // Alternating + constant are learnable; biased gives ~10% on a third of
@@ -159,9 +160,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Profile, PredictsMajorityDirection) {
   ProfilePredictor P;
-  Trace T;
+  ColumnarTrace T;
   for (int I = 0; I < 100; ++I)
-    T.push_back({0, I < 70});
+    T.append(0, I < 70);
   PredictionStats S = evaluateSelfTrained(P, T);
   EXPECT_EQ(S.Mispredictions, 30u);
 }
@@ -181,9 +182,9 @@ TEST(LoopHistory, SolvesAlternation) {
 
 TEST(LoopHistory, NineBitSolvesLongPeriods) {
   LoopHistoryPredictor P(9);
-  Trace T;
+  ColumnarTrace T;
   for (int I = 0; I < 5000; ++I)
-    T.push_back({0, (I % 7) != 0});
+    T.append(0, (I % 7) != 0);
   PredictionStats S = evaluateSelfTrained(P, T);
   EXPECT_LE(S.mispredictionPercent(), 1.0);
 }
@@ -207,12 +208,12 @@ TEST(LoopCorrelation, PicksTheBetterSchemePerBranch) {
   // Branch 0 random, branch 1 copies it (correlation wins); branch 2
   // alternates (loop history wins).
   Rng G(5);
-  Trace T;
+  ColumnarTrace T;
   for (int I = 0; I < 3000; ++I) {
     bool A = G.chance(1, 2);
-    T.push_back({0, A});
-    T.push_back({1, A});
-    T.push_back({2, I % 2 == 0});
+    T.append(0, A);
+    T.append(1, A);
+    T.append(2, I % 2 == 0);
   }
   PredictionStats S = evaluateSelfTrained(P, T);
   EXPECT_FALSE(P.usesLoopScheme(1));
@@ -223,9 +224,8 @@ TEST(LoopCorrelation, PicksTheBetterSchemePerBranch) {
 
 TEST(LoopCorrelation, CountsImprovedBranches) {
   LoopCorrelationPredictor P;
-  Trace T = alternating(0, 500);
-  Trace C = constant(1, 500, true);
-  T.insert(T.end(), C.begin(), C.end());
+  ColumnarTrace T = alternating(0, 500);
+  T.appendRun(1, true, 500);
   P.train(T);
   // The alternating branch improves over profile; the constant one cannot.
   EXPECT_EQ(P.improvedBranchCount(), 1u);
@@ -236,10 +236,10 @@ TEST(LoopCorrelation, CountsImprovedBranches) {
 TEST(Evaluator, CrossDatasetDegradesGracefully) {
   // Bias direction agrees across datasets; rates may differ.
   Rng G1(1), G2(2);
-  Trace Train, Test;
+  ColumnarTrace Train, Test;
   for (int I = 0; I < 2000; ++I) {
-    Train.push_back({0, G1.chance(8, 10)});
-    Test.push_back({0, G2.chance(7, 10)});
+    Train.append(0, G1.chance(8, 10));
+    Test.append(0, G2.chance(7, 10));
   }
   ProfilePredictor P;
   PredictionStats S = evaluateTrained(P, Train, Test);
@@ -249,7 +249,7 @@ TEST(Evaluator, CrossDatasetDegradesGracefully) {
 
 TEST(Evaluator, PerBranchSplitsAgreeWithTotal) {
   LastDirectionPredictor P;
-  Trace T = correlatedPair(500, 9);
+  ColumnarTrace T = correlatedPair(500, 9);
   PredictionStats Total = evaluatePredictor(P, T);
   P.reset();
   auto Per = evaluatePredictorPerBranch(P, T, 2);
@@ -333,9 +333,9 @@ TEST(StaticHeuristics, BallLarusLoopHeuristicKeepsLoop) {
 
 TEST(StaticHeuristics, EvaluationAgainstRealExecution) {
   Module M = heuristicModule();
-  CollectingSink Sink;
+  ColumnarSink Sink;
   ASSERT_TRUE(execute(M, &Sink).Ok);
-  const Trace &T = Sink.trace();
+  const ColumnarTrace &T = Sink.trace();
   PredictionStats BL =
       evaluateStaticPredictions(predictBallLarus(M), T);
   PredictionStats AT =

@@ -9,6 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TraceTestUtil.h"
+
 #include "core/MachineSearch.h"
 #include "core/Pipeline.h"
 #include "core/ProgramAnalysis.h"
@@ -71,29 +73,16 @@ Module alternatingLoop(int64_t Iters) {
   return M;
 }
 
-/// Runs \p M collecting the original-id trace.
-struct RunResult {
-  ExecResult Exec;
-  Trace OrigTrace;
-};
-
-RunResult run(const Module &M) {
-  RunResult R;
-  OrigIdCollectingSink Sink;
-  R.Exec = execute(M, &Sink);
-  R.OrigTrace = Sink.takeTrace();
-  return R;
-}
-
-/// Asserts behavioural equivalence of an original and transformed module.
+/// Asserts behavioural equivalence of an original and transformed module:
+/// same result, same memory, same original-id trace.
 void expectEquivalent(const Module &Orig, const Module &Xform) {
-  RunResult A = run(Orig);
-  RunResult B = run(Xform);
-  ASSERT_TRUE(A.Exec.Ok) << A.Exec.Error;
-  ASSERT_TRUE(B.Exec.Ok) << B.Exec.Error;
-  EXPECT_EQ(A.Exec.ReturnValue, B.Exec.ReturnValue);
-  EXPECT_EQ(A.Exec.Memory, B.Exec.Memory);
-  EXPECT_EQ(A.OrigTrace, B.OrigTrace);
+  test::TracedRun A = test::traceModule(Orig, ExecOptions(), true);
+  test::TracedRun B = test::traceModule(Xform, ExecOptions(), true);
+  ASSERT_TRUE(A.Result.Ok) << A.Result.Error;
+  ASSERT_TRUE(B.Result.Ok) << B.Result.Error;
+  EXPECT_EQ(A.Result.ReturnValue, B.Result.ReturnValue);
+  EXPECT_EQ(A.Result.Memory, B.Result.Memory);
+  EXPECT_EQ(test::eventsOf(A.Trace), test::eventsOf(B.Trace));
 }
 
 } // namespace
@@ -102,12 +91,9 @@ void expectEquivalent(const Module &Orig, const Module &Xform) {
 
 TEST(LoopReplication, Figure1TwoStateMachine) {
   Module M = alternatingLoop(200);
-  Trace T;
-  {
-    CollectingSink Sink;
-    ASSERT_TRUE(execute(M, &Sink).Ok);
-    T = Sink.takeTrace();
-  }
+  test::TracedRun Run = test::traceModule(M);
+  ASSERT_TRUE(Run.Result.Ok);
+  const ColumnarTrace &T = Run.Trace;
 
   // Build a 2-state machine for the alternating branch (id 1).
   ProfileSet Profiles(2);
@@ -186,12 +172,9 @@ TEST(LoopReplication, ExitChainOnConstantTripLoop) {
   B.ret(R(S));
   M.assignBranchIds();
 
-  Trace T;
-  {
-    CollectingSink Sink;
-    ASSERT_TRUE(execute(M, &Sink).Ok);
-    T = Sink.takeTrace();
-  }
+  test::TracedRun Run = test::traceModule(M);
+  ASSERT_TRUE(Run.Result.Ok);
+  const ColumnarTrace &T = Run.Trace;
   ProfileSet Profiles(2);
   Profiles.addTrace(T);
 
@@ -223,12 +206,9 @@ TEST(LoopReplication, ExitChainOnConstantTripLoop) {
 TEST(LoopReplication, HandlesAllMachineSizes) {
   for (unsigned States = 2; States <= 6; ++States) {
     Module M = alternatingLoop(64);
-    Trace T;
-    {
-      CollectingSink Sink;
-      ASSERT_TRUE(execute(M, &Sink).Ok);
-      T = Sink.takeTrace();
-    }
+    test::TracedRun Run = test::traceModule(M);
+    ASSERT_TRUE(Run.Result.Ok);
+    const ColumnarTrace &T = Run.Trace;
     ProfileSet Profiles(2);
     Profiles.addTrace(T);
     MachineOptions MO;
@@ -302,12 +282,9 @@ Module copyBranchModule(int64_t Iters) {
 
 TEST(CorrelatedReplication, OneStepPathsSplitTheCopyBranch) {
   Module M = copyBranchModule(200);
-  Trace T;
-  {
-    CollectingSink Sink;
-    ASSERT_TRUE(execute(M, &Sink).Ok);
-    T = Sink.takeTrace();
-  }
+  test::TracedRun Run = test::traceModule(M);
+  ASSERT_TRUE(Run.Result.Ok);
+  const ColumnarTrace &T = Run.Trace;
 
   ProgramAnalysis PA(M);
   std::vector<BranchPath> Cands =
@@ -383,12 +360,9 @@ TEST(PruneUnreachable, NoOpOnCleanFunction) {
 
 TEST(Annotation, ProfileAnnotationMatchesTraceStats) {
   Module M = alternatingLoop(100);
-  Trace T;
-  {
-    CollectingSink Sink;
-    ASSERT_TRUE(execute(M, &Sink).Ok);
-    T = Sink.takeTrace();
-  }
+  test::TracedRun Run = test::traceModule(M);
+  ASSERT_TRUE(Run.Result.Ok);
+  const ColumnarTrace &T = Run.Trace;
   TraceStats Stats(2);
   Stats.addTrace(T);
   annotateProfilePredictions(M, Stats);
@@ -405,7 +379,7 @@ class PipelineOnWorkload : public ::testing::TestWithParam<size_t> {};
 TEST_P(PipelineOnWorkload, PreservesBehaviourAndImprovesPrediction) {
   const Workload &W = allWorkloads()[GetParam()];
   Module M;
-  Trace T = traceWorkload(W, 1, M, 300'000);
+  ColumnarTrace T = traceWorkloadColumnar(W, 1, M, 300'000);
 
   PipelineOptions Opts;
   Opts.Strategy.MaxStates = 4;
@@ -418,14 +392,15 @@ TEST_P(PipelineOnWorkload, PreservesBehaviourAndImprovesPrediction) {
   // Behavioural equivalence under the same branch-event budget.
   ExecOptions EO;
   EO.MaxBranchEvents = 300'000;
-  OrigIdCollectingSink SA, SB;
+  ColumnarSink SA(/*UseOrigIds=*/true), SB(/*UseOrigIds=*/true);
   ExecResult RA = execute(M, &SA, EO);
   ExecResult RB = execute(PR.Transformed, &SB, EO);
   ASSERT_TRUE(RA.Ok) << RA.Error;
   ASSERT_TRUE(RB.Ok) << RB.Error;
   EXPECT_EQ(RA.ReturnValue, RB.ReturnValue) << W.Name;
   EXPECT_EQ(RA.Memory, RB.Memory) << W.Name;
-  EXPECT_EQ(SA.trace(), SB.trace()) << W.Name;
+  EXPECT_EQ(test::eventsOf(SA.trace()), test::eventsOf(SB.trace()))
+      << W.Name;
 
   // Prediction quality: the replicated program must not be worse than the
   // profile-annotated original.
@@ -500,12 +475,9 @@ Module twoStepPathModule(int64_t Iters) {
 
 TEST(CorrelatedReplication, TwoStepPathsChainThroughMiddleBlock) {
   Module M = twoStepPathModule(240);
-  Trace T;
-  {
-    CollectingSink Sink;
-    ASSERT_TRUE(execute(M, &Sink).Ok);
-    T = Sink.takeTrace();
-  }
+  test::TracedRun Run = test::traceModule(M);
+  ASSERT_TRUE(Run.Result.Ok);
+  const ColumnarTrace &T = Run.Trace;
 
   ProgramAnalysis PA(M);
   std::vector<BranchPath> Cands = PA.backwardPaths(3, 2);

@@ -328,7 +328,7 @@ struct SweepModule {
 SweepModule runPipeline(const Workload &W, unsigned MaxStates = 4,
                         double SizeFactor = 8.0) {
   SweepModule S;
-  Trace T = traceWorkload(W, 1, S.Orig, 20'000);
+  ColumnarTrace T = traceWorkloadColumnar(W, 1, S.Orig, 20'000);
   PipelineOptions Opts;
   Opts.Strategy.MaxStates = MaxStates;
   Opts.JointMaxStates = MaxStates;
@@ -459,7 +459,7 @@ class SoundnessSweep : public ::testing::TestWithParam<size_t> {};
 TEST_P(SoundnessSweep, CleanAcrossBudgetAndStateGrid) {
   const Workload &W = allWorkloads()[GetParam()];
   Module M;
-  Trace T = traceWorkload(W, 1, M, 20'000);
+  ColumnarTrace T = traceWorkloadColumnar(W, 1, M, 20'000);
   for (double SizeFactor : {1.5, 4.0, 8.0}) {
     for (unsigned States : {2u, 8u}) {
       PipelineOptions Opts;

@@ -235,7 +235,8 @@ TEST(SearchCacheTest, SweepIdenticalAcrossJobsAndCacheStates) {
       W = &Cand;
   ASSERT_NE(W, nullptr);
   Module M;
-  Trace T = traceWorkload(*W, /*Seed=*/1, M, /*MaxBranchEvents=*/20'000);
+  ColumnarTrace T = traceWorkloadColumnar(*W, /*Seed=*/1, M,
+                                          /*MaxBranchEvents=*/20'000);
   ProgramAnalysis PA(M);
   ProfileSet Profiles = buildLoopAwareProfiles(PA, T);
 
@@ -282,7 +283,8 @@ TEST(SearchCacheTest, StrategySelectionIdenticalAcrossJobs) {
       W = &Cand;
   ASSERT_NE(W, nullptr);
   Module M;
-  Trace T = traceWorkload(*W, /*Seed=*/1, M, /*MaxBranchEvents=*/20'000);
+  ColumnarTrace T = traceWorkloadColumnar(*W, /*Seed=*/1, M,
+                                          /*MaxBranchEvents=*/20'000);
   ProgramAnalysis PA(M);
   ProfileSet Profiles = buildLoopAwareProfiles(PA, T);
 

@@ -4,11 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TraceTestUtil.h"
+
 #include "core/Pipeline.h"
 #include "interp/Interpreter.h"
 #include "ir/Serializer.h"
 #include "ir/Verifier.h"
-#include "trace/Sinks.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -41,13 +42,12 @@ TEST_P(SerializerRoundTrip, WorkloadSurvivesTextRoundTrip) {
   // Same behaviour, same trace.
   ExecOptions EO;
   EO.MaxBranchEvents = 30'000;
-  CollectingSink SA, SB;
-  ExecResult RA = execute(M, &SA, EO);
-  ExecResult RB = execute(Back, &SB, EO);
-  ASSERT_TRUE(RA.Ok) << RA.Error;
-  ASSERT_TRUE(RB.Ok) << RB.Error;
-  EXPECT_EQ(RA.ReturnValue, RB.ReturnValue);
-  EXPECT_EQ(SA.trace(), SB.trace());
+  test::TracedRun RA = test::traceModule(M, EO);
+  test::TracedRun RB = test::traceModule(Back, EO);
+  ASSERT_TRUE(RA.Result.Ok) << RA.Result.Error;
+  ASSERT_TRUE(RB.Result.Ok) << RB.Result.Error;
+  EXPECT_EQ(RA.Result.ReturnValue, RB.Result.ReturnValue);
+  EXPECT_EQ(test::eventsOf(RA.Trace), test::eventsOf(RB.Trace));
 }
 
 INSTANTIATE_TEST_SUITE_P(All, SerializerRoundTrip,
@@ -55,7 +55,7 @@ INSTANTIATE_TEST_SUITE_P(All, SerializerRoundTrip,
 
 TEST(Serializer, ReplicatedModuleRoundTripsWithAnnotations) {
   Module M;
-  Trace T = traceWorkload(allWorkloads()[2], 1, M, 100'000);
+  ColumnarTrace T = traceWorkloadColumnar(allWorkloads()[2], 1, M, 100'000);
   PipelineOptions Opts;
   Opts.Strategy.MaxStates = 4;
   Opts.Strategy.NodeBudget = 10'000;

@@ -19,7 +19,7 @@ struct Prepared {
   // Module behind a unique_ptr: ProgramAnalysis keeps a reference into it,
   // which must survive moves of this struct.
   std::unique_ptr<Module> M;
-  Trace T;
+  ColumnarTrace T;
   std::unique_ptr<ProgramAnalysis> PA;
   std::unique_ptr<ProfileSet> Profiles;
 };
@@ -27,7 +27,7 @@ struct Prepared {
 Prepared prepare(size_t WorkloadIdx, uint64_t Events = 200'000) {
   Prepared P;
   P.M = std::make_unique<Module>();
-  P.T = traceWorkload(allWorkloads()[WorkloadIdx], 1, *P.M, Events);
+  P.T = traceWorkloadColumnar(allWorkloads()[WorkloadIdx], 1, *P.M, Events);
   P.PA = std::make_unique<ProgramAnalysis>(*P.M);
   P.Profiles = std::make_unique<ProfileSet>(
       buildLoopAwareProfiles(*P.PA, P.T));

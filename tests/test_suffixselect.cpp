@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TraceTestUtil.h"
+
 #include "core/BranchProfiles.h"
 #include "core/SuffixSelect.h"
 #include "support/Rng.h"
@@ -254,10 +256,11 @@ TEST(PatternTable, DistinctPatternsByWidth) {
 
 TEST(ProfileSet, FillRateDropsWithWidth) {
   ProfileSet P(1, 9);
-  Trace T;
+  ColumnarTrace T;
   Rng G(3);
   for (int I = 0; I < 20000; ++I)
-    T.push_back({0, G.chance(1, 2)});
+    T.append(0, G.chance(1, 2));
+  T.finalize(1);
   P.addTrace(T);
   double F1 = P.fillRatePercent(1);
   double F5 = P.fillRatePercent(5);
@@ -269,7 +272,8 @@ TEST(ProfileSet, FillRateDropsWithWidth) {
 
 TEST(ProfileSet, TracksPerBranchStreams) {
   ProfileSet P(2, 4);
-  P.addTrace({{0, true}, {1, false}, {0, true}, {0, false}});
+  P.addTrace(
+      test::makeTrace({{0, true}, {1, false}, {0, true}, {0, false}}, 2));
   EXPECT_EQ(P.branch(0).executions(), 3u);
   EXPECT_EQ(P.branch(0).takenCount(), 2u);
   EXPECT_TRUE(P.branch(0).majorityTaken());

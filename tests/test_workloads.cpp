@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TraceTestUtil.h"
+
 #include "interp/Interpreter.h"
 #include "ir/Verifier.h"
 #include "trace/Sinks.h"
@@ -48,7 +50,7 @@ TEST_P(WorkloadTest, VerifiesAndExecutes) {
 TEST_P(WorkloadTest, ProducesSubstantialTraces) {
   const Workload &W = allWorkloads()[GetParam()];
   Module M;
-  Trace T = traceWorkload(W, 1, M, 1'000'000);
+  ColumnarTrace T = traceWorkloadColumnar(W, 1, M, 1'000'000);
   // Every benchmark must exercise prediction meaningfully.
   EXPECT_GE(T.size(), 50'000u) << W.Name;
   TraceStats S(static_cast<uint32_t>(M.conditionalBranchCount()));
@@ -59,24 +61,24 @@ TEST_P(WorkloadTest, ProducesSubstantialTraces) {
 TEST_P(WorkloadTest, DeterministicPerSeed) {
   const Workload &W = allWorkloads()[GetParam()];
   Module M1, M2;
-  Trace T1 = traceWorkload(W, 7, M1, 20'000);
-  Trace T2 = traceWorkload(W, 7, M2, 20'000);
-  EXPECT_EQ(T1, T2) << W.Name;
+  ColumnarTrace T1 = traceWorkloadColumnar(W, 7, M1, 20'000);
+  ColumnarTrace T2 = traceWorkloadColumnar(W, 7, M2, 20'000);
+  EXPECT_EQ(test::eventsOf(T1), test::eventsOf(T2)) << W.Name;
   EXPECT_EQ(M1.InitialMemory, M2.InitialMemory);
 }
 
 TEST_P(WorkloadTest, DifferentSeedsGiveDifferentBehaviour) {
   const Workload &W = allWorkloads()[GetParam()];
   Module M1, M2;
-  Trace T1 = traceWorkload(W, 1, M1, 20'000);
-  Trace T2 = traceWorkload(W, 2, M2, 20'000);
-  EXPECT_NE(T1, T2) << W.Name;
+  ColumnarTrace T1 = traceWorkloadColumnar(W, 1, M1, 20'000);
+  ColumnarTrace T2 = traceWorkloadColumnar(W, 2, M2, 20'000);
+  EXPECT_NE(test::eventsOf(T1), test::eventsOf(T2)) << W.Name;
 }
 
 TEST_P(WorkloadTest, NoBranchIsCompletelyDead) {
   const Workload &W = allWorkloads()[GetParam()];
   Module M;
-  Trace T = traceWorkload(W, 1, M, 500'000);
+  ColumnarTrace T = traceWorkloadColumnar(W, 1, M, 500'000);
   TraceStats S(static_cast<uint32_t>(M.conditionalBranchCount()));
   S.addTrace(T);
   // The suite is hand-built: every static branch should execute (no dead
@@ -89,7 +91,7 @@ INSTANTIATE_TEST_SUITE_P(All, WorkloadTest, ::testing::Range<size_t>(0, 8));
 TEST(WorkloadCharacter, DoducIsHighlyPredictable) {
   // The paper's lone FP benchmark has the lowest misprediction rates.
   Module M;
-  Trace T = traceWorkload(allWorkloads()[7], 1, M, 1'000'000);
+  ColumnarTrace T = traceWorkloadColumnar(allWorkloads()[7], 1, M, 1'000'000);
   TraceStats S(static_cast<uint32_t>(M.conditionalBranchCount()));
   S.addTrace(T);
   uint64_t Miss = 0;
@@ -103,7 +105,7 @@ TEST(WorkloadCharacter, DoducIsHighlyPredictable) {
 TEST(WorkloadCharacter, SearchWorkloadsAreHarderThanDoduc) {
   auto ProfileRate = [](size_t Idx) {
     Module M;
-    Trace T = traceWorkload(allWorkloads()[Idx], 1, M, 400'000);
+    ColumnarTrace T = traceWorkloadColumnar(allWorkloads()[Idx], 1, M, 400'000);
     TraceStats S(static_cast<uint32_t>(M.conditionalBranchCount()));
     S.addTrace(T);
     uint64_t Miss = 0;

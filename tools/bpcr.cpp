@@ -757,7 +757,7 @@ int cmdTrace(const Args &A) {
   if (!W)
     return 1;
   Module M;
-  Trace T = traceWorkload(*W, A.Seed, M, A.Events);
+  ColumnarTrace T = traceWorkloadColumnar(*W, A.Seed, M, A.Events);
   std::printf("%s seed=%llu: %zu branch events\n", W->Name,
               static_cast<unsigned long long>(A.Seed), T.size());
   std::string Out =
@@ -780,7 +780,7 @@ int cmdAnalyze(const Args &A) {
   if (!W)
     return 1;
   Module M;
-  Trace T = traceWorkload(*W, A.Seed, M, A.Events);
+  ColumnarTrace T = traceWorkloadColumnar(*W, A.Seed, M, A.Events);
   ProgramAnalysis PA(M);
   ProfileSet Profiles = buildLoopAwareProfiles(PA, T);
 
@@ -840,9 +840,9 @@ int cmdAnalyze(const Args &A) {
 }
 
 /// Shared by replicate and report: trace + pipeline + verification.
-bool runPipeline(const Args &A, const Workload &W, Module &M, Trace &T,
-                 PipelineResult &PR) {
-  T = traceWorkload(W, A.Seed, M, A.Events);
+bool runPipeline(const Args &A, const Workload &W, Module &M,
+                 ColumnarTrace &T, PipelineResult &PR) {
+  T = traceWorkloadColumnar(W, A.Seed, M, A.Events);
   PipelineOptions Opts;
   Opts.Strategy.MaxStates = A.States;
   Opts.Strategy.NodeBudget = 50'000;
@@ -871,7 +871,7 @@ int cmdReplicate(const Args &A) {
   if (!W)
     return 1;
   Module M;
-  Trace T;
+  ColumnarTrace T;
   PipelineResult PR;
   if (!runPipeline(A, *W, M, T, PR))
     return 1;
@@ -924,7 +924,7 @@ int cmdReport(const Args &A) {
   if (!W)
     return 1;
   Module M;
-  Trace T;
+  ColumnarTrace T;
   PipelineResult PR;
   if (!runPipeline(A, *W, M, T, PR))
     return 1;
@@ -1015,7 +1015,7 @@ int cmdSweep(const Args &A) {
   if (!W)
     return 1;
   Module M;
-  Trace T = traceWorkload(*W, A.Seed, M, A.Events);
+  ColumnarTrace T = traceWorkloadColumnar(*W, A.Seed, M, A.Events);
   ProgramAnalysis PA(M);
   ProfileSet Profiles = buildLoopAwareProfiles(PA, T);
 
@@ -1137,7 +1137,7 @@ int cmdExplain(const Args &A) {
   if (!W)
     return 1;
   Module M;
-  Trace T;
+  ColumnarTrace T;
   PipelineResult PR;
   if (!runPipeline(A, *W, M, T, PR))
     return 1;
@@ -1305,7 +1305,7 @@ int cmdTimeline(const Args &A) {
   if (!W)
     return 1;
   Module M;
-  Trace T;
+  ColumnarTrace T;
   PipelineResult PR;
   if (!runPipeline(A, *W, M, T, PR))
     return 1;
@@ -1561,15 +1561,14 @@ int cmdLint(const Args &A) {
   // --profile TRACE: admit the recorded branch trace through the
   // realizability verifier alongside the standard passes.
   if (!A.LintProfile.empty()) {
-    // Columnar decode: run-length groups land directly in the packed
-    // id/direction columns and the counts come from one pass over those,
-    // so the verifier admits the trace without ever materializing an
-    // event-of-structs copy.
+    // Run-length groups land directly in the packed id/direction columns
+    // and the counts come from one pass over those.
     ColumnarTrace CT;
     std::string Error;
     if (!readTraceFileColumnar(A.LintProfile, CT, Error)) {
-      std::fprintf(stderr, "bpcr: error: cannot read trace '%s': %s\n",
-                   A.LintProfile.c_str(), Error.c_str());
+      // Error already names the file.
+      std::fprintf(stderr, "bpcr: error: cannot read trace: %s\n",
+                   Error.c_str());
       return 2;
     }
     sa::BranchProfileCounts P =
@@ -1590,7 +1589,7 @@ int cmdLint(const Args &A) {
       return 2;
     }
     Module Traced;
-    Trace T = traceWorkload(*W, A.Seed, Traced, A.Events);
+    ColumnarTrace T = traceWorkloadColumnar(*W, A.Seed, Traced, A.Events);
     PipelineOptions Opts;
     Opts.Strategy.MaxStates = A.States;
     Opts.Strategy.NodeBudget = 50'000;
