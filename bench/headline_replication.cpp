@@ -10,16 +10,15 @@
 // For every benchmark the full pipeline runs (profile -> per-branch
 // strategy selection -> code replication -> profile annotation of the
 // rest), the replicated program is EXECUTED, and its realized semi-static
-// misprediction rate is compared against the profile-annotated original.
-// This is a real measurement on the transformed program, not a table-based
-// estimate.
+// misprediction rate is compared against the profile-annotated original
+// (whose score follows exactly from the trace statistics). This is a real
+// measurement on the transformed program, not a table-based estimate.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
 
 #include "core/Pipeline.h"
-#include "core/Replication.h"
 #include "ir/Verifier.h"
 #include "obs/Metrics.h"
 #include "obs/Report.h"
@@ -36,7 +35,7 @@ namespace {
 /// Runs the pipeline over the suite at one size budget and prints the
 /// resulting table.
 void runRegime(const std::vector<WorkloadData> &Suite, double SizeBudget,
-               uint64_t MaxEvents, unsigned Jobs) {
+               unsigned Jobs) {
   char Title[128];
   std::snprintf(Title, sizeof(Title),
                 "Headline: realized semi-static misprediction of the "
@@ -68,12 +67,8 @@ void runRegime(const std::vector<WorkloadData> &Suite, double SizeBudget,
       std::exit(1);
     }
 
-    ExecOptions EO;
-    EO.MaxBranchEvents = MaxEvents;
-    Module P = *D.M;
-    annotateProfilePredictions(P, *D.Stats);
-    PredictionStats Prof = measureAnnotatedPredictions(P, EO);
-    PredictionStats Repl = measureAnnotatedPredictions(PR.Transformed, EO);
+    const PredictionStats &Prof = PR.Baseline;
+    const PredictionStats &Repl = PR.Measured;
 
     double Ratio = Prof.Mispredictions
                        ? static_cast<double>(Repl.Mispredictions) /
@@ -158,8 +153,8 @@ int main(int Argc, char **Argv) {
   std::vector<WorkloadData> Suite = loadSuite(Run.Seed, Run.Events, Run.Jobs);
   // The paper's regime ("code size increased by one third") and a looser
   // budget showing the remaining headroom.
-  runRegime(Suite, 1.35, Run.Events, Run.Jobs);
-  runRegime(Suite, 2.0, Run.Events, Run.Jobs);
+  runRegime(Suite, 1.35, Run.Jobs);
+  runRegime(Suite, 2.0, Run.Jobs);
 
   return finishBench(Run, "headline_replication");
 }

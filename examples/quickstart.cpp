@@ -13,7 +13,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Pipeline.h"
-#include "core/Replication.h"
 #include "interp/Interpreter.h"
 #include "ir/IRBuilder.h"
 #include "ir/Printer.h"
@@ -119,13 +118,8 @@ int main() {
               printModule(PR.Transformed).c_str());
 
   // -- 5. Measure the replicated program's static predictions ----------------------
-  TraceStats Stats(static_cast<uint32_t>(M.conditionalBranchCount()));
-  Stats.addTrace(T);
-  Module P = M;
-  annotateProfilePredictions(P, Stats);
-  PredictionStats Before = measureAnnotatedPredictions(P, ExecOptions());
-  PredictionStats After =
-      measureAnnotatedPredictions(PR.Transformed, ExecOptions());
+  const PredictionStats &Before = PR.Baseline;
+  const PredictionStats &After = PR.Measured;
   std::printf("== Realized semi-static misprediction ==\n");
   std::printf("profile-annotated original:  %5.1f%% (%llu wrong)\n",
               Before.mispredictionPercent(),

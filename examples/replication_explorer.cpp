@@ -15,7 +15,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Pipeline.h"
-#include "core/Replication.h"
 #include "ir/Verifier.h"
 #include "support/TablePrinter.h"
 #include "trace/TraceStats.h"
@@ -44,12 +43,7 @@ int main(int argc, char **argv) {
   ColumnarTrace T = traceWorkloadColumnar(*W, Seed, M, 500'000);
   TraceStats Stats(static_cast<uint32_t>(M.conditionalBranchCount()));
   Stats.addTrace(T);
-
-  Module P = M;
-  annotateProfilePredictions(P, Stats);
-  ExecOptions EO;
-  EO.MaxBranchEvents = 500'000;
-  PredictionStats Baseline = measureAnnotatedPredictions(P, EO);
+  PredictionStats Baseline = Stats.profilePredictions();
   std::printf("%s: profile baseline %.1f%% mispredicted (%llu instructions)"
               "\n\n",
               W->Name, Baseline.mispredictionPercent(),
@@ -71,10 +65,9 @@ int main(int argc, char **argv) {
         Cells.push_back("INVALID");
         continue;
       }
-      PredictionStats S = measureAnnotatedPredictions(PR.Transformed, EO);
       char Buf[48];
       std::snprintf(Buf, sizeof(Buf), "%s (%.2fx)",
-                    formatPercent(S.mispredictionPercent()).c_str(),
+                    formatPercent(PR.Measured.mispredictionPercent()).c_str(),
                     PR.sizeFactor());
       Cells.push_back(Buf);
     }

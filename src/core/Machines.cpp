@@ -130,6 +130,13 @@ std::vector<uint8_t> BranchMachine::reachableStates() const {
   return Seen;
 }
 
+unsigned BranchMachine::reachableStateCount() const {
+  unsigned N = 0;
+  for (uint8_t Bit : reachableStates())
+    N += Bit;
+  return N;
+}
+
 // -- SuffixMachine -----------------------------------------------------------
 
 namespace {

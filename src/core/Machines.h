@@ -59,6 +59,9 @@ public:
   /// like the paper discards blocks "2b" and "3a" in figure 1).
   std::vector<uint8_t> reachableStates() const;
 
+  /// Number of reachableStates(): the loop copies replication builds.
+  unsigned reachableStateCount() const;
+
   /// Construction-time assignment score.
   uint64_t Correct = 0;
   uint64_t Total = 0;

@@ -83,12 +83,16 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
 
   // Re-verifies the simulation relation between the original module and the
   // current transformed state. Runs after every applied transform so a
-  // soundness break is pinned to the step that introduced it; findings
+  // soundness break is pinned to the step that introduced it, and once more
+  // after annotation with the copy->original branch map; findings
   // accumulate in R.Soundness for callers to fail fast on.
-  auto CheckSoundness = [&R, &M, ObsOn](const char *Stage) {
+  auto CheckSoundness = [&R, &M, ObsOn](
+                            const char *Stage,
+                            const std::vector<int32_t> *CopyToOrig = nullptr) {
     ScopedTimer TSound("pipeline.phase.soundness");
+    Span SSound("pipeline.phase.soundness");
     std::vector<sa::Diagnostic> Diags =
-        sa::checkReplicationSoundness(M, R.Transformed);
+        sa::checkReplicationSoundness(M, R.Transformed, CopyToOrig);
     if (ObsOn) {
       Registry::global().counter("sa.soundness.checks").inc();
       if (!Diags.empty())
@@ -161,34 +165,16 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
   // Estimated instructions a strategy's replication adds: the paper's cost
   // function weighing accuracy gain against code growth.
   auto EstimateCost = [&](const BranchStrategy &S) -> uint64_t {
-    const BranchRef &Ref = PA.ref(S.BranchId);
-    const Function &F = M.Functions[Ref.FuncIdx];
-    if (S.Kind == StrategyKind::Correlated) {
-      uint64_t Cost = 0;
-      for (const BranchPath &Path : S.Corr->Paths) {
-        Cost += F.Blocks[Ref.BlockIdx].Insts.size(); // target copy
-        for (size_t PI = 1; PI < Path.Steps.size(); ++PI) {
-          const BranchRef &StepRef = PA.ref(Path.Steps[PI].BranchId);
-          Cost += M.Functions[StepRef.FuncIdx]
-                      .Blocks[StepRef.BlockIdx]
-                      .Insts.size();
-        }
-      }
-      return Cost;
-    }
-    // Loop machine: one loop copy per additional reachable state.
+    if (S.Kind == StrategyKind::Correlated)
+      return correlatedReplicationCost(*S.Corr, PA);
     const BranchClass &C = PA.classOf(S.BranchId);
     if (C.LoopIdx < 0 || !S.Machine)
       return 1;
     const Loop &L = PA.loopInfoFor(S.BranchId)
                         .loops()[static_cast<size_t>(C.LoopIdx)];
-    uint64_t LoopSize = 0;
-    for (uint32_t B : L.Blocks)
-      LoopSize += F.Blocks[B].Insts.size();
-    unsigned Reachable = 0;
-    for (uint8_t Bit : S.Machine->reachableStates())
-      Reachable += Bit;
-    return LoopSize * (Reachable > 1 ? Reachable - 1 : 1);
+    return loopCopyCost(
+        loopInstructionCount(M.Functions[PA.ref(S.BranchId).FuncIdx], L),
+        S.Machine->reachableStateCount());
   };
 
   auto Gain = [&R, &Profiles](size_t I) -> uint64_t {
@@ -245,26 +231,22 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
       if (JP.Executions == 0)
         continue;
 
-      // Loop size (for budget-aware machine sizing below).
-      const BranchClass &GroupClass = PA.classOf(
-          R.Strategies[Indices.front()].BranchId);
+      // The loop every member shares (for budget-aware machine sizing and
+      // the cost below).
       const Loop &GroupLoop =
-          PA.loopInfoFor(R.Strategies[Indices.front()].BranchId)
-              .loops()[static_cast<size_t>(GroupClass.LoopIdx)];
-      uint64_t GroupLoopSize = 0;
-      for (uint32_t B : GroupLoop.Blocks)
-        GroupLoopSize += M.Functions[Key.first].Blocks[B].Insts.size();
+          PA.loopInfoFor(Plan.Members[0])
+              .loops()[static_cast<size_t>(Key.second)];
+      const uint64_t LoopSize =
+          loopInstructionCount(M.Functions[Key.first], GroupLoop);
 
       // Shrink the machine until its copies fit the size budget.
       bool Fits = false;
       for (unsigned States = Opts.JointMaxStates; States >= 3; --States) {
         JO.MaxStates = States;
         Plan.Machine = buildJointLoopMachine(Plan.Members, JP, JO);
-        uint64_t WorstCost =
-            GroupLoopSize * (Plan.Machine.numStates() > 1
-                                 ? Plan.Machine.numStates() - 1
-                                 : 1);
-        if (R.OrigInstructions + WorstCost <= SizeCap) {
+        if (R.OrigInstructions +
+                loopCopyCost(LoopSize, Plan.Machine.numStates()) <=
+            SizeCap) {
           Fits = true;
           break;
         }
@@ -304,21 +286,10 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
         for (uint8_t B : Seen)
           ReachableStates += B;
       }
-      const BranchClass &C = PA.classOf(Plan.Members[0]);
-      const Loop &L = PA.loopInfoFor(Plan.Members[0])
-                          .loops()[static_cast<size_t>(C.LoopIdx)];
-      const Function &F = M.Functions[Key.first];
-      uint64_t LoopSize = 0;
-      for (uint32_t B : L.Blocks)
-        LoopSize += F.Blocks[B].Insts.size();
-      Plan.Cost = std::max<uint64_t>(
-          LoopSize * (ReachableStates > 1 ? ReachableStates - 1 : 1), 1);
-
+      Plan.Cost =
+          std::max<uint64_t>(loopCopyCost(LoopSize, ReachableStates), 1);
       uint64_t PerBranchCost = std::max<uint64_t>(
-          LoopSize * (PerBranchStatesProduct > 1
-                          ? PerBranchStatesProduct - 1
-                          : 1),
-          1);
+          loopCopyCost(LoopSize, PerBranchStatesProduct), 1);
       double JointRatio = static_cast<double>(Plan.Gain) /
                           static_cast<double>(Plan.Cost);
       double SeparateRatio = static_cast<double>(PerBranchGain) /
@@ -508,13 +479,8 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
 
     // Budget check against the *current* loop size: replicating a loop a
     // second branch shares multiplies the copies (paper sec. 6).
-    uint64_t LoopSize = 0;
-    for (uint32_t B : L.Blocks)
-      LoopSize += F.Blocks[B].Insts.size();
-    unsigned Reachable = 0;
-    for (uint8_t Bit : S.Machine->reachableStates())
-      Reachable += Bit;
-    uint64_t Cost = LoopSize * (Reachable > 1 ? Reachable - 1 : 1);
+    uint64_t Cost = loopCopyCost(loopInstructionCount(F, L),
+                                 S.Machine->reachableStateCount());
     if (R.Transformed.instructionCount() + Cost > SizeCap) {
       ++R.SkippedBudget;
       LogStrategy(I, DecisionAction::SkippedBudget, Gain(I), Cost,
@@ -605,39 +571,29 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
   // cross-validating the materialized copy→original branch map (every
   // replica's OrigBranchId flattened in BranchId order) against the
   // simulation relation.
-  {
-    ScopedTimer TSound("pipeline.phase.soundness");
-    std::vector<int32_t> CopyToOrig;
-    for (const BranchRef &Ref : R.Transformed.branchLocations())
-      CopyToOrig.push_back(R.Transformed.Functions[Ref.FuncIdx]
-                               .Blocks[Ref.BlockIdx]
-                               .Insts[Ref.InstIdx]
-                               .OrigBranchId);
-    std::vector<sa::Diagnostic> Diags =
-        sa::checkReplicationSoundness(M, R.Transformed, &CopyToOrig);
-    if (ObsOn) {
-      Registry::global().counter("sa.soundness.checks").inc();
-      if (!Diags.empty())
-        Registry::global().counter("sa.soundness.failures").inc();
-    }
-    for (sa::Diagnostic &D : Diags) {
-      D.note(sa::Location{}, "detected after the annotation step");
-      R.Soundness.push_back(std::move(D));
-    }
-    if (ObsOn)
-      Registry::global()
-          .gauge("sa.soundness.diags")
-          .set(static_cast<double>(R.Soundness.size()));
-  }
+  std::vector<int32_t> CopyToOrig;
+  for (const BranchRef &Ref : R.Transformed.branchLocations())
+    CopyToOrig.push_back(R.Transformed.Functions[Ref.FuncIdx]
+                             .Blocks[Ref.BlockIdx]
+                             .Insts[Ref.InstIdx]
+                             .OrigBranchId);
+  CheckSoundness("annotation", &CopyToOrig);
+  if (ObsOn)
+    Registry::global()
+        .gauge("sa.soundness.diags")
+        .set(static_cast<double>(R.Soundness.size()));
 
-  // Misprediction attribution ledger: selection candidates and runner-up
-  // deltas from the strategy trace, the pipeline's verdict from the
-  // decision log, and measured per-replica correctness from one execution
-  // of the transformed module (capped at the training trace's event count
-  // so the measured totals are comparable to the training profile).
+  // The run's one measurement. The baseline follows from the trace
+  // statistics; the transformed module executes once, capped at the training
+  // trace's event count so both scores cover the same events. With the
+  // registry on, the misprediction attribution ledger (selection candidates
+  // and runner-up deltas from the strategy trace, the pipeline's verdict from
+  // the decision log, measured per-replica correctness) and the timeline
+  // ride along on that run.
+  R.Baseline = Stats.profilePredictions();
+  ScopedTimer TAttr("pipeline.phase.attribution");
+  Span SAttr("pipeline.phase.attribution");
   if (ObsOn) {
-    ScopedTimer TAttr("pipeline.phase.attribution");
-    Span SAttr("pipeline.phase.attribution");
     R.Attribution.resize(PA.numBranches());
     for (uint32_t Id = 0; Id < PA.numBranches(); ++Id) {
       BranchAttribution &A = R.Attribution.branch(static_cast<int32_t>(Id));
@@ -672,35 +628,38 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
         continue;
       R.Attribution.branch(D.BranchId).Action = decisionActionName(D.Action);
     }
-    ExecOptions EO;
-    EO.MaxBranchEvents = T.size();
-    // The timeline recorder rides along on the same measurement run: every
-    // branch event lands in an event-indexed window, so the windowed series
-    // sums to the attribution totals and costs no extra execution.
-    TimeSeriesOptions TSO;
-    if (Opts.TimelineWindowEvents != 0)
-      TSO.WindowEvents = Opts.TimelineWindowEvents;
-    TimeSeries TS(TSO, PA.numBranches());
-    TimelineSink TLSink(TS);
-    for (const ReplicaMeasurement &C :
-         measureAnnotatedPerReplica(R.Transformed, EO, &TLSink)) {
-      if (C.OrigBranchId < 0 ||
-          static_cast<size_t>(C.OrigBranchId) >= R.Attribution.size())
-        continue;
-      BranchAttribution &A = R.Attribution.branch(C.OrigBranchId);
-      A.MeasuredExecutions += C.Executions;
-      A.Mispredictions += C.Mispredictions;
-      A.Replicas.push_back({C.ReplicaId, C.Executions, C.Mispredictions});
-    }
+  }
+  ExecOptions EO;
+  EO.MaxBranchEvents = T.size();
+  // Every branch event of the run lands in an event-indexed timeline
+  // window, so the windowed series sums to the attribution totals.
+  TimeSeriesOptions TSO;
+  if (Opts.TimelineWindowEvents != 0)
+    TSO.WindowEvents = Opts.TimelineWindowEvents;
+  TimeSeries TS(TSO, PA.numBranches());
+  TimelineSink TLSink(TS);
+  for (const ReplicaMeasurement &C : measureAnnotatedPerReplica(
+           R.Transformed, EO, ObsOn ? &TLSink : nullptr)) {
+    R.Measured.Predictions += C.Executions;
+    R.Measured.Mispredictions += C.Mispredictions;
+    if (!ObsOn || C.OrigBranchId < 0 ||
+        static_cast<size_t>(C.OrigBranchId) >= R.Attribution.size())
+      continue;
+    BranchAttribution &A = R.Attribution.branch(C.OrigBranchId);
+    A.MeasuredExecutions += C.Executions;
+    A.Mispredictions += C.Mispredictions;
+    A.Replicas.push_back({C.ReplicaId, C.Executions, C.Mispredictions});
+  }
+  SAttr.arg("measured_executions", R.Measured.Predictions);
+  SAttr.arg("mispredictions", R.Measured.Mispredictions);
+  if (ObsOn) {
     R.Timeline = TS.take();
     publishTimelineCounters(R.Timeline);
-    SAttr.arg("measured_executions", R.Attribution.totalMeasuredExecutions());
-    SAttr.arg("mispredictions", R.Attribution.totalMispredictions());
     SAttr.arg("timeline_windows",
               static_cast<uint64_t>(R.Timeline.Windows.size()));
-    SAttr.end();
-    TAttr.stop();
   }
+  SAttr.end();
+  TAttr.stop();
 
   R.NewInstructions = R.Transformed.instructionCount();
   PipeSpan.arg("new_instructions", R.NewInstructions);

@@ -44,7 +44,7 @@ struct PipelineOptions {
   /// State budget for joint machines.
   unsigned JointMaxStates = 8;
   /// Event-window width for the timeline series recorded during the
-  /// attribution measurement run (power of two; 0 keeps the
+  /// measurement run (power of two; 0 keeps the
   /// TimeSeriesOptions default of 1024). Surfaced as `bpcr timeline
   /// --window`.
   uint64_t TimelineWindowEvents = 0;
@@ -71,13 +71,21 @@ struct PipelineResult {
   unsigned SkippedStructure = 0;
   uint64_t OrigInstructions = 0;
   uint64_t NewInstructions = 0;
+  /// The profile-annotated original's realized score over the training
+  /// trace (paper sec. 5's baseline), computed from the trace statistics
+  /// without executing it.
+  PredictionStats Baseline;
+  /// The transformed module's realized score: one execution of it, capped
+  /// at the training trace's event count so it compares with Baseline.
+  PredictionStats Measured;
   /// Why each branch was or was not replicated, in pipeline order (joint
   /// plans first, then per-branch strategies by gain per instruction, then
   /// the branches that kept the profile strategy).
   DecisionLog Decisions;
   /// Per-branch misprediction attribution (candidate scores, runner-up
-  /// deltas, measured per-replica correctness). Filled only when the global
-  /// observability registry is enabled; empty otherwise.
+  /// deltas, measured per-replica correctness from the run that fills
+  /// Measured). Filled only when the global observability registry is
+  /// enabled; empty otherwise.
   AttributionLedger Attribution;
   /// Windowed time-series telemetry of the transformed module's measurement
   /// run (global and per-original-branch taken/misprediction counts per
@@ -100,8 +108,9 @@ struct PipelineResult {
   }
 };
 
-/// Profiles \p M with trace \p CT, replicates the profitable branches and
-/// annotates everything else with profile predictions. \p M must have
+/// Profiles \p M with trace \p CT, replicates the profitable branches,
+/// annotates everything else with profile predictions and measures the
+/// result once (PipelineResult::Measured). \p M must have
 /// branch ids assigned, \p CT must stem from it and be finalized for the
 /// module's branch count.
 PipelineResult replicateModule(const Module &M, const ColumnarTrace &CT,

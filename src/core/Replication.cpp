@@ -6,6 +6,7 @@
 
 #include "core/Replication.h"
 
+#include "core/ProgramAnalysis.h"
 #include "trace/Sinks.h"
 
 #include <algorithm>
@@ -344,6 +345,34 @@ uint32_t bpcr::pruneUnreachableBlocks(Function &F) {
   }
   F.Blocks = std::move(Kept);
   return N - Next;
+}
+
+uint64_t bpcr::loopInstructionCount(const Function &F, const Loop &L) {
+  uint64_t N = 0;
+  for (uint32_t B : L.Blocks)
+    N += F.Blocks[B].Insts.size();
+  return N;
+}
+
+uint64_t bpcr::loopCopyCost(uint64_t LoopSize, uint64_t States) {
+  return LoopSize * (States > 1 ? States - 1 : 1);
+}
+
+uint64_t bpcr::correlatedReplicationCost(const CorrelatedMachine &M,
+                                         const ProgramAnalysis &PA) {
+  const Module &Mod = PA.module();
+  const BranchRef &XR = PA.ref(M.BranchId);
+  const uint64_t TargetSize =
+      Mod.Functions[XR.FuncIdx].Blocks[XR.BlockIdx].Insts.size();
+  uint64_t Cost = 0;
+  for (const BranchPath &P : M.Paths) {
+    Cost += TargetSize;
+    for (size_t I = 1; I < P.Steps.size(); ++I) {
+      const BranchRef &R = PA.ref(P.Steps[I].BranchId);
+      Cost += Mod.Functions[R.FuncIdx].Blocks[R.BlockIdx].Insts.size();
+    }
+  }
+  return Cost;
 }
 
 void bpcr::annotateProfilePredictions(Module &M, const TraceStats &Stats) {

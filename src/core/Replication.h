@@ -41,6 +41,9 @@
 
 namespace bpcr {
 
+struct Loop;
+class ProgramAnalysis;
+
 /// Outcome of one replication transform.
 struct ReplicationStats {
   bool Applied = false;
@@ -70,6 +73,22 @@ ReplicationStats applyLoopReplication(Function &F,
 ReplicationStats applyCorrelatedReplication(Function &F,
                                             int32_t TargetOrigId,
                                             const CorrelatedMachine &M);
+
+/// Instructions in the blocks of loop \p L of \p F: the size of one loop
+/// copy.
+uint64_t loopInstructionCount(const Function &F, const Loop &L);
+
+/// Instructions added by materializing \p States machine states as copies
+/// of a loop of \p LoopSize instructions: one copy per state beyond the
+/// initial one, and at least one copy. The paper's cost function weighs
+/// accuracy gain against this growth.
+uint64_t loopCopyCost(uint64_t LoopSize, uint64_t States);
+
+/// Instructions applyCorrelatedReplication adds for \p M on the module
+/// \p PA analyzes: per selected path, one copy of the target block plus
+/// copies of the intermediate decision blocks (steps 2..len).
+uint64_t correlatedReplicationCost(const CorrelatedMachine &M,
+                                   const ProgramAnalysis &PA);
 
 /// Removes blocks unreachable from the entry block and remaps all targets.
 /// \returns the number of removed blocks.

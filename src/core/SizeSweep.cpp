@@ -8,6 +8,7 @@
 
 #include "core/CorrelatedMachine.h"
 #include "core/MachineSearch.h"
+#include "core/Replication.h"
 #include "core/SearchCache.h"
 #include "obs/Metrics.h"
 #include "obs/TraceSpans.h"
@@ -39,32 +40,6 @@ struct Ladder {
   uint64_t LoopSize = 0;
   unsigned CurStates = 1;
 };
-
-uint64_t loopInstructionCount(const Function &F, const Loop &L) {
-  uint64_t N = 0;
-  for (uint32_t B : L.Blocks)
-    N += F.Blocks[B].Insts.size();
-  return N;
-}
-
-/// Estimated instructions added by materializing \p M: duplicated blocks
-/// along every selected path plus one branch-block copy per path.
-uint64_t estimateCorrelatedCost(const CorrelatedMachine &M,
-                                const ProgramAnalysis &PA) {
-  const Module &Mod = PA.module();
-  uint64_t Cost = 0;
-  for (const BranchPath &P : M.Paths) {
-    // One copy of the target block per path.
-    const BranchRef &XR = PA.ref(M.BranchId);
-    Cost += Mod.Functions[XR.FuncIdx].Blocks[XR.BlockIdx].Insts.size();
-    // Copies of the intermediate decision blocks (steps 2..len).
-    for (size_t I = 1; I < P.Steps.size(); ++I) {
-      const BranchRef &R = PA.ref(P.Steps[I].BranchId);
-      Cost += Mod.Functions[R.FuncIdx].Blocks[R.BlockIdx].Insts.size();
-    }
-  }
-  return Cost;
-}
 
 } // namespace
 
@@ -184,7 +159,7 @@ std::vector<SweepPoint> bpcr::computeSizeSweep(const ProgramAnalysis &PA,
       for (unsigned N = 2; N <= Opts.MaxStates; ++N) {
         const CorrelatedMachine &CM = CL->at(N);
         L.Correct[N] = std::max(CM.Correct, L.Correct[N - 1]);
-        L.CorrCost[N] = estimateCorrelatedCost(CM, PA);
+        L.CorrCost[N] = correlatedReplicationCost(CM, PA);
       }
     } else {
       for (unsigned N = 2; N <= Opts.MaxStates; ++N)

@@ -290,6 +290,11 @@ bool bpcr::parseModuleText(const std::string &Text, Module &Out,
       int64_t Start = 0;
       if (Tok.size() < 3 || !parseInt(Tok[1], Start) || Start < 0)
         return Fail("expected 'data <addr> <words...>'");
+      // Checked before the resize: an unchecked offset would allocate up to
+      // 2^63 words. The writer emits `mem` first.
+      if (static_cast<uint64_t>(Start) > Out.MemWords ||
+          Tok.size() - 2 > Out.MemWords - static_cast<uint64_t>(Start))
+        return Fail("data section exceeds declared memory size");
       size_t Need = static_cast<size_t>(Start) + Tok.size() - 2;
       if (Out.InitialMemory.size() < Need)
         Out.InitialMemory.resize(Need, 0);

@@ -30,40 +30,6 @@ const char *const WallClockPatterns[] = {
     "histograms.pool.*",
 };
 
-/// Metrics whose counting semantics changed without a schema bump: the
-/// ladder rewrite of the machine search (between report schema 2 and 3)
-/// redefined what the search.* counters count, so records from schema <= 2
-/// reports must not contribute those series to cross-version trends.
-struct LedgerMigration {
-  int MaxSchema;
-  const char *Pattern;
-};
-const LedgerMigration Migrations[] = {
-    {2, "counters.search.*"},
-};
-
-/// Drops shimmed-away metrics from \p Flat in place; \returns how many.
-unsigned applyMigrations(int SchemaVersion,
-                         std::vector<std::pair<std::string, double>> &Flat) {
-  unsigned Dropped = 0;
-  auto Shimmed = [&](const std::string &Name) {
-    for (const LedgerMigration &M : Migrations)
-      if (SchemaVersion <= M.MaxSchema && globMatch(M.Pattern, Name))
-        return true;
-    return false;
-  };
-  std::vector<std::pair<std::string, double>> Kept;
-  Kept.reserve(Flat.size());
-  for (auto &Entry : Flat) {
-    if (Shimmed(Entry.first))
-      ++Dropped;
-    else
-      Kept.push_back(std::move(Entry));
-  }
-  Flat = std::move(Kept);
-  return Dropped;
-}
-
 /// Flattened numbers serialize as integers when they are integral and
 /// exactly representable, keeping counter series tidy and round-trippable.
 JsonValue metricNumber(double V) {
@@ -161,9 +127,7 @@ bool bpcr::makeLedgerRecord(const JsonValue &Report, const LedgerMeta &Meta,
   FillInt("seed", Out.Meta.Seed);
   FillInt("events", Out.Meta.Events);
 
-  auto Flat = flattenReportMetrics(Report);
-  Out.MigrationDropped = applyMigrations(Schema, Flat);
-  for (auto &Entry : Flat) {
+  for (auto &Entry : flattenReportMetrics(Report)) {
     if (isWallClockMetric(Entry.first))
       Out.Perf.push_back(std::move(Entry));
     else
@@ -188,9 +152,6 @@ std::string bpcr::ledgerRecordLine(const LedgerRecord &R) {
   Doc.set("seed", JsonValue::integer(R.Meta.Seed));
   Doc.set("events", JsonValue::integer(R.Meta.Events));
   Doc.set("jobs", JsonValue::integer(static_cast<int64_t>(R.Meta.Jobs)));
-  if (R.MigrationDropped)
-    Doc.set("migration_dropped",
-            JsonValue::integer(static_cast<int64_t>(R.MigrationDropped)));
   Doc.set("ts_ns", JsonValue::integer(R.Meta.TimestampNs));
   Doc.set("host", JsonValue::str(R.Meta.Host));
   Doc.set("git_sha", JsonValue::str(R.Meta.GitSha));
@@ -304,16 +265,11 @@ bool bpcr::readLedger(const std::string &Path, std::vector<LedgerRecord> &Out,
     R.Meta.TimestampNs = Int("ts_ns");
     R.Meta.Host = Str("host");
     R.Meta.GitSha = Str("git_sha");
-    R.MigrationDropped = static_cast<unsigned>(Int("migration_dropped"));
     if (!parseMetricsObject(Doc.find("metrics"), R.Metrics) ||
         !parseMetricsObject(Doc.find("perf"), R.Perf)) {
       Skip("metrics/perf must be objects of numbers");
       continue;
     }
-    // Re-apply the shims so hand-built or historical records normalize the
-    // same way freshly appended ones do.
-    R.MigrationDropped += applyMigrations(R.SchemaVersion, R.Metrics);
-    R.MigrationDropped += applyMigrations(R.SchemaVersion, R.Perf);
     Out.push_back(std::move(R));
   }
   return true;

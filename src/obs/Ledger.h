@@ -20,12 +20,10 @@
 /// mirroring the report determinism gates. The deterministic/wall-clock
 /// split uses the same patterns as the built-in compare skip rules.
 ///
-/// Schema-migration shims: reports with schema_version 2 or 3 are accepted
-/// (their newer sections are simply absent); flattened metrics whose
-/// counting semantics changed without a schema bump (the ladder-search
-/// counters, pre-v3) are dropped from old records so trends never compare
-/// incompatible units. readLedger applies the same shims defensively, so
-/// hand-written or historical records are normalized on the way in.
+/// Reports with schema_version 3 are accepted as they are (their newer
+/// sections are simply absent). Older reports count the machine search in
+/// units from before the ladder rewrite; they are rejected on append and
+/// skipped with a warning on read.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,9 +42,9 @@ namespace bpcr {
 constexpr int LedgerRecordVersion = 1;
 
 /// Oldest report schema a record may carry. v1 reports predate the
-/// "branches" section and the deterministic-counter semantics the trend
-/// gates rely on; v2/v3 records ride through the migration shims.
-constexpr int MinLedgerSchemaVersion = 2;
+/// "branches" section and v2 reports the ladder search, whose
+/// counters.search.* the trend gates compare.
+constexpr int MinLedgerSchemaVersion = 3;
 
 /// Run metadata stamped on every record. GitSha/Host/TimestampNs are the
 /// volatile fields the determinism contract excludes.
@@ -73,8 +71,6 @@ struct LedgerRecord {
   std::vector<std::pair<std::string, double>> Metrics;
   /// Wall-clock/schedule-dependent metrics (timings, rates, RSS, pool).
   std::vector<std::pair<std::string, double>> Perf;
-  /// Metrics dropped by the schema-migration shims (old records only).
-  unsigned MigrationDropped = 0;
 };
 
 /// True when the flattened metric name is wall-clock or schedule dependent
@@ -88,9 +84,9 @@ bool isWallClockMetric(const std::string &Name);
 LedgerMeta currentLedgerMeta();
 
 /// Builds a record from a run report: validates schema_version, flattens
-/// the metric leaves, partitions deterministic vs wall-clock and applies
-/// the migration shims. \returns false and sets \p Error when the report
-/// is not a supported bpcr run report.
+/// the metric leaves and partitions deterministic vs wall-clock. \returns
+/// false and sets \p Error when the report is not a supported bpcr run
+/// report.
 bool makeLedgerRecord(const JsonValue &Report, const LedgerMeta &Meta,
                       LedgerRecord &Out, std::string &Error);
 

@@ -14,6 +14,7 @@
 #ifndef BPCR_TRACE_TRACESTATS_H
 #define BPCR_TRACE_TRACESTATS_H
 
+#include "support/Statistics.h"
 #include "trace/ColumnarTrace.h"
 
 #include <cstdint>
@@ -33,8 +34,7 @@ struct BranchStats {
 
   /// Mispredictions when always predicting the majority direction.
   uint64_t profileMispredictions() const {
-    uint64_t NT = notTakenCount();
-    return TakenCount < NT ? TakenCount : NT;
+    return majorityTaken() ? notTakenCount() : TakenCount;
   }
 };
 
@@ -88,6 +88,18 @@ public:
     for (const BranchStats &S : PerBranch)
       N += S.Executions;
     return N;
+  }
+
+  /// The realized score of the profile-annotated original over this trace,
+  /// computed without executing it: every branch predicts its majority
+  /// direction, ties taken, as annotateProfilePredictions annotates it.
+  PredictionStats profilePredictions() const {
+    PredictionStats S;
+    for (const BranchStats &B : PerBranch) {
+      S.Predictions += B.Executions;
+      S.Mispredictions += B.profileMispredictions();
+    }
+    return S;
   }
 
 private:

@@ -160,30 +160,64 @@ TEST(Attribution, ReplicasAttributeToOriginalBranchId) {
 }
 
 TEST(Attribution, PerReplicaMeasurementMatchesAggregate) {
-  Module M;
-  ColumnarTrace T;
-  PipelineResult PR = runObservedPipeline(M, T);
+  // The pipeline's one measurement run against re-execution as the oracle:
+  // Measured is the transformed module's aggregate score, Baseline the
+  // profile-annotated original's, both capped at the trace length, and
+  // neither depends on whether the registry (and with it the per-replica
+  // attribution riding on the same run) is on.
+  auto Score = [](const PredictionStats &S) {
+    return std::make_pair(S.Predictions, S.Mispredictions);
+  };
+  Registry &G = Registry::global();
+  for (const Workload &W : allWorkloads()) {
+    SCOPED_TRACE(W.Name);
+    Module M;
+    ColumnarTrace T = traceWorkloadColumnar(W, 1, M, 20'000);
+    ExecOptions EO;
+    EO.MaxBranchEvents = T.size();
+    TraceStats Stats(static_cast<uint32_t>(M.conditionalBranchCount()));
+    Stats.addTrace(T);
+    Module Annotated = M;
+    annotateProfilePredictions(Annotated, Stats);
+    const PredictionStats Profile =
+        measureAnnotatedPredictions(Annotated, EO);
 
-  ExecOptions EO;
-  EO.MaxBranchEvents = T.size();
-  PredictionStats Agg = measureAnnotatedPredictions(PR.Transformed, EO);
-  uint64_t Exec = 0, Miss = 0;
-  int32_t PrevOrig = -1, PrevReplica = -1;
-  for (const ReplicaMeasurement &C :
-       measureAnnotatedPerReplica(PR.Transformed, EO)) {
-    EXPECT_GT(C.Executions, 0u); // zero-execution copies are omitted
-    // Sorted by (OrigBranchId, ReplicaId).
-    EXPECT_TRUE(C.OrigBranchId > PrevOrig ||
-                (C.OrigBranchId == PrevOrig && C.ReplicaId > PrevReplica));
-    PrevOrig = C.OrigBranchId;
-    PrevReplica = C.ReplicaId;
-    Exec += C.Executions;
-    Miss += C.Mispredictions;
+    PipelineOptions Opts;
+    Opts.Strategy.MaxStates = 6;
+    Opts.Strategy.NodeBudget = 30'000;
+    std::vector<std::pair<uint64_t, uint64_t>> MeasuredByMode;
+    for (bool ObsOn : {false, true}) {
+      G.clear();
+      G.setEnabled(ObsOn);
+      PipelineResult PR = replicateModule(M, T, Opts);
+      EXPECT_EQ(Score(PR.Baseline), Score(Profile));
+      PredictionStats Agg = measureAnnotatedPredictions(PR.Transformed, EO);
+      EXPECT_EQ(Score(PR.Measured), Score(Agg));
+      EXPECT_EQ(PR.Measured.Predictions, T.size());
+      MeasuredByMode.push_back(Score(PR.Measured));
+      if (!ObsOn)
+        continue;
+
+      uint64_t Exec = 0, Miss = 0;
+      int32_t PrevOrig = -1, PrevReplica = -1;
+      for (const ReplicaMeasurement &C :
+           measureAnnotatedPerReplica(PR.Transformed, EO)) {
+        EXPECT_GT(C.Executions, 0u); // zero-execution copies are omitted
+        // Sorted by (OrigBranchId, ReplicaId).
+        EXPECT_TRUE(C.OrigBranchId > PrevOrig ||
+                    (C.OrigBranchId == PrevOrig && C.ReplicaId > PrevReplica));
+        PrevOrig = C.OrigBranchId;
+        PrevReplica = C.ReplicaId;
+        Exec += C.Executions;
+        Miss += C.Mispredictions;
+      }
+      EXPECT_EQ(Exec, Agg.Predictions);
+      EXPECT_EQ(Miss, Agg.Mispredictions);
+      EXPECT_EQ(Exec, PR.Attribution.totalMeasuredExecutions());
+      EXPECT_EQ(Miss, PR.Attribution.totalMispredictions());
+    }
+    EXPECT_EQ(MeasuredByMode[0], MeasuredByMode[1]);
   }
-  EXPECT_EQ(Exec, Agg.Predictions);
-  EXPECT_EQ(Miss, Agg.Mispredictions);
-  EXPECT_EQ(Exec, PR.Attribution.totalMeasuredExecutions());
-  EXPECT_EQ(Miss, PR.Attribution.totalMispredictions());
 
   restoreRegistry();
 }

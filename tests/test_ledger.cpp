@@ -18,13 +18,10 @@ using namespace bpcr;
 namespace {
 
 /// A minimal run report: schema_version plus a metrics section with one
-/// deterministic counter, one wall-clock gauge and (optionally) a ladder
-/// search counter covered by the migration shim.
-JsonValue reportWith(int Schema, bool WithSearchCounter = false) {
+/// deterministic counter and one wall-clock gauge.
+JsonValue reportWith(int Schema) {
   JsonValue Counters = JsonValue::object();
   Counters.set("interp.branch_events", JsonValue::integer(int64_t{45000}));
-  if (WithSearchCounter)
-    Counters.set("search.cache.hits", JsonValue::integer(int64_t{90}));
   JsonValue Gauges = JsonValue::object();
   Gauges.set("interp.events_per_sec", JsonValue::number(51234.5));
   JsonValue Metrics = JsonValue::object();
@@ -113,7 +110,6 @@ TEST(Ledger, MakeRecordPartitionsAndFillsMetaFromReport) {
               1e-9);
   EXPECT_FALSE(contains(R.Metrics, "gauges.interp.events_per_sec"));
   EXPECT_NEAR(valueOf(R.Perf, "gauges.interp.events_per_sec"), 51234.5, 1e-9);
-  EXPECT_EQ(R.MigrationDropped, 0u);
 }
 
 TEST(Ledger, CallerMetaWinsOverReportContext) {
@@ -133,9 +129,13 @@ TEST(Ledger, CallerMetaWinsOverReportContext) {
 TEST(Ledger, MakeRecordRejectsUnsupportedSchemas) {
   LedgerRecord R;
   std::string Error;
-  EXPECT_FALSE(makeLedgerRecord(reportWith(1), LedgerMeta(), R, Error));
-  EXPECT_NE(Error.find("schema_version 1"), std::string::npos) << Error;
-  Error.clear();
+  for (int Schema : {1, 2}) {
+    EXPECT_FALSE(makeLedgerRecord(reportWith(Schema), LedgerMeta(), R, Error));
+    EXPECT_NE(Error.find("schema_version " + std::to_string(Schema)),
+              std::string::npos)
+        << Error;
+    Error.clear();
+  }
   EXPECT_FALSE(makeLedgerRecord(reportWith(ReportSchemaVersion + 1),
                                 LedgerMeta(), R, Error));
   EXPECT_FALSE(Error.empty());
@@ -143,50 +143,6 @@ TEST(Ledger, MakeRecordRejectsUnsupportedSchemas) {
   JsonValue NoSchema = JsonValue::object();
   EXPECT_FALSE(makeLedgerRecord(NoSchema, LedgerMeta(), R, Error));
   EXPECT_NE(Error.find("schema_version"), std::string::npos);
-}
-
-// -- Schema-migration shims ---------------------------------------------------
-
-TEST(Ledger, MigrationShimDropsPreLadderSearchCounters) {
-  // Schema 2 predates the ladder rewrite of the machine search: its
-  // counters.search.* values count something else and must not feed the
-  // cross-run trends.
-  LedgerRecord Old;
-  std::string Error;
-  ASSERT_TRUE(makeLedgerRecord(reportWith(2, /*WithSearchCounter=*/true),
-                               LedgerMeta(), Old, Error))
-      << Error;
-  EXPECT_FALSE(contains(Old.Metrics, "counters.search.cache.hits"));
-  EXPECT_EQ(Old.MigrationDropped, 1u);
-  // Survivors are untouched.
-  EXPECT_TRUE(contains(Old.Metrics, "counters.interp.branch_events"));
-
-  // A current-schema report keeps the counter.
-  LedgerRecord New;
-  ASSERT_TRUE(makeLedgerRecord(
-      reportWith(ReportSchemaVersion, /*WithSearchCounter=*/true),
-      LedgerMeta(), New, Error));
-  EXPECT_TRUE(contains(New.Metrics, "counters.search.cache.hits"));
-  EXPECT_EQ(New.MigrationDropped, 0u);
-}
-
-TEST(Ledger, ReadLedgerReappliesShimsToHandWrittenRecords) {
-  // A hand-built schema-2 line that still carries a search counter
-  // normalizes on the way in, exactly like a fresh append would.
-  TempFile T("shim");
-  writeText(T.Path,
-            "{\"ledger_version\":1,\"schema_version\":2,\"metrics\":"
-            "{\"counters.search.cache.hits\":5,\"counters.interp.runs\":9}}"
-            "\n");
-  std::vector<LedgerRecord> Records;
-  std::vector<std::string> Warnings;
-  std::string Error;
-  ASSERT_TRUE(readLedger(T.Path, Records, Warnings, Error)) << Error;
-  ASSERT_EQ(Records.size(), 1u);
-  EXPECT_TRUE(Warnings.empty());
-  EXPECT_FALSE(contains(Records[0].Metrics, "counters.search.cache.hits"));
-  EXPECT_TRUE(contains(Records[0].Metrics, "counters.interp.runs"));
-  EXPECT_EQ(Records[0].MigrationDropped, 1u);
 }
 
 // -- Record line format -------------------------------------------------------
@@ -274,6 +230,8 @@ TEST(Ledger, ReadSkipsBadLinesWithWarningsButKeepsTheRest) {
             "{\"no_ledger_version\":true}\n"
             "{\"ledger_version\":99,\"schema_version\":4}\n"
             "{\"ledger_version\":1,\"schema_version\":1}\n"
+            "{\"ledger_version\":1,\"schema_version\":2,\"metrics\":"
+            "{\"counters.search.cache.hits\":5}}\n"
             "\n"
             "{\"ledger_version\":1,\"schema_version\":4,\"metrics\":"
             "{\"counters.a\":1}}\n");
@@ -284,13 +242,19 @@ TEST(Ledger, ReadSkipsBadLinesWithWarningsButKeepsTheRest) {
   // One good record survives; each bad line gets its own note with the
   // 1-based line number (the blank line is silently skipped).
   ASSERT_EQ(Records.size(), 1u);
-  ASSERT_EQ(Warnings.size(), 4u);
+  ASSERT_EQ(Warnings.size(), 5u);
   EXPECT_NE(Warnings[0].find("ledger line 1"), std::string::npos);
   EXPECT_NE(Warnings[1].find("missing ledger_version"), std::string::npos);
   EXPECT_NE(Warnings[2].find("unsupported ledger_version 99"),
             std::string::npos);
   EXPECT_NE(Warnings[3].find("unsupported report schema_version"),
             std::string::npos);
+  // Schema 2 predates the ladder search: its counters.search.* count
+  // something else, so the whole record is skipped.
+  EXPECT_NE(Warnings[4].find("ledger line 5 skipped: unsupported report "
+                             "schema_version"),
+            std::string::npos)
+      << Warnings[4];
 }
 
 TEST(Ledger, ReadFailsOnlyWhenFileIsUnreadable) {

@@ -69,7 +69,6 @@
 
 #include "core/LoopAwareProfiles.h"
 #include "core/Pipeline.h"
-#include "core/Replication.h"
 #include "core/SizeSweep.h"
 #include "ir/Printer.h"
 #include "ir/Serializer.h"
@@ -876,15 +875,6 @@ int cmdReplicate(const Args &A) {
   if (!runPipeline(A, *W, M, T, PR))
     return 1;
 
-  TraceStats Stats(static_cast<uint32_t>(M.conditionalBranchCount()));
-  Stats.addTrace(T);
-  Module P = M;
-  annotateProfilePredictions(P, Stats);
-  ExecOptions EO;
-  EO.MaxBranchEvents = A.Events;
-  PredictionStats Before = measureAnnotatedPredictions(P, EO);
-  PredictionStats After = measureAnnotatedPredictions(PR.Transformed, EO);
-
   std::printf("%s seed=%llu (states<=%u, budget %.2fx)\n", W->Name,
               static_cast<unsigned long long>(A.Seed), A.States, A.Budget);
   std::printf("  replications: %u loop, %u joint, %u correlated "
@@ -897,7 +887,8 @@ int cmdReplicate(const Args &A) {
               static_cast<unsigned long long>(PR.NewInstructions),
               PR.sizeFactor());
   std::printf("  semi-static misprediction: %.1f%% -> %.1f%%\n",
-              Before.mispredictionPercent(), After.mispredictionPercent());
+              PR.Baseline.mispredictionPercent(),
+              PR.Measured.mispredictionPercent());
   if (!A.Output.empty()) {
     if (!writeModuleFile(A.Output, PR.Transformed)) {
       std::fprintf(stderr, "bpcr: error: cannot write %s\n",
