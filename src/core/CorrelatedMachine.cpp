@@ -6,6 +6,7 @@
 
 #include "core/CorrelatedMachine.h"
 
+#include "obs/TraceSpans.h"
 #include "trace/ColumnarTrace.h"
 
 #include <algorithm>
@@ -64,6 +65,8 @@ int CorrelatedMachine::match(const std::vector<PathStep> &Recent) const {
 std::vector<PathProfile> bpcr::profilePaths(
     const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
     const ColumnarTrace &CT, unsigned MaxPathLen) {
+  Span S("profiles.paths", "kernel");
+  S.arg("events", static_cast<uint64_t>(CT.size()));
   size_t NumBranches = CandidatesByBranch.size();
   std::vector<PathProfile> Out(NumBranches);
 

@@ -6,11 +6,12 @@
 
 #include "core/JointMachine.h"
 
+#include "obs/Metrics.h"
+#include "obs/TraceSpans.h"
 #include "trace/ColumnarTrace.h"
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 #include <utility>
 
 using namespace bpcr;
@@ -50,250 +51,6 @@ bool sharedLoop(const ProgramAnalysis &PA, const std::vector<int32_t> &Members,
   return true;
 }
 
-/// Branch-and-bound selection with per-(state, member) scoring. A reduced
-/// copy of SuffixSelect's engine: the generic one accumulates one counts
-/// channel per state, the joint machine needs one per member.
-class JointSearch {
-public:
-  JointSearch(const JointProfile &Profile, size_t NumMembers,
-              const JointOptions &Opts)
-      : NumMembers(NumMembers), Opts(Opts) {
-    // Intern the empty state (id 0) and all candidate suffixes.
-    intern(SymbolString());
-    for (const auto &[Syms, Counts] : Profile.PerPattern) {
-      Patterns.push_back({Syms, Counts});
-      size_t MaxL = std::min<size_t>(Syms.size(), Opts.MaxLen);
-      for (size_t L = 1; L <= MaxL; ++L)
-        intern(suffixOf(Syms, L));
-      // Substring closure candidates: every contiguous substring, so long
-      // states stay reachable through their prefixes (see
-      // SelectOptions::SubstringClosure for the argument).
-      for (size_t Start = 0; Start < Syms.size(); ++Start)
-        for (size_t L = 1;
-             L <= Opts.MaxLen && Start + L <= Syms.size(); ++L)
-          intern(SymbolString(Syms.begin() + static_cast<long>(Start),
-                              Syms.begin() + static_cast<long>(Start + L)));
-    }
-
-    Parent.assign(Strings.size(), 0);
-    InitParent.assign(Strings.size(), 0);
-    for (size_t Id = 1; Id < Strings.size(); ++Id) {
-      const SymbolString &S = Strings[Id];
-      if (S.size() <= 1)
-        continue; // both parents are the empty state
-      auto It = Ids.find(suffixOf(S, S.size() - 1));
-      Parent[Id] = It == Ids.end() ? 0 : It->second;
-      auto It2 = Ids.find(SymbolString(S.begin(), S.end() - 1));
-      InitParent[Id] = It2 == Ids.end() ? 0 : It2->second;
-    }
-
-    PatternSuffixes.resize(Patterns.size());
-    for (size_t PI = 0; PI < Patterns.size(); ++PI) {
-      const SymbolString &S = Patterns[PI].Syms;
-      size_t MaxL = std::min<size_t>(S.size(), Opts.MaxLen);
-      for (size_t L = MaxL; L >= 1; --L) {
-        auto It = Ids.find(suffixOf(S, L));
-        if (It != Ids.end())
-          PatternSuffixes[PI].push_back(It->second);
-        if (L == 1)
-          break;
-      }
-      PatternSuffixes[PI].push_back(0); // the empty state matches always
-    }
-
-    for (size_t Id = 1; Id < Strings.size(); ++Id)
-      Candidates.push_back(static_cast<int>(Id));
-    std::sort(Candidates.begin(), Candidates.end(), [this](int A, int B) {
-      return stringLess(Strings[static_cast<size_t>(A)],
-                        Strings[static_cast<size_t>(B)]);
-    });
-
-    InSet.assign(Strings.size(), 0);
-    InSet[0] = 1; // the empty state is always selected
-    Acc.assign(Strings.size() * NumMembers, DirCounts());
-    Stamp.assign(Strings.size(), 0);
-  }
-
-  std::vector<SymbolString> run() {
-    greedy();
-    if (Opts.Exhaustive) {
-      for (int C : Candidates)
-        InSet[static_cast<size_t>(C)] = 0;
-      SelectedCount = 0;
-      dfs(0);
-    }
-    std::vector<SymbolString> Out;
-    for (size_t Id : BestIds)
-      Out.push_back(Strings[Id]);
-    std::sort(Out.begin(), Out.end(), stringLess);
-    return Out;
-  }
-
-private:
-  struct Pattern {
-    SymbolString Syms;
-    std::vector<DirCounts> PerMember;
-  };
-
-  int intern(const SymbolString &S) {
-    auto [It, Inserted] = Ids.emplace(S, static_cast<int>(Strings.size()));
-    if (Inserted)
-      Strings.push_back(S);
-    return It->second;
-  }
-
-  uint64_t score() {
-    ++Epoch;
-    Touched.clear();
-    for (size_t PI = 0; PI < Patterns.size(); ++PI) {
-      int Assigned = 0;
-      for (int Id : PatternSuffixes[PI])
-        if (InSet[static_cast<size_t>(Id)]) {
-          Assigned = Id;
-          break;
-        }
-      size_t Base = static_cast<size_t>(Assigned) * NumMembers;
-      if (Stamp[static_cast<size_t>(Assigned)] != Epoch) {
-        Stamp[static_cast<size_t>(Assigned)] = Epoch;
-        for (size_t J = 0; J < NumMembers; ++J)
-          Acc[Base + J] = DirCounts();
-        Touched.push_back(static_cast<size_t>(Assigned));
-      }
-      const Pattern &P = Patterns[PI];
-      for (size_t J = 0; J < NumMembers; ++J) {
-        Acc[Base + J].Taken += P.PerMember[J].Taken;
-        Acc[Base + J].NotTaken += P.PerMember[J].NotTaken;
-      }
-    }
-    uint64_t S = 0;
-    for (size_t Id : Touched) {
-      size_t Base = Id * NumMembers;
-      for (size_t J = 0; J < NumMembers; ++J)
-        S += std::max(Acc[Base + J].Taken, Acc[Base + J].NotTaken);
-    }
-    return S;
-  }
-
-  uint64_t scoreWithRest(size_t From) {
-    std::vector<size_t> Flipped;
-    for (size_t I = From; I < Candidates.size(); ++I) {
-      size_t Id = static_cast<size_t>(Candidates[I]);
-      if (!InSet[Id]) {
-        InSet[Id] = 1;
-        Flipped.push_back(Id);
-      }
-    }
-    uint64_t S = score();
-    for (size_t Id : Flipped)
-      InSet[Id] = 0;
-    return S;
-  }
-
-  bool isLegal(int CandId) const {
-    return InSet[static_cast<size_t>(Parent[static_cast<size_t>(CandId)])] &&
-           InSet[static_cast<size_t>(
-               InitParent[static_cast<size_t>(CandId)])];
-  }
-
-  unsigned budgetLeft() const {
-    // State 0 (empty) counts against the budget too.
-    size_t Used = SelectedCount + 1;
-    return Opts.MaxStates > Used
-               ? static_cast<unsigned>(Opts.MaxStates - Used)
-               : 0;
-  }
-
-  void consider() {
-    uint64_t S = score();
-    if (S > BestScore || BestIds.empty()) {
-      BestScore = S;
-      BestIds.clear();
-      for (size_t Id = 0; Id < Strings.size(); ++Id)
-        if (InSet[Id])
-          BestIds.push_back(Id);
-    }
-  }
-
-  void dfs(size_t Idx) {
-    if (BudgetExhausted)
-      return;
-    if (++Nodes > Opts.NodeBudget) {
-      BudgetExhausted = true;
-      return;
-    }
-    consider();
-    if (Idx >= Candidates.size() || budgetLeft() == 0)
-      return;
-    if (scoreWithRest(Idx) <= BestScore)
-      return;
-
-    int Id = Candidates[Idx];
-    if (isLegal(Id)) {
-      InSet[static_cast<size_t>(Id)] = 1;
-      ++SelectedCount;
-      dfs(Idx + 1);
-      InSet[static_cast<size_t>(Id)] = 0;
-      --SelectedCount;
-      if (BudgetExhausted)
-        return;
-    }
-    dfs(Idx + 1);
-  }
-
-  void greedy() {
-    consider();
-    while (budgetLeft() > 0) {
-      uint64_t Base = score();
-      uint64_t BestGain = 0;
-      int BestCand = -1;
-      for (int C : Candidates) {
-        size_t Id = static_cast<size_t>(C);
-        if (InSet[Id] || !isLegal(C))
-          continue;
-        InSet[Id] = 1;
-        uint64_t S = score();
-        InSet[Id] = 0;
-        if (S > Base && S - Base > BestGain) {
-          BestGain = S - Base;
-          BestCand = C;
-        }
-      }
-      if (BestCand < 0)
-        break;
-      InSet[static_cast<size_t>(BestCand)] = 1;
-      ++SelectedCount;
-      consider();
-    }
-    for (int C : Candidates)
-      InSet[static_cast<size_t>(C)] = 0;
-    SelectedCount = 0;
-  }
-
-  size_t NumMembers;
-  const JointOptions &Opts;
-
-  std::map<SymbolString, int> Ids;
-  std::vector<SymbolString> Strings;
-  std::vector<int> Parent;
-  std::vector<int> InitParent;
-  std::vector<Pattern> Patterns;
-  std::vector<std::vector<int>> PatternSuffixes;
-  std::vector<int> Candidates;
-
-  std::vector<uint8_t> InSet;
-  size_t SelectedCount = 0;
-
-  std::vector<DirCounts> Acc;
-  std::vector<uint32_t> Stamp;
-  std::vector<size_t> Touched;
-  uint32_t Epoch = 0;
-
-  uint64_t BestScore = 0;
-  std::vector<size_t> BestIds;
-  uint64_t Nodes = 0;
-  bool BudgetExhausted = false;
-};
-
 } // namespace
 
 int JointLoopMachine::memberIndex(int32_t OrigId) const {
@@ -322,6 +79,32 @@ unsigned JointLoopMachine::next(unsigned State, int MemberIdx,
   return 0; // the empty state
 }
 
+std::vector<uint8_t> JointLoopMachine::reachableStates() const {
+  std::vector<uint8_t> Seen(numStates(), 0);
+  std::vector<unsigned> Work{initialState()};
+  Seen[initialState()] = 1;
+  while (!Work.empty()) {
+    unsigned S = Work.back();
+    Work.pop_back();
+    for (size_t J = 0; J < Members.size(); ++J)
+      for (bool Taken : {false, true}) {
+        unsigned N = next(S, static_cast<int>(J), Taken);
+        if (!Seen[N]) {
+          Seen[N] = 1;
+          Work.push_back(N);
+        }
+      }
+  }
+  return Seen;
+}
+
+unsigned JointLoopMachine::reachableStateCount() const {
+  unsigned N = 0;
+  for (uint8_t Bit : reachableStates())
+    N += Bit;
+  return N;
+}
+
 std::string JointLoopMachine::describe() const {
   std::string Out = "joint{members=" + std::to_string(Members.size());
   Out += ",states=";
@@ -343,6 +126,8 @@ JointProfile bpcr::profileJointLoop(const ProgramAnalysis &PA,
                                     const std::vector<int32_t> &Members,
                                     const ColumnarTrace &CT,
                                     unsigned MaxLen) {
+  Span S("profiles.joint", "kernel");
+  S.arg("events", static_cast<uint64_t>(CT.size()));
   JointProfile Out;
   uint32_t FuncIdx = 0;
   const Loop *L = nullptr;
@@ -390,14 +175,46 @@ JointLoopMachine
 bpcr::buildJointLoopMachine(const std::vector<int32_t> &Members,
                             const JointProfile &Profile,
                             const JointOptions &Opts) {
+  Span SSearch("search.joint.candidate", "search");
+  SSearch.arg("max_states", static_cast<uint64_t>(Opts.MaxStates));
   JointLoopMachine M;
   M.Members = Members;
   std::sort(M.Members.begin(), M.Members.end());
 
-  JointSearch Search(Profile, M.Members.size(), Opts);
-  M.States = Search.run(); // sorted; the empty state is index 0
-  if (M.States.empty() || !M.States.front().empty())
-    M.States.insert(M.States.begin(), SymbolString());
+  // The shared suffix-selection engine with one count channel per member
+  // and the empty string forced as the initial / catch-all state.
+  const size_t NumMembers = M.Members.size();
+  std::vector<SymbolString> Patterns;
+  std::vector<DirCounts> ChannelCounts;
+  Patterns.reserve(Profile.PerPattern.size());
+  ChannelCounts.reserve(Profile.PerPattern.size() * NumMembers);
+  for (const auto &[Syms, PerMember] : Profile.PerPattern) {
+    Patterns.push_back(Syms);
+    for (size_t J = 0; J < NumMembers; ++J)
+      ChannelCounts.push_back(J < PerMember.size() ? PerMember[J]
+                                                   : DirCounts());
+  }
+  SelectOptions Sel;
+  Sel.MaxSelected = Opts.MaxStates;
+  Sel.MinLen = 1;
+  Sel.MaxLen = Opts.MaxLen;
+  Sel.Exhaustive = Opts.Exhaustive;
+  Sel.NodeBudget = Opts.NodeBudget;
+  Sel.SubstringClosure = true;
+  SuffixSelection Best =
+      selectSuffixStates(Patterns, ChannelCounts,
+                         static_cast<unsigned>(NumMembers), {SymbolString()},
+                         Sel);
+  M.States = std::move(Best.States); // sorted; the empty state is index 0
+  assert(!M.States.empty() && M.States.front().empty());
+  if (Registry::global().enabled()) {
+    Registry &Obs = Registry::global();
+    Obs.counter("search.joint.machines").inc();
+    if (Best.BudgetExhausted)
+      Obs.counter("search.budget_exhausted").inc();
+  }
+  SSearch.arg("patterns", static_cast<uint64_t>(Patterns.size()));
+  SSearch.arg("correct", Best.Correct);
 
   // Fit per-(state, member) predictions by longest-suffix assignment.
   std::vector<std::vector<DirCounts>> Counts(
@@ -471,25 +288,8 @@ ReplicationStats bpcr::applyJointLoopReplication(
   ReplicationStats Out;
   (void)Header;
 
-  // Reachable states from the initial one under all member transitions.
   unsigned NumStates = M.numStates();
-  std::vector<uint8_t> Reachable(NumStates, 0);
-  {
-    std::vector<unsigned> Work{M.initialState()};
-    Reachable[M.initialState()] = 1;
-    while (!Work.empty()) {
-      unsigned S = Work.back();
-      Work.pop_back();
-      for (size_t J = 0; J < M.Members.size(); ++J)
-        for (bool Taken : {false, true}) {
-          unsigned N = M.next(S, static_cast<int>(J), Taken);
-          if (!Reachable[N]) {
-            Reachable[N] = 1;
-            Work.push_back(N);
-          }
-        }
-    }
-  }
+  std::vector<uint8_t> Reachable = M.reachableStates();
 
   auto InLoop = [&LoopBlocks](uint32_t B) {
     return std::binary_search(LoopBlocks.begin(), LoopBlocks.end(), B);

@@ -20,6 +20,11 @@
 /// joint machine with S states costs S copies, where separate per-branch
 /// machines with s1..sk states cost s1*...*sk copies.
 ///
+/// The branch-and-bound is core/SuffixSelect's engine, the one the
+/// per-branch machines use: one count channel per member, the empty string
+/// forced as the initial state, and substring closure so the assignment
+/// score equals the machine's realized accuracy.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BPCR_CORE_JOINTMACHINE_H
@@ -68,6 +73,13 @@ public:
     return Predictions[State][static_cast<size_t>(MemberIdx)] != 0;
   }
 
+  /// States reachable from the initial state under every member's
+  /// transitions (replication prunes the rest).
+  std::vector<uint8_t> reachableStates() const;
+
+  /// Number of reachableStates(): the loop copies replication builds.
+  unsigned reachableStateCount() const;
+
   std::string describe() const;
 };
 
@@ -97,8 +109,10 @@ JointProfile profileJointLoop(const ProgramAnalysis &PA,
                               const std::vector<int32_t> &Members,
                               const ColumnarTrace &CT, unsigned MaxLen);
 
-/// Selects the best joint machine by branch-and-bound over candidate
-/// suffix states (per-(state, member) majority scoring).
+/// Selects the best joint machine with selectSuffixStates over the
+/// profile's decision strings, one count channel per member (each state
+/// predicts every member's majority separately). Counts the search in
+/// search.joint.machines, search.nodes and search.budget_exhausted.
 JointLoopMachine buildJointLoopMachine(const std::vector<int32_t> &Members,
                                        const JointProfile &Profile,
                                        const JointOptions &Opts);

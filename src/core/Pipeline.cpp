@@ -266,28 +266,8 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
       }
 
       // Cost: one loop copy per additional *reachable* state.
-      unsigned ReachableStates = 0;
-      {
-        std::vector<uint8_t> Seen(Plan.Machine.numStates(), 0);
-        std::vector<unsigned> Work{Plan.Machine.initialState()};
-        Seen[Plan.Machine.initialState()] = 1;
-        while (!Work.empty()) {
-          unsigned S = Work.back();
-          Work.pop_back();
-          for (size_t J = 0; J < Plan.Members.size(); ++J)
-            for (bool Taken : {false, true}) {
-              unsigned N = Plan.Machine.next(S, static_cast<int>(J), Taken);
-              if (!Seen[N]) {
-                Seen[N] = 1;
-                Work.push_back(N);
-              }
-            }
-        }
-        for (uint8_t B : Seen)
-          ReachableStates += B;
-      }
-      Plan.Cost =
-          std::max<uint64_t>(loopCopyCost(LoopSize, ReachableStates), 1);
+      Plan.Cost = std::max<uint64_t>(
+          loopCopyCost(LoopSize, Plan.Machine.reachableStateCount()), 1);
       uint64_t PerBranchCost = std::max<uint64_t>(
           loopCopyCost(LoopSize, PerBranchStatesProduct), 1);
       double JointRatio = static_cast<double>(Plan.Gain) /

@@ -5,16 +5,31 @@
 //===----------------------------------------------------------------------===//
 //
 // Implementation notes. All suffixes of the observed patterns are interned
-// once; every pattern precomputes its suffix-id list (longest first), so one
-// assignment-score evaluation is a few integer ops per (pattern, length)
-// pair. The exact search is DFS over include/exclude decisions per
-// candidate with an admissible bound (score of the current set plus every
-// remaining candidate — the assignment score is monotone in the set because
-// adding states only refines the pattern partition).
+// once; every pattern precomputes its suffix-id list (longest first). The
+// exact search is DFS over include/exclude decisions per candidate with an
+// admissible bound (score of the current set plus every remaining
+// candidate — the assignment score is monotone in the set because adding
+// states only refines the pattern partition).
+//
+// Nothing is rescored per node. The search keeps each pattern's assigned
+// suffix, per-(state, channel) accumulators and the running score, and
+// undoes its moves through a log:
+//  - including a legal candidate c moves exactly the patterns c is a suffix
+//    of, each from a strictly shorter suffix (closure: a selected longer
+//    suffix would have c on its parent chain), so one include costs
+//    O(|patterns ending in c| x channels);
+//  - the bound at position Idx splits the patterns by their longest
+//    interned suffix ("top"). Patterns whose top is at a position >= Idx
+//    all land on their top once every remaining candidate is in, which is
+//    a fixed score RestFrom[Idx] summed once up front. The others keep
+//    their current assignment; they form the "restricted" accumulator,
+//    which a pattern joins as the DFS passes its top's position.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/SuffixSelect.h"
+
+#include "obs/Metrics.h"
 
 #include <algorithm>
 #include <cassert>
@@ -35,38 +50,66 @@ SymbolString suffixOf(const SymbolString &S, size_t Len) {
   return SymbolString(S.end() - static_cast<long>(Len), S.end());
 }
 
+uint64_t correctOf(const DirCounts &D) { return std::max(D.Taken, D.NotTaken); }
+
+/// Per-(slot, channel) counts with their running score: the sum over every
+/// entry of its majority count.
+struct Accumulator {
+  std::vector<DirCounts> Acc;
+  uint64_t Score = 0;
+
+  /// Adds (Sign = +1) or removes (Sign = -1) one pattern's channels.
+  void apply(size_t Slot, const DirCounts *Counts, size_t Channels,
+             int Sign) {
+    DirCounts *A = Acc.data() + Slot * Channels;
+    for (size_t Ch = 0; Ch < Channels; ++Ch) {
+      Score -= correctOf(A[Ch]);
+      if (Sign > 0) {
+        A[Ch].Taken += Counts[Ch].Taken;
+        A[Ch].NotTaken += Counts[Ch].NotTaken;
+      } else {
+        A[Ch].Taken -= Counts[Ch].Taken;
+        A[Ch].NotTaken -= Counts[Ch].NotTaken;
+      }
+      Score += correctOf(A[Ch]);
+    }
+  }
+};
+
 /// Interned-suffix search context.
 class Search {
 public:
-  Search(const std::vector<ObservedPattern> &Patterns,
+  Search(const std::vector<SymbolString> &Patterns,
+         const std::vector<DirCounts> &Counts, size_t Channels,
          const std::vector<SymbolString> &Forced, const SelectOptions &Opts)
-      : Patterns(Patterns), Opts(Opts) {
+      : Counts(Counts), Channels(Channels), Opts(Opts) {
     // Intern forced states and every candidate suffix.
     for (const SymbolString &F : Forced) {
+      assert(F.size() <= Opts.MinLen && "forced state longer than MinLen");
       int Id = intern(F);
       IsForced[static_cast<size_t>(Id)] = true;
     }
-    for (const ObservedPattern &P : Patterns) {
-      size_t MaxL = std::min<size_t>(P.Syms.size(), Opts.MaxLen);
+    for (const SymbolString &P : Patterns) {
+      size_t MaxL = std::min<size_t>(P.size(), Opts.MaxLen);
       for (size_t L = Opts.MinLen; L <= MaxL; ++L)
-        intern(suffixOf(P.Syms, L));
+        intern(suffixOf(P, L));
       if (Opts.SubstringClosure) {
         // Also make every contiguous substring available, so a long state
         // can always be reached through its prefixes.
-        for (size_t Start = 0; Start < P.Syms.size(); ++Start)
+        for (size_t Start = 0; Start < P.size(); ++Start)
           for (size_t L = Opts.MinLen;
-               L <= Opts.MaxLen && Start + L <= P.Syms.size(); ++L)
-            intern(SymbolString(P.Syms.begin() + static_cast<long>(Start),
-                                P.Syms.begin() +
-                                    static_cast<long>(Start + L)));
+               L <= Opts.MaxLen && Start + L <= P.size(); ++L)
+            intern(SymbolString(P.begin() + static_cast<long>(Start),
+                                P.begin() + static_cast<long>(Start + L)));
       }
     }
+    const size_t NumStrings = Strings.size();
 
     // Parent links: suffix parent (drop oldest) and, for substring
     // closure, the init parent (drop newest).
-    Parent.assign(Strings.size(), -1);
-    InitParent.assign(Strings.size(), -1);
-    for (size_t Id = 0; Id < Strings.size(); ++Id) {
+    Parent.assign(NumStrings, -1);
+    InitParent.assign(NumStrings, -1);
+    for (size_t Id = 0; Id < NumStrings; ++Id) {
       const SymbolString &S = Strings[Id];
       if (S.size() <= Opts.MinLen)
         continue;
@@ -78,57 +121,101 @@ public:
         InitParent[Id] = It2->second;
     }
 
-    // Per-pattern suffix-id lists, longest first.
-    PatternSuffixes.resize(Patterns.size());
-    for (size_t PI = 0; PI < Patterns.size(); ++PI) {
-      const SymbolString &S = Patterns[PI].Syms;
-      size_t MaxL = std::min<size_t>(S.size(), Opts.MaxLen);
-      for (size_t L = MaxL; L >= 1 && L + 1 > 0; --L) {
-        auto It = Ids.find(suffixOf(S, L));
-        if (It != Ids.end())
-          PatternSuffixes[PI].push_back(It->second);
-        if (L == 1)
-          break;
-      }
-    }
-
     // Candidate order: by (length, content) so parents precede children.
-    for (size_t Id = 0; Id < Strings.size(); ++Id)
+    for (size_t Id = 0; Id < NumStrings; ++Id)
       if (!IsForced[Id])
         Candidates.push_back(static_cast<int>(Id));
     std::sort(Candidates.begin(), Candidates.end(), [this](int A, int B) {
       return stringLess(Strings[static_cast<size_t>(A)],
                         Strings[static_cast<size_t>(B)]);
     });
+    std::vector<size_t> PosOf(NumStrings, SIZE_MAX); // SIZE_MAX: forced
+    for (size_t I = 0; I < Candidates.size(); ++I)
+      PosOf[static_cast<size_t>(Candidates[I])] = I;
 
-    InSet.assign(Strings.size(), 0);
-    for (size_t Id = 0; Id < Strings.size(); ++Id)
+    InSet.assign(NumStrings, 0);
+    for (size_t Id = 0; Id < NumStrings; ++Id)
       if (IsForced[Id])
         InSet[Id] = 1;
     NumForced = Forced.size();
 
-    AccTaken.assign(Strings.size(), 0);
-    AccNotTaken.assign(Strings.size(), 0);
-    Stamp.assign(Strings.size(), 0);
+    // Per-pattern suffix-id lists (longest first), the patterns each state
+    // is a suffix of, and the initial assignment to the longest forced
+    // suffix (or the default slot).
+    DefaultSlot = NumStrings;
+    Full.Acc.assign((NumStrings + 1) * Channels, DirCounts());
+    Restricted.Acc = Full.Acc;
+    PatternSuffixes.resize(Patterns.size());
+    Users.resize(NumStrings);
+    AssignedK.resize(Patterns.size());
+    Joined.assign(Patterns.size(), 0);
+    JoinAt.resize(Candidates.size());
+    for (size_t PI = 0; PI < Patterns.size(); ++PI) {
+      const SymbolString &S = Patterns[PI];
+      std::vector<int> &Suffixes = PatternSuffixes[PI];
+      for (size_t L = std::min<size_t>(S.size(), Opts.MaxLen); L >= 1; --L) {
+        auto It = Ids.find(suffixOf(S, L));
+        if (It != Ids.end())
+          Suffixes.push_back(It->second);
+      }
+      size_t K = 0;
+      while (K < Suffixes.size() &&
+             !InSet[static_cast<size_t>(Suffixes[K])])
+        ++K;
+      AssignedK[PI] = K;
+      for (size_t J = 0; J < Suffixes.size(); ++J)
+        Users[static_cast<size_t>(Suffixes[J])].push_back({PI, J});
+      Full.apply(slotOf(PI, K), countsOf(PI), Channels, +1);
+      size_t TopPos = Suffixes.empty()
+                          ? SIZE_MAX
+                          : PosOf[static_cast<size_t>(Suffixes.front())];
+      if (TopPos == SIZE_MAX) {
+        // No candidate can ever move this pattern's bound contribution.
+        Joined[PI] = 1;
+        Restricted.apply(slotOf(PI, K), countsOf(PI), Channels, +1);
+      } else {
+        JoinAt[TopPos].push_back(PI);
+      }
+    }
+
+    // RestFrom[I]: the merged score of the patterns whose top sits at a
+    // position >= I, each group on its own top.
+    RestFrom.assign(Candidates.size() + 1, 0);
+    for (size_t I = Candidates.size(); I-- > 0;) {
+      Accumulator Group;
+      Group.Acc.resize(Channels);
+      for (size_t PI : JoinAt[I])
+        Group.apply(0, countsOf(PI), Channels, +1);
+      RestFrom[I] = RestFrom[I + 1] + Group.Score;
+    }
   }
 
   /// Runs greedy then (optionally) exact search; returns the best set.
-  std::vector<SymbolString> run(bool &BudgetExhaustedOut) {
+  std::vector<SymbolString> run() {
     greedy();
-    if (Opts.Exhaustive) {
-      SelectedCount = 0;
-      for (int C : Candidates)
-        InSet[static_cast<size_t>(C)] = 0;
+    if (Opts.Exhaustive)
       dfs(0);
-    }
-    BudgetExhaustedOut = BudgetExhausted;
     std::vector<SymbolString> Out;
     for (size_t Id : BestIds)
       Out.push_back(Strings[Id]);
+    std::sort(Out.begin(), Out.end(), stringLess);
     return Out;
   }
 
+  uint64_t BestScore = 0;
+  uint64_t Nodes = 0;
+  bool BudgetExhausted = false;
+
 private:
+  struct Use {
+    size_t Pattern;
+    size_t K; // index of the state in the pattern's suffix list
+  };
+  struct Move {
+    size_t Pattern;
+    size_t FromK;
+  };
+
   int intern(const SymbolString &S) {
     auto [It, Inserted] = Ids.emplace(S, static_cast<int>(Strings.size()));
     if (Inserted) {
@@ -138,54 +225,58 @@ private:
     return It->second;
   }
 
-  /// Assignment score of the current InSet.
-  uint64_t score() {
-    ++Epoch;
-    Touched.clear();
-    uint64_t DefT = 0, DefN = 0;
-    for (size_t PI = 0; PI < Patterns.size(); ++PI) {
-      int Assigned = -1;
-      for (int Id : PatternSuffixes[PI])
-        if (InSet[static_cast<size_t>(Id)]) {
-          Assigned = Id;
-          break;
-        }
-      const DirCounts &C = Patterns[PI].Counts;
-      if (Assigned < 0) {
-        DefT += C.Taken;
-        DefN += C.NotTaken;
-        continue;
-      }
-      size_t Id = static_cast<size_t>(Assigned);
-      if (Stamp[Id] != Epoch) {
-        Stamp[Id] = Epoch;
-        AccTaken[Id] = 0;
-        AccNotTaken[Id] = 0;
-        Touched.push_back(Id);
-      }
-      AccTaken[Id] += C.Taken;
-      AccNotTaken[Id] += C.NotTaken;
-    }
-    uint64_t S = std::max(DefT, DefN);
-    for (size_t Id : Touched)
-      S += std::max(AccTaken[Id], AccNotTaken[Id]);
-    return S;
+  const DirCounts *countsOf(size_t PI) const {
+    return Counts.data() + PI * Channels;
   }
 
-  /// Score with every candidate at position >= From temporarily included.
-  uint64_t scoreWithRest(size_t From) {
-    std::vector<size_t> Flipped;
-    for (size_t I = From; I < Candidates.size(); ++I) {
-      size_t Id = static_cast<size_t>(Candidates[I]);
-      if (!InSet[Id]) {
-        InSet[Id] = 1;
-        Flipped.push_back(Id);
-      }
+  size_t slotOf(size_t PI, size_t K) const {
+    return K < PatternSuffixes[PI].size()
+               ? static_cast<size_t>(PatternSuffixes[PI][K])
+               : DefaultSlot;
+  }
+
+  void assign(size_t PI, size_t K) {
+    size_t From = slotOf(PI, AssignedK[PI]), To = slotOf(PI, K);
+    const DirCounts *C = countsOf(PI);
+    Full.apply(From, C, Channels, -1);
+    Full.apply(To, C, Channels, +1);
+    if (Joined[PI]) {
+      Restricted.apply(From, C, Channels, -1);
+      Restricted.apply(To, C, Channels, +1);
     }
-    uint64_t S = score();
-    for (size_t Id : Flipped)
-      InSet[Id] = 0;
-    return S;
+    AssignedK[PI] = K;
+  }
+
+  /// Selects \p Id; returns the undo mark for retract().
+  size_t include(int Id) {
+    size_t Mark = Log.size();
+    InSet[static_cast<size_t>(Id)] = 1;
+    for (const Use &U : Users[static_cast<size_t>(Id)]) {
+      assert(U.K < AssignedK[U.Pattern] &&
+             "closure: a pattern never sits on a longer suffix of a "
+             "candidate that is not selected");
+      Log.push_back({U.Pattern, AssignedK[U.Pattern]});
+      assign(U.Pattern, U.K);
+    }
+    return Mark;
+  }
+
+  void retract(int Id, size_t Mark) {
+    while (Log.size() > Mark) {
+      assign(Log.back().Pattern, Log.back().FromK);
+      Log.pop_back();
+    }
+    InSet[static_cast<size_t>(Id)] = 0;
+  }
+
+  /// Adds (or removes) the patterns whose top sits at position \p Idx to
+  /// the restricted accumulator at their current assignment.
+  void join(size_t Idx, bool On) {
+    for (size_t PI : JoinAt[Idx]) {
+      Joined[PI] = On;
+      Restricted.apply(slotOf(PI, AssignedK[PI]), countsOf(PI), Channels,
+                       On ? +1 : -1);
+    }
   }
 
   bool isLegal(int CandId) const {
@@ -211,7 +302,7 @@ private:
   }
 
   void consider() {
-    uint64_t S = score();
+    uint64_t S = Full.Score;
     if (S > BestScore || BestIds.empty()) {
       BestScore = S;
       BestIds.clear();
@@ -231,35 +322,37 @@ private:
     consider();
     if (Idx >= Candidates.size() || budgetLeft() == 0)
       return;
-    if (scoreWithRest(Idx) <= BestScore)
+    // Score with every candidate at position >= Idx included.
+    if (Restricted.Score + RestFrom[Idx] <= BestScore)
       return;
 
+    join(Idx, true);
     int Id = Candidates[Idx];
     if (isLegal(Id)) {
-      InSet[static_cast<size_t>(Id)] = 1;
+      size_t Mark = include(Id);
       ++SelectedCount;
       dfs(Idx + 1);
-      InSet[static_cast<size_t>(Id)] = 0;
+      retract(Id, Mark);
       --SelectedCount;
-      if (BudgetExhausted)
-        return;
     }
-    dfs(Idx + 1);
+    if (!BudgetExhausted)
+      dfs(Idx + 1);
+    join(Idx, false);
   }
 
   void greedy() {
     consider();
+    std::vector<std::pair<int, size_t>> Picked;
     while (budgetLeft() > 0) {
-      uint64_t Base = score();
+      uint64_t Base = Full.Score;
       uint64_t BestGain = 0;
       int BestCand = -1;
       for (int C : Candidates) {
-        size_t Id = static_cast<size_t>(C);
-        if (InSet[Id] || !isLegal(C))
+        if (InSet[static_cast<size_t>(C)] || !isLegal(C))
           continue;
-        InSet[Id] = 1;
-        uint64_t S = score();
-        InSet[Id] = 0;
+        size_t Mark = include(C);
+        uint64_t S = Full.Score;
+        retract(C, Mark);
         if (S > Base && S - Base > BestGain) {
           BestGain = S - Base;
           BestCand = C;
@@ -267,17 +360,18 @@ private:
       }
       if (BestCand < 0)
         break;
-      InSet[static_cast<size_t>(BestCand)] = 1;
+      Picked.push_back({BestCand, include(BestCand)});
       ++SelectedCount;
       consider();
     }
-    // Reset selection state (greedy shares InSet with the exact phase).
-    for (int C : Candidates)
-      InSet[static_cast<size_t>(C)] = 0;
+    // Reset selection state (greedy shares it with the exact phase).
+    for (auto It = Picked.rbegin(); It != Picked.rend(); ++It)
+      retract(It->first, It->second);
     SelectedCount = 0;
   }
 
-  const std::vector<ObservedPattern> &Patterns;
+  const std::vector<DirCounts> &Counts;
+  const size_t Channels;
   const SelectOptions &Opts;
 
   std::map<SymbolString, int> Ids;
@@ -286,21 +380,24 @@ private:
   std::vector<int> Parent;
   std::vector<int> InitParent;
   std::vector<std::vector<int>> PatternSuffixes;
+  std::vector<std::vector<Use>> Users;
   std::vector<int> Candidates;
 
   std::vector<uint8_t> InSet;
   size_t SelectedCount = 0;
   size_t NumForced = 0;
 
-  std::vector<uint64_t> AccTaken, AccNotTaken;
-  std::vector<uint32_t> Stamp;
-  std::vector<size_t> Touched;
-  uint32_t Epoch = 0;
+  /// Assignment state: index into the pattern's suffix list (its size
+  /// means the default slot).
+  std::vector<size_t> AssignedK;
+  size_t DefaultSlot = 0;
+  Accumulator Full, Restricted;
+  std::vector<uint8_t> Joined;
+  std::vector<std::vector<size_t>> JoinAt;
+  std::vector<uint64_t> RestFrom;
+  std::vector<Move> Log;
 
-  uint64_t BestScore = 0;
   std::vector<size_t> BestIds;
-  uint64_t Nodes = 0;
-  bool BudgetExhausted = false;
 };
 
 } // namespace
@@ -351,14 +448,41 @@ bpcr::scoreStateSet(const std::vector<ObservedPattern> &Patterns,
 }
 
 SuffixSelection
+bpcr::selectSuffixStates(const std::vector<SymbolString> &Patterns,
+                         const std::vector<DirCounts> &Counts,
+                         unsigned Channels,
+                         const std::vector<SymbolString> &Forced,
+                         const SelectOptions &Opts) {
+  assert(Counts.size() == Patterns.size() * Channels &&
+         "one count row per pattern");
+  Search S(Patterns, Counts, Channels, Forced, Opts);
+  SuffixSelection Out;
+  Out.States = S.run();
+  Out.Correct = S.BestScore;
+  for (const DirCounts &C : Counts)
+    Out.Total += C.total();
+  Out.BudgetExhausted = S.BudgetExhausted;
+  Out.Nodes = S.Nodes;
+  if (Registry::global().enabled())
+    Registry::global().counter("search.nodes").add(S.Nodes);
+  return Out;
+}
+
+SuffixSelection
 bpcr::selectSuffixStates(const std::vector<ObservedPattern> &Patterns,
                          const std::vector<SymbolString> &Forced,
                          const SelectOptions &Opts) {
-  Search S(Patterns, Forced, Opts);
-  bool BudgetExhausted = false;
-  std::vector<SymbolString> Best = S.run(BudgetExhausted);
-
-  SuffixSelection Out = scoreStateSet(Patterns, Best);
-  Out.BudgetExhausted = BudgetExhausted;
+  std::vector<SymbolString> Syms;
+  std::vector<DirCounts> Counts;
+  Syms.reserve(Patterns.size());
+  Counts.reserve(Patterns.size());
+  for (const ObservedPattern &P : Patterns) {
+    Syms.push_back(P.Syms);
+    Counts.push_back(P.Counts);
+  }
+  SuffixSelection Sel = selectSuffixStates(Syms, Counts, 1, Forced, Opts);
+  SuffixSelection Out = scoreStateSet(Patterns, Sel.States);
+  Out.BudgetExhausted = Sel.BudgetExhausted;
+  Out.Nodes = Sel.Nodes;
   return Out;
 }

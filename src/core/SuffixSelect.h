@@ -12,17 +12,23 @@
 /// correct predictions ("we make an exhaustive search in the pattern table
 /// to find the best state machine", sec 4.1).
 ///
-/// Two instantiations share this engine:
+/// Three instantiations share this engine:
 ///  - intra-loop machines: symbols are branch outcomes (0/1), the forced
 ///    base is {"0","1"} (or all four 2-bit strings, paper figure 3);
 ///  - correlated machines: symbols are (branch, direction) path steps and
 ///    the implicit empty suffix is the paper's "state [that] covers the
-///    case where the control flow matches none of the paths".
+///    case where the control flow matches none of the paths";
+///  - joint loop machines (core/JointMachine.h): symbols are (member,
+///    direction) decisions, the forced base is the empty string, and every
+///    pattern carries one count channel per member branch.
 ///
 /// The search is exact branch-and-bound (the assignment score is monotone
 /// in the state set, so the score of "current set plus every remaining
 /// candidate" is an admissible bound); a node budget degrades it gracefully
-/// to the greedy result for pathological tables.
+/// to the greedy result for pathological tables. Each search node is scored
+/// incrementally: including a state moves only the patterns it is a suffix
+/// of, and the bound is a running partial score plus a precomputed suffix
+/// sum (docs/PERFORMANCE.md, "Incremental branch-and-bound").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,7 +73,9 @@ struct SelectOptions {
   bool SubstringClosure = false;
 };
 
-/// Result of a selection.
+/// Result of a selection. The multi-channel overload fills only States,
+/// Correct, Total, BudgetExhausted and Nodes; the per-state predictions and
+/// counts below come from the single-channel overload.
 struct SuffixSelection {
   /// Selected states (forced ones included), sorted by (length, content).
   std::vector<SymbolString> States;
@@ -84,6 +92,8 @@ struct SuffixSelection {
   /// True when the exact search ran out of node budget (result is the best
   /// seen, typically the greedy solution or better).
   bool BudgetExhausted = false;
+  /// Branch-and-bound nodes visited (0 for a greedy-only search).
+  uint64_t Nodes = 0;
 };
 
 /// Selects the best suffix-state set.
@@ -91,12 +101,23 @@ struct SuffixSelection {
 /// \param Patterns observed full histories with counts; an empty-Syms
 ///        pattern contributes to the default state.
 /// \param Forced states that must be in every considered set (e.g. the
-///        catch-all states "0" and "1"); counted against MaxSelected.
+///        catch-all states "0" and "1"); counted against MaxSelected. No
+///        forced state may be longer than MinLen.
 /// \param Opts search parameters. Suffix closure is enforced: a state of
 ///        length > MinLen requires its one-shorter suffix to be selected or
 ///        forced, which keeps machine simulation equal to the assignment
 ///        used for scoring.
 SuffixSelection selectSuffixStates(const std::vector<ObservedPattern> &Patterns,
+                                   const std::vector<SymbolString> &Forced,
+                                   const SelectOptions &Opts);
+
+/// The same search over \p Channels count channels per pattern: \p Counts
+/// holds Patterns.size() x Channels entries, row-major. A state predicts
+/// each channel's majority separately, so the score sums the per-channel
+/// majorities of every state.
+SuffixSelection selectSuffixStates(const std::vector<SymbolString> &Patterns,
+                                   const std::vector<DirCounts> &Counts,
+                                   unsigned Channels,
                                    const std::vector<SymbolString> &Forced,
                                    const SelectOptions &Opts);
 

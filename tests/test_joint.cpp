@@ -158,6 +158,18 @@ TEST(JointMachine, TransitionsFollowLongestSuffix) {
   EXPECT_EQ(S, 2u);
 }
 
+TEST(JointMachine, ReachableStatesSkipUnreachedSuffixes) {
+  JointLoopMachine M;
+  M.Members = {10, 20};
+  // eps, "0T", "1T0T": after "1T" the machine falls back to eps (no state
+  // "1T"), so the history "1T0T" is never a state's string.
+  M.States = {SymbolString{}, SymbolString{(0u << 1) | 1u},
+              SymbolString{(1u << 1) | 1u, (0u << 1) | 1u}};
+  M.Predictions = {{1, 1}, {1, 1}, {1, 1}};
+  EXPECT_EQ(M.reachableStates(), (std::vector<uint8_t>{1, 1, 0}));
+  EXPECT_EQ(M.reachableStateCount(), 2u);
+}
+
 TEST(JointReplication, TwoStatesInsteadOfFour) {
   Module M = twoAlternating(400);
   ColumnarSink Sink;

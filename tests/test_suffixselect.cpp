@@ -12,6 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <set>
+
 using namespace bpcr;
 
 namespace {
@@ -363,6 +367,307 @@ TEST(SelectSuffix, ExactSearchMatchesBruteForce) {
       ASSERT_FALSE(S.BudgetExhausted);
       EXPECT_EQ(S.Correct, bruteForceBest(Pats, Budget, 3))
           << "seed=" << Seed << " budget=" << Budget;
+    }
+  }
+}
+
+// -- Incremental engine vs. full-rescore reference ---------------------------
+
+namespace {
+
+bool refLess(const SymbolString &A, const SymbolString &B) {
+  return A.size() != B.size() ? A.size() < B.size() : A < B;
+}
+
+/// Per-channel majority score of \p Set: every pattern goes to its longest
+/// suffix in the set (of length 1..MaxLen), or to the default state.
+uint64_t refScore(const std::vector<SymbolString> &Pats,
+                  const std::vector<DirCounts> &Counts, size_t C,
+                  const std::set<SymbolString> &Set, unsigned MaxLen) {
+  std::map<SymbolString, std::vector<DirCounts>> Acc; // {} is the default
+  for (size_t PI = 0; PI < Pats.size(); ++PI) {
+    SymbolString Key;
+    for (size_t L = std::min<size_t>(Pats[PI].size(), MaxLen); L >= 1; --L) {
+      SymbolString S(Pats[PI].end() - static_cast<long>(L), Pats[PI].end());
+      if (Set.count(S)) {
+        Key = S;
+        break;
+      }
+    }
+    std::vector<DirCounts> &A = Acc[Key];
+    A.resize(C);
+    for (size_t Ch = 0; Ch < C; ++Ch) {
+      A[Ch].Taken += Counts[PI * C + Ch].Taken;
+      A[Ch].NotTaken += Counts[PI * C + Ch].NotTaken;
+    }
+  }
+  uint64_t Score = 0;
+  for (const auto &[Key, A] : Acc)
+    for (const DirCounts &D : A)
+      Score += std::max(D.Taken, D.NotTaken);
+  return Score;
+}
+
+/// The pre-incremental engine: the same interning, candidate order,
+/// closure rules, prune test and node accounting as selectSuffixStates,
+/// but every node rescores every pattern from scratch.
+struct ReferenceSearch {
+  const std::vector<SymbolString> &Pats;
+  const std::vector<DirCounts> &Counts;
+  size_t C;
+  SelectOptions Opts;
+  std::set<SymbolString> Interned, In;
+  std::vector<SymbolString> Cands;
+  size_t Selected = 0, NumForced = 0;
+  uint64_t BestScore = 0, Nodes = 0;
+  bool Exhausted = false;
+  std::set<SymbolString> Best;
+
+  ReferenceSearch(const std::vector<SymbolString> &Pats,
+                  const std::vector<DirCounts> &Counts, size_t C,
+                  const std::vector<SymbolString> &Forced,
+                  const SelectOptions &Opts)
+      : Pats(Pats), Counts(Counts), C(C), Opts(Opts) {
+    In.insert(Forced.begin(), Forced.end());
+    NumForced = In.size();
+    for (const SymbolString &P : Pats)
+      for (size_t Start = 0; Start < P.size(); ++Start)
+        for (size_t L = Opts.MinLen; L <= Opts.MaxLen && Start + L <= P.size();
+             ++L)
+          if (Opts.SubstringClosure || Start + L == P.size())
+            Interned.insert(SymbolString(P.begin() + static_cast<long>(Start),
+                                         P.begin() +
+                                             static_cast<long>(Start + L)));
+    for (const SymbolString &S : Interned)
+      if (!In.count(S))
+        Cands.push_back(S);
+    std::sort(Cands.begin(), Cands.end(), refLess);
+  }
+  uint64_t score() const { return refScore(Pats, Counts, C, In, Opts.MaxLen); }
+  bool legal(const SymbolString &S) const {
+    if (S.size() <= Opts.MinLen)
+      return true;
+    return In.count(SymbolString(S.begin() + 1, S.end())) &&
+           (!Opts.SubstringClosure ||
+            In.count(SymbolString(S.begin(), S.end() - 1)));
+  }
+  bool full() const { return Selected + NumForced >= Opts.MaxSelected; }
+  void consider() {
+    uint64_t S = score();
+    // Ties replace an empty best, exactly like the engine.
+    if (S > BestScore || Best.empty()) {
+      BestScore = S;
+      Best = In;
+    }
+  }
+  void dfs(size_t Idx) {
+    if (Exhausted)
+      return;
+    if (++Nodes > Opts.NodeBudget) {
+      Exhausted = true;
+      return;
+    }
+    consider();
+    if (Idx >= Cands.size() || full())
+      return;
+    std::set<SymbolString> Saved = In;
+    In.insert(Cands.begin() + static_cast<long>(Idx), Cands.end());
+    uint64_t Bound = score();
+    In = Saved;
+    if (Bound <= BestScore)
+      return;
+    if (legal(Cands[Idx])) {
+      In.insert(Cands[Idx]);
+      ++Selected;
+      dfs(Idx + 1);
+      In.erase(Cands[Idx]);
+      --Selected;
+      if (Exhausted)
+        return;
+    }
+    dfs(Idx + 1);
+  }
+  void greedy() {
+    consider();
+    std::set<SymbolString> Start = In;
+    while (!full()) {
+      uint64_t Base = score(), BestGain = 0;
+      const SymbolString *Pick = nullptr;
+      for (const SymbolString &Cand : Cands) {
+        if (In.count(Cand) || !legal(Cand))
+          continue;
+        In.insert(Cand);
+        uint64_t S = score();
+        In.erase(Cand);
+        if (S > Base && S - Base > BestGain) {
+          BestGain = S - Base;
+          Pick = &Cand;
+        }
+      }
+      if (!Pick)
+        break;
+      In.insert(*Pick);
+      ++Selected;
+      consider();
+    }
+    In = Start;
+    Selected = 0;
+  }
+};
+
+/// A random table: \p Alphabet symbols, patterns of length 0..5, \p C
+/// channels.
+void randomTable(Rng &G, uint32_t Alphabet, size_t C, size_t NumPats,
+                 std::vector<SymbolString> &Pats,
+                 std::vector<DirCounts> &Counts) {
+  Pats.clear();
+  Counts.clear();
+  for (size_t I = 0; I < NumPats; ++I) {
+    SymbolString S(G.below(6));
+    for (uint32_t &Sym : S)
+      Sym = static_cast<uint32_t>(G.below(Alphabet));
+    Pats.push_back(S);
+    for (size_t Ch = 0; Ch < C; ++Ch) {
+      DirCounts D;
+      D.Taken = G.below(40);
+      D.NotTaken = G.below(40);
+      Counts.push_back(D);
+    }
+  }
+}
+
+} // namespace
+
+TEST(SelectSuffix, IncrementalEngineMatchesFullRescore) {
+  // The incremental engine must walk the reference's exact traversal: same
+  // states, score, node count and budget outcome, budget-exhausted runs
+  // included.
+  Rng G(41);
+  unsigned Exhausted = 0, Runs = 0;
+  for (int Round = 0; Round < 240; ++Round) {
+    const size_t C = 1 + static_cast<size_t>(G.below(4));
+    const uint32_t Alphabet = 2 + static_cast<uint32_t>(G.below(3));
+    std::vector<SymbolString> Pats;
+    std::vector<DirCounts> Counts;
+    randomTable(G, Alphabet, C, 4 + G.below(20), Pats, Counts);
+
+    SelectOptions Opts;
+    Opts.MinLen = 1 + static_cast<unsigned>(G.below(2));
+    Opts.MaxLen = Opts.MinLen + static_cast<unsigned>(G.below(4));
+    Opts.MaxSelected = 2 + static_cast<unsigned>(G.below(7));
+    Opts.SubstringClosure = G.chance(1, 2);
+    Opts.Exhaustive = !G.chance(1, 8);
+    Opts.NodeBudget = G.chance(1, 3) ? 1 + G.below(40) : 20'000;
+    // Forced states no longer than MinLen: none, the empty string, or a
+    // random set of one-symbol strings.
+    std::vector<SymbolString> Forced;
+    switch (G.below(3)) {
+    case 0:
+      break;
+    case 1:
+      Forced.push_back({});
+      break;
+    default:
+      for (uint32_t Sym = 0; Sym < Alphabet; ++Sym)
+        if (G.chance(1, 2))
+          Forced.push_back({Sym});
+      break;
+    }
+
+    ReferenceSearch Ref(Pats, Counts, C, Forced, Opts);
+    Ref.greedy();
+    if (Opts.Exhaustive)
+      Ref.dfs(0);
+    SuffixSelection S = selectSuffixStates(
+        Pats, Counts, static_cast<unsigned>(C), Forced, Opts);
+
+    std::vector<SymbolString> RefStates(Ref.Best.begin(), Ref.Best.end());
+    std::sort(RefStates.begin(), RefStates.end(), refLess);
+    ASSERT_EQ(S.States, RefStates) << "round " << Round;
+    ASSERT_EQ(S.Correct, Ref.BestScore) << "round " << Round;
+    ASSERT_EQ(S.Nodes, Ref.Nodes) << "round " << Round;
+    ASSERT_EQ(S.BudgetExhausted, Ref.Exhausted) << "round " << Round;
+    uint64_t Total = 0;
+    for (const DirCounts &D : Counts)
+      Total += D.total();
+    EXPECT_EQ(S.Total, Total);
+
+    if (C == 1) {
+      // The single-channel overload is the same search.
+      std::vector<ObservedPattern> Obs;
+      for (size_t PI = 0; PI < Pats.size(); ++PI)
+        Obs.push_back({Pats[PI], Counts[PI]});
+      SuffixSelection One = selectSuffixStates(Obs, Forced, Opts);
+      EXPECT_EQ(One.States, S.States);
+      EXPECT_EQ(One.Correct, S.Correct);
+      EXPECT_EQ(One.Nodes, S.Nodes);
+    }
+    Exhausted += S.BudgetExhausted;
+    ++Runs;
+  }
+  // The sample covers both outcomes of the node budget.
+  EXPECT_GT(Exhausted, 10u);
+  EXPECT_LT(Exhausted, Runs - 10);
+}
+
+TEST(SelectSuffix, ExactMultiChannelSearchMatchesBruteForce) {
+  // Joint-machine settings (forced empty string, substring closure, one
+  // channel per member): the branch-and-bound optimum must equal the best
+  // closed set found by enumerating every state subset within the budget.
+  for (uint64_t Seed : {201u, 202u, 203u, 204u, 205u, 206u}) {
+    Rng G(Seed);
+    const size_t C = 2 + static_cast<size_t>(G.below(2));
+    const uint32_t Alphabet = static_cast<uint32_t>(2 * C);
+    std::vector<SymbolString> Pats;
+    std::vector<DirCounts> Counts;
+    randomTable(G, Alphabet, C, 8, Pats, Counts);
+
+    SelectOptions Opts;
+    Opts.MinLen = 1;
+    Opts.MaxLen = 2;
+    Opts.SubstringClosure = true;
+    Opts.NodeBudget = 10'000'000;
+
+    std::set<SymbolString> Subs;
+    for (const SymbolString &P : Pats)
+      for (size_t Start = 0; Start < P.size(); ++Start)
+        for (size_t L = 1; L <= Opts.MaxLen && Start + L <= P.size(); ++L)
+          Subs.insert(SymbolString(P.begin() + static_cast<long>(Start),
+                                   P.begin() + static_cast<long>(Start + L)));
+    std::vector<SymbolString> Cands(Subs.begin(), Subs.end());
+
+    for (unsigned Budget : {2u, 3u, 4u, 5u}) {
+      Opts.MaxSelected = Budget;
+      SuffixSelection S = selectSuffixStates(
+          Pats, Counts, static_cast<unsigned>(C), {SymbolString()}, Opts);
+      ASSERT_FALSE(S.BudgetExhausted);
+
+      // Every subset of at most Budget - 1 candidates (plus the empty
+      // string) that is closed under dropping either end symbol.
+      uint64_t Best = 0;
+      std::set<SymbolString> Set = {SymbolString()};
+      std::function<void(size_t)> Enumerate = [&](size_t From) {
+        bool Closed = true;
+        for (const SymbolString &St : Set)
+          if (St.size() > 1)
+            Closed &= Set.count(SymbolString(St.begin() + 1, St.end())) &&
+                      Set.count(SymbolString(St.begin(), St.end() - 1));
+        if (Closed)
+          Best = std::max(Best, refScore(Pats, Counts, C, Set, Opts.MaxLen));
+        if (Set.size() >= Budget)
+          return;
+        for (size_t I = From; I < Cands.size(); ++I) {
+          Set.insert(Cands[I]);
+          Enumerate(I + 1);
+          Set.erase(Cands[I]);
+        }
+      };
+      Enumerate(0);
+      EXPECT_EQ(S.Correct, Best) << "seed=" << Seed << " budget=" << Budget;
+      EXPECT_EQ(S.Correct, refScore(Pats, Counts, C,
+                                    std::set<SymbolString>(S.States.begin(),
+                                                           S.States.end()),
+                                    Opts.MaxLen));
     }
   }
 }
