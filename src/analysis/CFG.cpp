@@ -10,6 +10,22 @@
 
 using namespace bpcr;
 
+bool bpcr::isCfgBuildable(const Function &F) {
+  if (F.Blocks.empty())
+    return false;
+  for (const BasicBlock &BB : F.Blocks) {
+    if (!BB.isComplete())
+      return false;
+    const Instruction &T = BB.terminator();
+    if (T.Op == Opcode::Br &&
+        (T.TrueTarget >= F.Blocks.size() || T.FalseTarget >= F.Blocks.size()))
+      return false;
+    if (T.Op == Opcode::Jmp && T.TrueTarget >= F.Blocks.size())
+      return false;
+  }
+  return true;
+}
+
 CFG::CFG(const Function &F) {
   uint32_t N = static_cast<uint32_t>(F.Blocks.size());
   Succs.resize(N);

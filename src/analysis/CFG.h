@@ -22,7 +22,14 @@
 
 namespace bpcr {
 
+/// True when every block of \p F is complete (ends in a terminator) with
+/// in-range targets: the precondition for building a CFG. Analyses over
+/// untrusted modules skip functions failing this; the verifier reports
+/// them.
+bool isCfgBuildable(const Function &F);
+
 /// Immutable CFG view over a function. Invalidated by any block mutation.
+/// \p F must satisfy isCfgBuildable.
 class CFG {
 public:
   explicit CFG(const Function &F);

@@ -65,8 +65,8 @@ SuffixMachine bpcr::buildIntraLoopMachine(const PatternTable &Table,
   bool Exhausted = Best.BudgetExhausted;
 
   // Base {"00","01","10","11"} (paper figure 3): four catch-all states that
-  // remember the last two outcomes.
-  if (Opts.TryTwoBitBase && Opts.MaxStates >= 4 && Opts.MaxPatternLen >= 2) {
+  // remember the last two outcomes, tried whenever the budget allows it.
+  if (Opts.MaxStates >= 4 && Opts.MaxPatternLen >= 2) {
     SelectOptions Sel2 = Sel;
     Sel2.MinLen = 2;
     Sel2.MaxLen = std::min<unsigned>(Opts.MaxPatternLen,

@@ -27,9 +27,6 @@ struct MachineOptions {
   /// (an N-state suffix-closed machine cannot use strings longer than its
   /// chain capacity).
   unsigned MaxPatternLen = 9;
-  /// Also try the four-2-bit-catch-alls base (paper figure 3) when the
-  /// budget allows it.
-  bool TryTwoBitBase = true;
   /// Exact branch-and-bound; false for greedy only.
   bool Exhaustive = true;
   /// Node cap for the exact search; on exhaustion the best solution found

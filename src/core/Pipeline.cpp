@@ -25,6 +25,12 @@ using namespace bpcr;
 
 namespace {
 
+/// Minimum training-trace gain (extra correct predictions) a machine must
+/// deliver before its branch is replicated. A joint plan must exceed it, a
+/// per-branch machine must reach it; reconciling the two tests belongs
+/// with the paper's sec. 5 cost function.
+constexpr uint64_t MinGain = 1;
+
 /// Mirrors the timeline's windowed misprediction rate onto Chrome Trace
 /// counter tracks so the rate curve renders on the span timeline. Uses the
 /// wall-clock samples the sink stamped during the measurement run; windows
@@ -89,7 +95,6 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
   auto CheckSoundness = [&R, &M, ObsOn](
                             const char *Stage,
                             const std::vector<int32_t> *CopyToOrig = nullptr) {
-    ScopedTimer TSound("pipeline.phase.soundness");
     Span SSound("pipeline.phase.soundness");
     std::vector<sa::Diagnostic> Diags =
         sa::checkReplicationSoundness(M, R.Transformed, CopyToOrig);
@@ -107,24 +112,19 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
 
   // Profile and select strategies on the original module. Loop-aware
   // profiles keep the machine scores faithful to the replicated program
-  // (the machine state resets on loop re-entry). Each phase carries both a
-  // ScopedTimer (aggregate histogram) and a Span (timeline) under the same
-  // name so the trace view and the report line up.
+  // (the machine state resets on loop re-entry).
   Profiler::global().sampleRss("pipeline.start");
 
-  ScopedTimer TLoops("pipeline.phase.loop_analysis");
   Span SLoops("pipeline.phase.loop_analysis");
   ProgramAnalysis PA(M);
   SLoops.arg("branches", static_cast<uint64_t>(PA.numBranches()));
   SLoops.end();
-  TLoops.stop();
   Profiler::global().sampleRss("loop_analysis");
 
   // Branch-direction proofs: interval propagation over the original module
   // proves some branches unidirectional before any profiling happens. The
   // proofs prune the pattern-table fill and the machine search below and
   // fold the static prediction after annotation.
-  ScopedTimer TProof("pipeline.phase.proof_analysis");
   Span SProof("pipeline.phase.proof_analysis");
   sa::BranchProofs Proofs;
   if (Opts.UseProofPruning)
@@ -133,24 +133,20 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
       Opts.UseProofPruning ? &Proofs : nullptr;
   SProof.arg("proven", static_cast<uint64_t>(Proofs.provenCount()));
   SProof.end();
-  TProof.stop();
   if (ObsOn)
     Registry::global()
         .gauge("sa.proofs.pruned_branches")
         .set(static_cast<double>(Proofs.provenCount()));
   Profiler::global().sampleRss("proof_analysis");
 
-  ScopedTimer TProfile("pipeline.phase.profiling");
   Span SProfile("pipeline.phase.profiling");
   ProfileSet Profiles = buildLoopAwareProfiles(PA, T, /*MaxBits=*/9,
                                                ProofsPtr);
   TraceStats Stats(PA.numBranches());
   Stats.addTrace(T);
   SProfile.end();
-  TProfile.stop();
   Profiler::global().sampleRss("profiling");
 
-  ScopedTimer TSearch("pipeline.phase.machine_search");
   Span SSearch("pipeline.phase.machine_search");
   SelectionTrace SelTrace;
   StrategyOptions StratOpts = Opts.Strategy;
@@ -159,7 +155,6 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
                                   ObsOn ? &SelTrace : nullptr);
   SSearch.arg("strategies", static_cast<uint64_t>(R.Strategies.size()));
   SSearch.end();
-  TSearch.stop();
   Profiler::global().sampleRss("machine_search");
 
   // Estimated instructions a strategy's replication adds: the paper's cost
@@ -200,95 +195,89 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
 
   std::vector<JointPlan> JointPlans;
   std::vector<bool> HandledJointly(R.Strategies.size(), false);
-  ScopedTimer TJoint("pipeline.phase.joint_planning");
   Span SJoint("pipeline.phase.joint_planning");
-  if (Opts.UseJointMachines) {
-    std::map<std::pair<uint32_t, int32_t>, std::vector<size_t>> Groups;
-    for (size_t I = 0; I < R.Strategies.size(); ++I) {
-      const BranchStrategy &S = R.Strategies[I];
-      if (S.Kind != StrategyKind::IntraLoop &&
-          S.Kind != StrategyKind::LoopExit)
-        continue;
-      const BranchClass &C = PA.classOf(S.BranchId);
-      Groups[{PA.ref(S.BranchId).FuncIdx, C.LoopIdx}].push_back(I);
+  std::map<std::pair<uint32_t, int32_t>, std::vector<size_t>> Groups;
+  for (size_t I = 0; I < R.Strategies.size(); ++I) {
+    const BranchStrategy &S = R.Strategies[I];
+    if (S.Kind != StrategyKind::IntraLoop && S.Kind != StrategyKind::LoopExit)
+      continue;
+    const BranchClass &C = PA.classOf(S.BranchId);
+    Groups[{PA.ref(S.BranchId).FuncIdx, C.LoopIdx}].push_back(I);
+  }
+  for (const auto &[Key, Indices] : Groups) {
+    if (Indices.size() < 2)
+      continue;
+    JointPlan Plan;
+    uint64_t ProfCorrect = 0;
+    for (size_t I : Indices) {
+      Plan.Members.push_back(R.Strategies[I].BranchId);
+      const BranchProfile &P = Profiles.branch(R.Strategies[I].BranchId);
+      ProfCorrect += P.executions() - P.profileMispredictions();
     }
-    for (const auto &[Key, Indices] : Groups) {
-      if (Indices.size() < 2)
-        continue;
-      JointPlan Plan;
-      uint64_t ProfCorrect = 0;
-      for (size_t I : Indices) {
-        Plan.Members.push_back(R.Strategies[I].BranchId);
-        const BranchProfile &P = Profiles.branch(R.Strategies[I].BranchId);
-        ProfCorrect += P.executions() - P.profileMispredictions();
+    JointOptions JO;
+    JO.MaxStates = Opts.JointMaxStates;
+    JO.MaxLen = 4;
+    JO.Exhaustive = Opts.Strategy.Exhaustive;
+    JO.NodeBudget = Opts.Strategy.NodeBudget;
+    JointProfile JP = profileJointLoop(PA, Plan.Members, T, JO.MaxLen);
+    if (JP.Executions == 0)
+      continue;
+
+    // The loop every member shares (for budget-aware machine sizing and
+    // the cost below).
+    const Loop &GroupLoop =
+        PA.loopInfoFor(Plan.Members[0])
+            .loops()[static_cast<size_t>(Key.second)];
+    const uint64_t LoopSize =
+        loopInstructionCount(M.Functions[Key.first], GroupLoop);
+
+    // Shrink the machine until its copies fit the size budget.
+    bool Fits = false;
+    for (unsigned States = Opts.JointMaxStates; States >= 3; --States) {
+      JO.MaxStates = States;
+      Plan.Machine = buildJointLoopMachine(Plan.Members, JP, JO);
+      if (R.OrigInstructions +
+              loopCopyCost(LoopSize, Plan.Machine.numStates()) <=
+          SizeCap) {
+        Fits = true;
+        break;
       }
-      JointOptions JO;
-      JO.MaxStates = Opts.JointMaxStates;
-      JO.MaxLen = 4;
-      JO.Exhaustive = Opts.Strategy.Exhaustive;
-      JO.NodeBudget = Opts.Strategy.NodeBudget;
-      JointProfile JP = profileJointLoop(PA, Plan.Members, T, JO.MaxLen);
-      if (JP.Executions == 0)
-        continue;
-
-      // The loop every member shares (for budget-aware machine sizing and
-      // the cost below).
-      const Loop &GroupLoop =
-          PA.loopInfoFor(Plan.Members[0])
-              .loops()[static_cast<size_t>(Key.second)];
-      const uint64_t LoopSize =
-          loopInstructionCount(M.Functions[Key.first], GroupLoop);
-
-      // Shrink the machine until its copies fit the size budget.
-      bool Fits = false;
-      for (unsigned States = Opts.JointMaxStates; States >= 3; --States) {
-        JO.MaxStates = States;
-        Plan.Machine = buildJointLoopMachine(Plan.Members, JP, JO);
-        if (R.OrigInstructions +
-                loopCopyCost(LoopSize, Plan.Machine.numStates()) <=
-            SizeCap) {
-          Fits = true;
-          break;
-        }
-      }
-      if (!Fits || Plan.Machine.Correct <= ProfCorrect + Opts.MinGain)
-        continue;
-      Plan.Gain = Plan.Machine.Correct - ProfCorrect;
-
-      // Compete with the per-branch alternative on gain per instruction:
-      // separate machines pay the PRODUCT of their sizes in loop copies
-      // (paper sec. 6), the joint machine pays only its own state count.
-      uint64_t PerBranchGain = 0;
-      uint64_t PerBranchStatesProduct = 1;
-      for (size_t I : Indices) {
-        PerBranchGain += Gain(I);
-        PerBranchStatesProduct *= std::max(1u, R.Strategies[I].States);
-      }
-
-      // Cost: one loop copy per additional *reachable* state.
-      Plan.Cost = std::max<uint64_t>(
-          loopCopyCost(LoopSize, Plan.Machine.reachableStateCount()), 1);
-      uint64_t PerBranchCost = std::max<uint64_t>(
-          loopCopyCost(LoopSize, PerBranchStatesProduct), 1);
-      double JointRatio = static_cast<double>(Plan.Gain) /
-                          static_cast<double>(Plan.Cost);
-      double SeparateRatio = static_cast<double>(PerBranchGain) /
-                             static_cast<double>(PerBranchCost);
-      if (JointRatio < SeparateRatio)
-        continue; // separate machines are the better deal here
-
-      Plan.StrategyIndices.assign(Indices.begin(), Indices.end());
-      for (size_t I : Indices)
-        HandledJointly[I] = true;
-      JointPlans.push_back(std::move(Plan));
     }
+    if (!Fits || Plan.Machine.Correct <= ProfCorrect + MinGain)
+      continue;
+    Plan.Gain = Plan.Machine.Correct - ProfCorrect;
+
+    // Compete with the per-branch alternative on gain per instruction:
+    // separate machines pay the PRODUCT of their sizes in loop copies
+    // (paper sec. 6), the joint machine pays only its own state count.
+    uint64_t PerBranchGain = 0;
+    uint64_t PerBranchStatesProduct = 1;
+    for (size_t I : Indices) {
+      PerBranchGain += Gain(I);
+      PerBranchStatesProduct *= std::max(1u, R.Strategies[I].States);
+    }
+
+    // Cost: one loop copy per additional *reachable* state.
+    Plan.Cost = std::max<uint64_t>(
+        loopCopyCost(LoopSize, Plan.Machine.reachableStateCount()), 1);
+    uint64_t PerBranchCost = std::max<uint64_t>(
+        loopCopyCost(LoopSize, PerBranchStatesProduct), 1);
+    double JointRatio = static_cast<double>(Plan.Gain) /
+                        static_cast<double>(Plan.Cost);
+    double SeparateRatio = static_cast<double>(PerBranchGain) /
+                           static_cast<double>(PerBranchCost);
+    if (JointRatio < SeparateRatio)
+      continue; // separate machines are the better deal here
+
+    Plan.StrategyIndices.assign(Indices.begin(), Indices.end());
+    for (size_t I : Indices)
+      HandledJointly[I] = true;
+    JointPlans.push_back(std::move(Plan));
   }
   SJoint.arg("plans", static_cast<uint64_t>(JointPlans.size()));
   SJoint.end();
-  TJoint.stop();
   Profiler::global().sampleRss("joint_planning");
 
-  ScopedTimer TRepl("pipeline.phase.replication");
   Span SRepl("pipeline.phase.replication");
 
   // Records one decision about the strategy at index \p I.
@@ -404,10 +393,10 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
     SApply.arg("branch", static_cast<int64_t>(S.BranchId));
     SApply.arg("strategy", strategyKindName(S.Kind));
     SApply.arg("gain", Gain(I));
-    if (Gain(I) < Opts.MinGain) {
+    if (Gain(I) < MinGain) {
       LogStrategy(I, DecisionAction::SkippedGain, Gain(I), Costs[I],
                   "gain " + std::to_string(Gain(I)) + " below minimum " +
-                      std::to_string(Opts.MinGain));
+                      std::to_string(MinGain));
       continue;
     }
 
@@ -500,10 +489,8 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
   SRepl.arg("joint", static_cast<uint64_t>(R.JointReplications));
   SRepl.arg("correlated", static_cast<uint64_t>(R.CorrelatedReplications));
   SRepl.end();
-  TRepl.stop();
   Profiler::global().sampleRss("replication");
 
-  ScopedTimer TAnnotate("pipeline.phase.annotation");
   Span SAnnotate("pipeline.phase.annotation");
   annotateProfilePredictions(R.Transformed, Stats);
   R.Transformed.assignBranchIds();
@@ -544,7 +531,6 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
     }
   }
   SAnnotate.end();
-  TAnnotate.stop();
   Profiler::global().sampleRss("annotation");
 
   // Final soundness pass over the annotated module, this time also
@@ -571,7 +557,6 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
   // the decision log, measured per-replica correctness) and the timeline
   // ride along on that run.
   R.Baseline = Stats.profilePredictions();
-  ScopedTimer TAttr("pipeline.phase.attribution");
   Span SAttr("pipeline.phase.attribution");
   if (ObsOn) {
     R.Attribution.resize(PA.numBranches());
@@ -639,7 +624,6 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
               static_cast<uint64_t>(R.Timeline.Windows.size()));
   }
   SAttr.end();
-  TAttr.stop();
 
   R.NewInstructions = R.Transformed.instructionCount();
   PipeSpan.arg("new_instructions", R.NewInstructions);

@@ -31,17 +31,13 @@ namespace bpcr {
 /// Pipeline parameters.
 struct PipelineOptions {
   StrategyOptions Strategy;
-  /// Minimum training-trace gain (extra correct predictions) a machine must
-  /// deliver before its branch is replicated.
-  uint64_t MinGain = 1;
   /// Replication stops when the transformed module would exceed this factor
   /// of the original instruction count.
   double MaxSizeFactor = 4.0;
-  /// When several branches of one loop earn machines, build a single joint
-  /// machine for the whole loop instead of multiplying per-branch copies
-  /// (the paper's "Further Work" sec. 6; see bench/ablation_joint).
-  bool UseJointMachines = true;
-  /// State budget for joint machines.
+  /// State budget for joint machines. When several branches of one loop
+  /// earn machines, a single joint machine for the whole loop competes with
+  /// the product of their per-branch copies (the paper's "Further Work"
+  /// sec. 6; see bench/ablation_joint).
   unsigned JointMaxStates = 8;
   /// Event-window width for the timeline series recorded during the
   /// measurement run (power of two; 0 keeps the

@@ -428,7 +428,6 @@ SearchCache::intraLoopLadder(const PatternTable &Table,
   F.word(0xA11); // family tag
   F.word(Opts.MaxStates);
   F.word(Opts.MaxPatternLen);
-  F.word(Opts.TryTwoBitBase);
   F.word(Opts.Exhaustive);
   F.word(Opts.NodeBudget);
   F.word(MinBudget);

@@ -63,9 +63,6 @@ std::vector<SweepPoint> bpcr::computeSizeSweep(const ProgramAnalysis &PA,
       continue;
     if (Opts.Proofs && Opts.Proofs->proven(static_cast<int32_t>(Id)))
       continue;
-    const BranchClass &C = PA.classOf(static_cast<int32_t>(Id));
-    if (C.Kind != BranchKind::NonLoop && !Opts.CorrelatedForLoopBranches)
-      continue;
     Candidates[Id] = PA.backwardPaths(static_cast<int32_t>(Id), PathLen,
                                       /*ThroughJumps=*/true);
   }
@@ -116,7 +113,6 @@ std::vector<SweepPoint> bpcr::computeSizeSweep(const ProgramAnalysis &PA,
     if (C.Kind == BranchKind::IntraLoop) {
       MachineOptions MO;
       MO.MaxStates = Opts.MaxStates;
-      MO.Exhaustive = Opts.Exhaustive;
       MO.NodeBudget = Opts.NodeBudget;
       IL = Cache.intraLoopLadder(P.Table, MO, /*MinBudget=*/2);
       BestLoopCorrect = IL->at(Opts.MaxStates).Correct;
@@ -128,7 +124,6 @@ std::vector<SweepPoint> bpcr::computeSizeSweep(const ProgramAnalysis &PA,
       CorrelatedOptions CO;
       CO.MaxStates = Opts.MaxStates;
       CO.MaxPathLen = PathLen;
-      CO.Exhaustive = Opts.Exhaustive;
       CO.NodeBudget = Opts.NodeBudget;
       CL = Cache.correlatedLadder(L.BranchId, Paths[Id], CO, /*MinBudget=*/2);
       BestCorrCorrect = CL->at(Opts.MaxStates).Correct;
@@ -210,7 +205,8 @@ std::vector<SweepPoint> bpcr::computeSizeSweep(const ProgramAnalysis &PA,
   std::vector<SweepPoint> Points;
   Points.push_back({CurrentSize(), CurrentMispredict(), -1, 1});
 
-  for (unsigned Step = 0; Step < Opts.MaxSteps; ++Step) {
+  constexpr unsigned MaxSteps = 500;
+  for (unsigned Step = 0; Step < MaxSteps; ++Step) {
     Span StepSpan("sweep.point", "sweep");
     StepSpan.arg("step", static_cast<uint64_t>(Step));
     double BestRatio = 0.0;

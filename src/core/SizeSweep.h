@@ -45,14 +45,12 @@ struct SweepPoint {
 struct SweepOptions {
   /// Deepest per-branch machine considered.
   unsigned MaxStates = 8;
-  /// Stop when the estimated size factor exceeds this.
+  /// Stop when the estimated size factor exceeds this (or after 500
+  /// growth steps).
   double MaxSizeFactor = 32.0;
-  unsigned MaxSteps = 500;
-  bool Exhaustive = true;
   uint64_t NodeBudget = 100'000;
   /// Branches executed fewer times are never grown.
   uint64_t MinExecutions = 64;
-  bool CorrelatedForLoopBranches = true;
   /// Worker threads for the per-branch ladder construction: 0 = one per
   /// hardware core, 1 = serial (no pool). The sweep result is identical
   /// for every value.

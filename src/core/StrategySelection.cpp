@@ -39,9 +39,7 @@ bpcr::selectStrategies(const ProgramAnalysis &PA, const ProfileSet &Profiles,
     TraceOut->PerBranch.clear();
     TraceOut->PerBranch.resize(PA.numBranches());
   }
-  unsigned PathLen = Opts.MaxPathLen
-                         ? Opts.MaxPathLen
-                         : std::min<unsigned>(Opts.MaxStates, 4);
+  const unsigned PathLen = std::min<unsigned>(Opts.MaxStates, 4);
 
   // Collect correlated-path candidates for every eligible branch, then
   // profile them in a single trace pass.
@@ -56,7 +54,7 @@ bpcr::selectStrategies(const ProgramAnalysis &PA, const ProfileSet &Profiles,
     if (C.Kind != BranchKind::NonLoop && !Opts.CorrelatedForLoopBranches)
       continue;
     Candidates[Id] = PA.backwardPaths(static_cast<int32_t>(Id), PathLen,
-                                      !Opts.DirectPathsOnly);
+                                      /*ThroughJumps=*/true);
   }
   std::vector<PathProfile> PathProfiles = profilePaths(Candidates, CT, PathLen);
 
@@ -127,7 +125,6 @@ bpcr::selectStrategies(const ProgramAnalysis &PA, const ProfileSet &Profiles,
 
     const BranchClass &C = PA.classOf(static_cast<int32_t>(Id));
     bool LoopMachinesOk =
-        Opts.LoopMachinesInRecursiveFunctions ||
         !PA.isRecursive(PA.ref(static_cast<int32_t>(Id)).FuncIdx);
 
     if (!LoopMachinesOk) {

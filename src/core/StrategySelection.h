@@ -61,21 +61,16 @@ struct BranchStrategy {
 
 /// Selection parameters.
 struct StrategyOptions {
-  /// State budget per branch.
+  /// State budget per branch. Correlated paths are at most
+  /// min(MaxStates, 4) long, like the paper ("a maximum path length of n
+  /// for an n state machine"), and run through jumps as well as direct
+  /// branch edges (the replication transform clones the jump chains).
+  /// Branches in recursive functions get no loop machine: the replicated
+  /// per-activation state cannot be modelled by trace profiling, so the
+  /// trained scores would be unreliable.
   unsigned MaxStates = 4;
-  /// Maximum correlated path length; 0 derives min(MaxStates, 4) like the
-  /// paper ("a maximum path length of n for an n state machine").
-  unsigned MaxPathLen = 0;
-  /// Restrict correlated paths to direct branch edges. The replication
-  /// transform also materializes jump-mediated paths (it clones the jump
-  /// chains), so the default admits them.
-  bool DirectPathsOnly = false;
   /// Also consider correlated machines for loop branches.
   bool CorrelatedForLoopBranches = true;
-  /// Allow loop machines for branches in recursive functions. Off by
-  /// default: the replicated per-activation state cannot be modelled by
-  /// trace profiling, so the trained scores would be unreliable.
-  bool LoopMachinesInRecursiveFunctions = false;
   bool Exhaustive = true;
   uint64_t NodeBudget = 200'000;
   /// Branches executed fewer times keep the plain profile strategy; very

@@ -9,7 +9,6 @@
 #include "obs/Metrics.h"
 #include "obs/TraceSpans.h"
 
-#include <chrono>
 #include <cstdio>
 #include <limits>
 
@@ -87,16 +86,13 @@ ExecResult executeImpl(const Module &M, Emitter &Emit,
                        const ExecOptions &Opts) {
   ExecResult R;
 
-  // Observability is sampled at run granularity only: one enabled() check
-  // and two clock reads per execution, nothing per instruction or event,
-  // so the disabled path costs one predictable branch. The span follows
-  // the same rule (one guard in its constructor).
+  // Observability is sampled at run granularity only: one span (two clock
+  // reads) per execution, nothing per instruction or event, so the
+  // disabled path costs the span's two predictable branches. The span
+  // feeds the `interp.execute` timer.
   Span ExecSpan("interp.execute", "interp");
   Registry &Obs = Registry::global();
   const bool ObsOn = Obs.enabled();
-  std::chrono::steady_clock::time_point ObsStart;
-  if (ObsOn)
-    ObsStart = std::chrono::steady_clock::now();
 
   if (M.EntryFunction >= M.Functions.size()) {
     R.Error = "entry function index out of range";
@@ -362,13 +358,9 @@ ExecResult executeImpl(const Module &M, Emitter &Emit,
   ExecSpan.arg("branch_events", R.BranchEvents);
   if (Errored)
     ExecSpan.arg("error", R.Error);
+  const double Ns = static_cast<double>(ExecSpan.end());
 
   if (ObsOn) {
-    double Ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - ObsStart)
-            .count());
-    Obs.timer("interp.run_ns").record(Ns);
     Obs.counter("interp.runs").inc();
     Obs.counter("interp.instructions").add(R.InstructionsExecuted);
     Obs.counter("interp.branch_events").add(R.BranchEvents);

@@ -182,9 +182,11 @@ CompareResult bpcr::compareReports(const JsonValue &OldDoc,
       R.Errors.push_back(std::string(Label) +
                          " report has no schema_version (not a bpcr run "
                          "report?)");
-    else if (V->asInt() < 1 || V->asInt() > ReportSchemaVersion)
+    else if (V->asInt() < MinReportSchemaVersion ||
+             V->asInt() > ReportSchemaVersion)
       R.Errors.push_back(std::string(Label) + " report has schema_version " +
                          std::to_string(V->asInt()) + ", this tool speaks " +
+                         std::to_string(MinReportSchemaVersion) + ".." +
                          std::to_string(ReportSchemaVersion));
     else
       Schemas[K] = V->asInt();

@@ -98,10 +98,10 @@ bool bpcr::makeLedgerRecord(const JsonValue &Report, const LedgerMeta &Meta,
     return false;
   }
   int Schema = static_cast<int>(V->asInt());
-  if (Schema < MinLedgerSchemaVersion || Schema > ReportSchemaVersion) {
+  if (Schema < MinReportSchemaVersion || Schema > ReportSchemaVersion) {
     Error = "report schema_version " + std::to_string(Schema) +
             " is outside the supported ledger range [" +
-            std::to_string(MinLedgerSchemaVersion) + ", " +
+            std::to_string(MinReportSchemaVersion) + ", " +
             std::to_string(ReportSchemaVersion) + "]";
     return false;
   }
@@ -239,7 +239,7 @@ bool bpcr::readLedger(const std::string &Path, std::vector<LedgerRecord> &Out,
       continue;
     }
     const JsonValue *SV = Doc.find("schema_version");
-    if (!SV || !SV->isNumber() || SV->asInt() < MinLedgerSchemaVersion ||
+    if (!SV || !SV->isNumber() || SV->asInt() < MinReportSchemaVersion ||
         SV->asInt() > ReportSchemaVersion) {
       Skip("unsupported report schema_version");
       continue;

@@ -41,11 +41,6 @@ namespace bpcr {
 /// every version up to the current one and migrates old layouts forward.
 constexpr int LedgerRecordVersion = 1;
 
-/// Oldest report schema a record may carry. v1 reports predate the
-/// "branches" section and v2 reports the ladder search, whose
-/// counters.search.* the trend gates compare.
-constexpr int MinLedgerSchemaVersion = 3;
-
 /// Run metadata stamped on every record. GitSha/Host/TimestampNs are the
 /// volatile fields the determinism contract excludes.
 struct LedgerMeta {
@@ -64,7 +59,7 @@ struct LedgerMeta {
 /// set and the wall-clock ("perf") set, plus run metadata.
 struct LedgerRecord {
   int LedgerVersion = LedgerRecordVersion;
-  /// schema_version of the source report (MinLedgerSchemaVersion..current).
+  /// schema_version of the source report (MinReportSchemaVersion..current).
   int SchemaVersion = 0;
   LedgerMeta Meta;
   /// Deterministic flattened metrics, in flattenReportMetrics order.

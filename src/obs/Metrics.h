@@ -34,7 +34,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -196,7 +195,8 @@ public:
     return Histograms[Name];
   }
   /// Phase timers are histograms of nanoseconds, kept separate so reports
-  /// can render them as a wall-time breakdown.
+  /// can render them as a wall-time breakdown. Every Span
+  /// (obs/TraceSpans.h) feeds the timer named after it.
   Histogram &timer(const std::string &Name) {
     std::lock_guard<std::mutex> Lock(Mu);
     return Timers[Name];
@@ -216,67 +216,22 @@ public:
   }
 
   /// Drops every metric; the enabled flag is left alone. Invalidates every
-  /// reference previously handed out by the accessors — the generation
-  /// counter below lets long-lived caches notice.
+  /// reference previously handed out by the accessors.
   void clear() {
     std::lock_guard<std::mutex> Lock(Mu);
     Counters.clear();
     Gauges.clear();
     Histograms.clear();
     Timers.clear();
-    Generation.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Bumped by clear(). Hot sites that cache a metric reference (the span
-  /// tracer's drop counter) revalidate against this instead of re-locking
-  /// the registry on every update.
-  uint64_t generation() const {
-    return Generation.load(std::memory_order_relaxed);
   }
 
 private:
   std::atomic<bool> Enabled{false};
-  std::atomic<uint64_t> Generation{0};
   mutable std::mutex Mu;
   std::map<std::string, Counter> Counters;
   std::map<std::string, Gauge> Gauges;
   std::map<std::string, Histogram> Histograms;
   std::map<std::string, Histogram> Timers;
-};
-
-/// RAII phase timer: records elapsed nanoseconds into \p R's timer \p Name
-/// on destruction (or at an explicit stop()). When the registry is disabled
-/// at construction the clock is never read — the disabled path is one
-/// branch and two pointer stores.
-class ScopedTimer {
-public:
-  explicit ScopedTimer(const char *Name,
-                       Registry &R = Registry::global())
-      : Reg(R.enabled() ? &R : nullptr), Name(Name) {
-    if (Reg)
-      Start = std::chrono::steady_clock::now();
-  }
-
-  ScopedTimer(const ScopedTimer &) = delete;
-  ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-  ~ScopedTimer() { stop(); }
-
-  /// Ends the phase early; subsequent stops are no-ops.
-  void stop() {
-    if (!Reg)
-      return;
-    auto Ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - Start)
-                  .count();
-    Reg->timer(Name).record(static_cast<double>(Ns));
-    Reg = nullptr;
-  }
-
-private:
-  Registry *Reg;
-  const char *Name;
-  std::chrono::steady_clock::time_point Start;
 };
 
 } // namespace bpcr

@@ -40,6 +40,11 @@ struct PipelineResult;
 ///       pool.* utilization) when the profiler is enabled.
 constexpr int ReportSchemaVersion = 4;
 
+/// Oldest report schema `bpcr compare` and the run ledger read. v1 reports
+/// predate the "branches" section and v2 reports the ladder search, whose
+/// counters.search.* the gates compare.
+constexpr int MinReportSchemaVersion = 3;
+
 /// Context describing the run being reported.
 struct ReportMeta {
   /// Producing binary ("bpcr", "headline_replication", ...).

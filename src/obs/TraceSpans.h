@@ -12,14 +12,19 @@
 /// chrome://tracing and the Perfetto UI — via `--trace-out FILE` on every
 /// `bpcr` subcommand and bench binary.
 ///
+/// Span is also the only timing primitive: with the metrics registry
+/// enabled, every span feeds the registry timer of the same name, so the
+/// timeline and the `--metrics` phase breakdown share one namespace.
+///
 /// The tracer follows the metrics registry's overhead rule: disabled by
-/// default, and every site pays exactly one predictable branch when tracing
-/// is off (the Span constructor reads no clock and allocates nothing).
+/// default, and with both switches off every site pays two predictable
+/// branches (the Span constructor reads no clock and allocates nothing).
 /// High-frequency sites (one span per candidate machine inside the search)
 /// are additionally *sampled*: once a category's recorded-span count passes
-/// the per-category limit, further spans in it are dropped and counted in
-/// the tracer's drop counter, mirrored to the `obs.trace.spans_dropped`
-/// metrics counter when the registry is enabled.
+/// the per-category limit, further spans in it are dropped from the
+/// timeline and counted in the tracer's drop counter, mirrored to the
+/// `obs.trace.spans_dropped` metrics counter when the registry is enabled.
+/// A dropped span still feeds its timer.
 ///
 /// Recording is header-only so low-level libraries (interp, core, cache)
 /// can open spans without a link dependency on bpcr_obs; the JSON exporter
@@ -258,9 +263,12 @@ private:
   }
 
   uint64_t nowNs() const {
+    return sinceEpochNs(std::chrono::steady_clock::now());
+  }
+
+  uint64_t sinceEpochNs(std::chrono::steady_clock::time_point P) const {
     return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - Epoch)
+        std::chrono::duration_cast<std::chrono::nanoseconds>(P - Epoch)
             .count());
   }
 
@@ -274,52 +282,32 @@ private:
   std::vector<CounterTrack> Tracks;
 };
 
-/// RAII span. When the tracer is disabled at construction the clock is
-/// never read and nothing allocates — one branch, two pointer stores. A
-/// span whose category hit the sampling cap still tracks nesting depth but
-/// records nothing.
+/// RAII span: the one way code times a region. A span reads the clock when
+/// the tracer or the metrics registry is enabled at construction. When it
+/// closes it records its wall nanoseconds into the registry timer named
+/// after the span, whatever its category and even when the tracer's
+/// sampling cap dropped it, so a timer's count is the number of spans
+/// opened under that name while the registry was on. A sampled span also
+/// lands on the tracer's timeline. With both switches off the clock is
+/// never read and nothing allocates: two flag loads and a few stores.
 class Span {
 public:
+  /// \p R is a test seam: built-in instrumentation uses the global registry.
   explicit Span(const char *Name, const char *Category = "pipeline",
-                SpanTracer &T = SpanTracer::global()) {
-    if (!T.enabled())
+                SpanTracer &T = SpanTracer::global(),
+                Registry &R = Registry::global())
+      : Name(Name) {
+    if (R.enabled())
+      Reg = &R;
+    if (T.enabled())
+      openOnTimeline(T, Category);
+    if (!timed())
       return;
-    Tracer = &T;
-    Buf = &T.threadBuf();
-    auto It = Buf->CategoryCounts.find(std::string_view(Category));
-    if (It == Buf->CategoryCounts.end())
-      It = Buf->CategoryCounts.emplace(Category, SpanCategoryCount{}).first;
-    SpanCategoryCount &Seen = It->second;
-    ++Seen.Opened;
-    if (Seen.Recorded >= T.sampleLimit()) {
-      Tracer->Dropped.fetch_add(1, std::memory_order_relaxed);
-      Registry &Reg = Registry::global();
-      if (Reg.enabled()) {
-        // The drop path is per event, so it must not take the registry
-        // mutex. Cache the resolved counter per thread and revalidate
-        // against the registry generation: clear() frees the node this
-        // points at, but also bumps the generation, so the stale pointer
-        // is never dereferenced.
-        thread_local Counter *DropCounter = nullptr;
-        thread_local uint64_t DropGeneration = ~uint64_t{0};
-        uint64_t Gen = Reg.generation();
-        if (!DropCounter || DropGeneration != Gen) {
-          DropCounter = &Reg.counter("obs.trace.spans_dropped");
-          DropGeneration = Gen;
-        }
-        DropCounter->inc();
-      }
-      Sampled = false;
-    } else {
-      ++Seen.Recorded;
-      Ev.Name = Name;
-      Ev.Category = Category;
-      Ev.Tid = Buf->Tid;
-      Ev.Depth = Buf->Depth;
-      Ev.StartNs = T.nowNs();
+    Start = std::chrono::steady_clock::now();
+    if (recording()) {
+      Ev.StartNs = T.sinceEpochNs(Start);
       CpuStartNs = threadCpuNowNs();
     }
-    ++Buf->Depth;
   }
 
   Span(const Span &) = delete;
@@ -360,18 +348,31 @@ public:
   void arg(const char *Key, const char *V) { arg(Key, std::string(V)); }
 
   /// Closes the span early; later ends (and the destructor) are no-ops.
-  void end() {
-    if (!Tracer)
-      return;
-    if (Buf->Depth > 0)
-      --Buf->Depth;
-    if (Sampled) {
-      Ev.DurNs = Tracer->nowNs() - Ev.StartNs;
-      uint64_t CpuEnd = threadCpuNowNs();
-      Ev.CpuDurNs = CpuEnd > CpuStartNs ? CpuEnd - CpuStartNs : 0;
-      Buf->Events.push_back(std::move(Ev));
+  /// \returns the wall nanoseconds the span measured, or 0 when it measured
+  /// nothing (both switches were off at construction, or it already ended).
+  uint64_t end() {
+    uint64_t Ns = 0;
+    if (timed())
+      Ns = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - Start)
+              .count());
+    if (Tracer) {
+      if (Buf->Depth > 0)
+        --Buf->Depth;
+      if (Sampled) {
+        Ev.DurNs = Ns;
+        uint64_t CpuEnd = threadCpuNowNs();
+        Ev.CpuDurNs = CpuEnd > CpuStartNs ? CpuEnd - CpuStartNs : 0;
+        Buf->Events.push_back(std::move(Ev));
+      }
+      Tracer = nullptr;
     }
-    Tracer = nullptr;
+    if (Reg) {
+      Reg->timer(Name).record(static_cast<double>(Ns));
+      Reg = nullptr;
+    }
+    return Ns;
   }
 
   /// The calling thread's CPU clock, or 0 where the platform lacks one.
@@ -386,11 +387,42 @@ public:
   }
 
 private:
-  bool recording() const { return Tracer && Sampled; }
+  /// Counts the span in its category on \p T and, unless the category hit
+  /// the sampling cap, prepares its timeline event. The span tracks nesting
+  /// depth either way.
+  void openOnTimeline(SpanTracer &T, const char *Category) {
+    Tracer = &T;
+    Buf = &T.threadBuf();
+    auto It = Buf->CategoryCounts.find(std::string_view(Category));
+    if (It == Buf->CategoryCounts.end())
+      It = Buf->CategoryCounts.emplace(Category, SpanCategoryCount{}).first;
+    SpanCategoryCount &Seen = It->second;
+    ++Seen.Opened;
+    if (Seen.Recorded >= T.sampleLimit()) {
+      T.Dropped.fetch_add(1, std::memory_order_relaxed);
+      if (Reg)
+        Reg->counter("obs.trace.spans_dropped").inc();
+      Sampled = false;
+    } else {
+      ++Seen.Recorded;
+      Ev.Name = Name;
+      Ev.Category = Category;
+      Ev.Tid = Buf->Tid;
+      Ev.Depth = Buf->Depth;
+    }
+    ++Buf->Depth;
+  }
 
+  bool recording() const { return Tracer && Sampled; }
+  /// Whether the span read the clock at construction and has not ended.
+  bool timed() const { return Reg || recording(); }
+
+  const char *Name;
   SpanTracer *Tracer = nullptr;
   SpanTracer::ThreadBuf *Buf = nullptr;
+  Registry *Reg = nullptr;
   bool Sampled = true;
+  std::chrono::steady_clock::time_point Start{};
   uint64_t CpuStartNs = 0;
   SpanEvent Ev;
 };

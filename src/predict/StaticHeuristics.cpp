@@ -128,6 +128,10 @@ StaticPredictions bpcr::predictBallLarus(const Module &M) {
   StaticPredictions Out(M.conditionalBranchCount(), Prediction::Unknown);
 
   for (const Function &F : M.Functions) {
+    // Branches of a function without a buildable CFG (an unverified module
+    // with an empty block or an out-of-range target) stay Unknown.
+    if (!isCfgBuildable(F))
+      continue;
     CFG G(F);
     Dominators D(G);
     LoopInfo LI(G, D);

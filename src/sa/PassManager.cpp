@@ -16,22 +16,6 @@
 using namespace bpcr;
 using namespace bpcr::sa;
 
-bool sa::isCfgBuildable(const Function &F) {
-  if (F.Blocks.empty())
-    return false;
-  for (const BasicBlock &BB : F.Blocks) {
-    if (!BB.isComplete())
-      return false;
-    const Instruction &T = BB.terminator();
-    if (T.Op == Opcode::Br &&
-        (T.TrueTarget >= F.Blocks.size() || T.FalseTarget >= F.Blocks.size()))
-      return false;
-    if (T.Op == Opcode::Jmp && T.TrueTarget >= F.Blocks.size())
-      return false;
-  }
-  return true;
-}
-
 namespace {
 
 /// Pass adapter over ir/Verifier so structural findings share the lint

@@ -134,11 +134,6 @@ std::unique_ptr<Pass> createReplicationSoundnessPass(Module Original);
 /// Registers the standard single-module passes in canonical order.
 void addStandardPasses(PassManager &PM);
 
-/// True when every block of \p F is complete (ends in a terminator) with
-/// in-range targets — the precondition for building a CFG. Passes that need
-/// a CFG skip functions failing this; the ir-verify pass reports them.
-bool isCfgBuildable(const Function &F);
-
 } // namespace sa
 } // namespace bpcr
 

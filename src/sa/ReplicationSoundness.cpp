@@ -6,6 +6,7 @@
 
 #include "sa/ReplicationSoundness.h"
 
+#include "analysis/CFG.h"
 #include "sa/Passes.h"
 
 #include <algorithm>

@@ -13,6 +13,7 @@
 #include "obs/Profiler.h"
 #include "obs/Report.h"
 #include "obs/TimeSeries.h"
+#include "obs/TraceSpans.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -137,52 +138,93 @@ TEST(Metrics, ClearDropsMetricsButKeepsEnabled) {
   EXPECT_TRUE(R.enabled());
 }
 
-// -- ScopedTimer -------------------------------------------------------------
+// -- Span timers -------------------------------------------------------------
+//
+// Span is the one timing primitive: every span feeds the registry timer of
+// its name. A private registry and tracer per test keep cases independent
+// of the global ones.
 
-TEST(Metrics, ScopedTimerRecordsOnDestruction) {
-  // A private registry per test keeps cases independent of the global one.
+TEST(Metrics, SpanRecordsTimerOnClose) {
+  SpanTracer T;
   Registry R;
   R.setEnabled(true);
-  { ScopedTimer T("phase.x", R); }
+  { Span S("phase.x", "pipeline", T, R); }
   ASSERT_EQ(R.timers().count("phase.x"), 1u);
   EXPECT_EQ(R.timers().at("phase.x").count(), 1u);
   EXPECT_GE(R.timers().at("phase.x").min(), 0.0);
 }
 
-TEST(Metrics, ScopedTimerExplicitStopIsIdempotent) {
-  // A private registry per test keeps cases independent of the global one.
+TEST(Metrics, SpanExplicitEndIsIdempotent) {
+  SpanTracer T;
   Registry R;
   R.setEnabled(true);
-  ScopedTimer T("phase.y", R);
-  T.stop();
-  T.stop(); // second stop must not add a sample
+  Span S("phase.y", "pipeline", T, R);
+  uint64_t Ns = S.end();
+  EXPECT_EQ(S.end(), 0u); // second end must not add a sample
   EXPECT_EQ(R.timers().at("phase.y").count(), 1u);
+  EXPECT_EQ(R.timers().at("phase.y").sum(), static_cast<double>(Ns));
 }
 
-TEST(Metrics, ScopedTimersNest) {
-  // A private registry per test keeps cases independent of the global one.
+TEST(Metrics, SpanTimersNest) {
+  SpanTracer T;
   Registry R;
   R.setEnabled(true);
   {
-    ScopedTimer Outer("outer", R);
+    Span Outer("outer", "pipeline", T, R);
     {
-      ScopedTimer Inner("inner", R);
+      Span Inner("inner", "pipeline", T, R);
     }
     {
-      ScopedTimer Inner("inner", R);
+      Span Inner("inner", "pipeline", T, R);
     }
   }
   EXPECT_EQ(R.timers().at("outer").count(), 1u);
   EXPECT_EQ(R.timers().at("inner").count(), 2u);
-  // The outer phase encloses both inner phases.
+  // The outer span encloses both inner spans.
   EXPECT_GE(R.timers().at("outer").sum(), R.timers().at("inner").sum());
 }
 
 TEST(Metrics, DisabledRegistryStaysEmpty) {
-  Registry R; // disabled by default
+  SpanTracer T; // disabled by default
+  Registry R;   // disabled by default
   EXPECT_FALSE(R.enabled());
-  { ScopedTimer T("never", R); }
+  Span S("never", "pipeline", T, R);
+  EXPECT_EQ(S.end(), 0u); // nothing was measured
   EXPECT_TRUE(R.empty()); // the disabled path allocates nothing
+  EXPECT_EQ(T.spanCount(), 0u);
+}
+
+TEST(Metrics, SpanFeedsTimerWithTracerOff) {
+  SpanTracer T;
+  Registry R;
+  R.setEnabled(true);
+  { Span S("phase.z", "search", T, R); }
+  EXPECT_EQ(R.timers().at("phase.z").count(), 1u);
+  EXPECT_TRUE(T.snapshot().empty());
+  EXPECT_TRUE(T.categoryCounts().empty());
+}
+
+TEST(Metrics, SpanCreatesNoTimerWithRegistryOff) {
+  SpanTracer T;
+  T.setEnabled(true);
+  Registry R;
+  { Span S("phase.w", "pipeline", T, R); }
+  EXPECT_EQ(T.spanCount(), 1u);
+  EXPECT_TRUE(R.empty());
+}
+
+TEST(Metrics, SampledOutSpansStillFeedTheirTimer) {
+  SpanTracer T;
+  T.setEnabled(true);
+  T.setSampleLimit(1);
+  Registry R;
+  R.setEnabled(true);
+  for (int I = 0; I < 5; ++I)
+    Span S("hot", "search", T, R);
+  EXPECT_EQ(R.timers().at("hot").count(), 5u);
+  EXPECT_EQ(T.spanCount(), 1u);
+  EXPECT_EQ(T.droppedCount(), 4u);
+  EXPECT_EQ(R.counters().at("obs.trace.spans_dropped").value(), 4u);
 }
 
 // -- DecisionLog -------------------------------------------------------------
@@ -684,11 +726,11 @@ TEST(Compare, RuleMatchingNoMetricsWarnsInsteadOfPassingSilently) {
 }
 
 TEST(Compare, DifferingSchemaVersionsWarnButStillDiff) {
-  // v2 vs v4 reports share most metric names; the diff proceeds with a
-  // warning instead of erroring out (satellite of the ledger work: old
-  // ledger records replay through compare).
+  // v3 vs v4 reports share most metric names; the diff proceeds with a
+  // warning instead of erroring out (old ledger records replay through
+  // compare).
   JsonValue Old = countersReport(100, 5);
-  Old.set("schema_version", JsonValue::integer(int64_t{2}));
+  Old.set("schema_version", JsonValue::integer(int64_t{3}));
   JsonValue New = countersReport(100, 5);
 
   CompareResult R = compareReports(Old, New, CompareOptions());
@@ -696,14 +738,18 @@ TEST(Compare, DifferingSchemaVersionsWarnButStillDiff) {
   EXPECT_TRUE(R.ok());
   bool SawSchemaNote = false;
   for (const std::string &W : R.Warnings)
-    SawSchemaNote |= W.find("schema versions differ: old=2 new=4") !=
+    SawSchemaNote |= W.find("schema versions differ: old=3 new=4") !=
                      std::string::npos;
   EXPECT_TRUE(SawSchemaNote);
 
-  // Out-of-range versions are still structural errors.
-  Old.set("schema_version", JsonValue::integer(int64_t{0}));
-  CompareResult Bad = compareReports(Old, New, CompareOptions());
-  EXPECT_FALSE(Bad.Errors.empty());
+  // Out-of-range versions are still structural errors, including the
+  // pre-ladder v1/v2 reports neither compare nor the ledger reads.
+  for (int64_t V : {0, 1, 2, ReportSchemaVersion + 1}) {
+    Old.set("schema_version", JsonValue::integer(V));
+    CompareResult Bad = compareReports(Old, New, CompareOptions());
+    EXPECT_FALSE(Bad.Errors.empty()) << "schema " << V;
+    EXPECT_TRUE(Bad.Deltas.empty()) << "schema " << V;
+  }
 }
 
 // -- End-to-end pipeline report ----------------------------------------------
@@ -733,6 +779,14 @@ TEST(Report, PipelineRunProducesPhasesAndDecisions) {
   EXPECT_EQ(G.counter("pipeline.runs").value(), 1u);
   EXPECT_GT(G.counter("interp.instructions").value(), 0u);
   EXPECT_GT(G.counter("interp.branch_events").value(), 0u);
+  // Spans outside the pipeline phases feed timers too: one interp.execute
+  // sample per interpreter run, and the path-profiling layer.
+  ASSERT_EQ(G.timers().count("interp.execute"), 1u);
+  EXPECT_EQ(G.timers().at("interp.execute").count(),
+            G.counter("interp.runs").value());
+  EXPECT_GE(G.counter("interp.runs").value(), 2u); // trace + measurement
+  ASSERT_EQ(G.timers().count("profiles.paths"), 1u);
+  EXPECT_GE(G.timers().at("profiles.paths").count(), 1u);
 
   // Every static branch got at least one decision record, each with a
   // non-empty reason.
@@ -756,6 +810,10 @@ TEST(Report, PipelineRunProducesPhasesAndDecisions) {
   EXPECT_EQ(Pipeline->find("decisions")->size(), PR.Decisions.size());
   ASSERT_NE(Pipeline->find("code_size"), nullptr);
   EXPECT_GT(Pipeline->find("code_size")->find("factor")->asDouble(), 0.0);
+  const JsonValue *Phases = Back.find("metrics")->find("phases");
+  ASSERT_NE(Phases, nullptr);
+  for (const char *Name : {"interp.execute", "profiles.paths"})
+    EXPECT_NE(Phases->find(Name), nullptr) << Name;
 
   // The attribution ledger filled and surfaced as the "branches" section.
   ASSERT_FALSE(PR.Attribution.empty());
