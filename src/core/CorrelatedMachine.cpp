@@ -160,20 +160,6 @@ bpcr::buildCorrelatedMachineFromProfile(int32_t BranchId,
   return M;
 }
 
-CorrelatedMachine
-bpcr::buildCorrelatedMachine(int32_t BranchId,
-                             const std::vector<BranchPath> &CandidatePaths,
-                             const ColumnarTrace &CT,
-                             const CorrelatedOptions &Opts) {
-  std::vector<std::vector<BranchPath>> ByBranch(
-      static_cast<size_t>(BranchId) + 1);
-  ByBranch[static_cast<size_t>(BranchId)] = CandidatePaths;
-  std::vector<PathProfile> Profiles =
-      profilePaths(ByBranch, CT, Opts.MaxPathLen);
-  return buildCorrelatedMachineFromProfile(
-      BranchId, Profiles[static_cast<size_t>(BranchId)], Opts);
-}
-
 PredictionStats bpcr::evaluateCorrelatedMachine(const CorrelatedMachine &M,
                                                 const ColumnarTrace &CT) {
   PredictionStats Stats;

@@ -99,15 +99,6 @@ CorrelatedMachine buildCorrelatedMachineFromProfile(
     int32_t BranchId, const PathProfile &Profile,
     const CorrelatedOptions &Opts);
 
-/// Convenience wrapper: profiles \p CT for one branch and fits the machine.
-///
-/// \param CandidatePaths CFG-valid decision paths into the branch's block
-///        (from enumerateBackwardPaths).
-/// \param CT training trace.
-CorrelatedMachine buildCorrelatedMachine(
-    int32_t BranchId, const std::vector<BranchPath> &CandidatePaths,
-    const ColumnarTrace &CT, const CorrelatedOptions &Opts);
-
 /// Replays \p CT and measures the machine's realized accuracy on its branch.
 PredictionStats evaluateCorrelatedMachine(const CorrelatedMachine &M,
                                           const ColumnarTrace &CT);

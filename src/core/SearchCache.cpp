@@ -10,6 +10,10 @@
 #include "obs/TraceSpans.h"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <mutex>
+#include <unordered_map>
 
 using namespace bpcr;
 
@@ -287,20 +291,9 @@ template <typename T> struct Slot {
   bool Failed = false;
 };
 
-template <typename T> struct Shard {
-  struct Entry {
-    std::shared_ptr<Slot<T>> S;
-    std::list<CacheKey>::iterator LruIt;
-  };
-  std::unordered_map<CacheKey, Entry, CacheKeyHash> Map;
-  /// Front = least recently used.
-  std::list<CacheKey> Lru;
-
-  void clear() {
-    Map.clear();
-    Lru.clear();
-  }
-};
+template <typename T>
+using Shard = std::unordered_map<CacheKey, std::shared_ptr<Slot<T>>,
+                                 CacheKeyHash>;
 
 } // namespace
 
@@ -309,46 +302,8 @@ struct SearchCache::Impl {
   Shard<IntraLoopLadder> Intra;
   Shard<ExitLadder> Exit;
   Shard<CorrelatedLadder> Corr;
-  /// Per-shard entry cap. Generous on purpose: eviction order depends on
-  /// thread timing, so normal runs must never reach it (a full sweep uses
-  /// a few entries per branch).
-  size_t Capacity = 65536;
   std::atomic<uint64_t> Hits{0};
   std::atomic<uint64_t> Misses{0};
-  std::atomic<uint64_t> Evictions{0};
-
-  /// Called under Mu after an insert.
-  template <typename T> void maybeEvict(Shard<T> &S) {
-    uint64_t Evicted = 0;
-    while (S.Map.size() > Capacity && !S.Lru.empty()) {
-      // Never evict an in-flight entry: a waiter holds its slot.
-      auto VictimIt = S.Lru.begin();
-      bool Found = false;
-      for (; VictimIt != S.Lru.end(); ++VictimIt) {
-        auto MapIt = S.Map.find(*VictimIt);
-        bool InFlight;
-        {
-          std::lock_guard<std::mutex> SlotLock(MapIt->second.S->M);
-          InFlight = !MapIt->second.S->Value && !MapIt->second.S->Failed;
-        }
-        if (!InFlight) {
-          S.Map.erase(MapIt);
-          S.Lru.erase(VictimIt);
-          ++Evicted;
-          Found = true;
-          break;
-        }
-      }
-      if (!Found)
-        break;
-    }
-    if (Evicted) {
-      Evictions.fetch_add(Evicted, std::memory_order_relaxed);
-      Registry &Obs = Registry::global();
-      if (Obs.enabled())
-        Obs.counter("search.cache.evictions").add(Evicted);
-    }
-  }
 
   template <typename T, typename BuildFn>
   std::shared_ptr<const T> get(Shard<T> &S, const CacheKey &K,
@@ -358,20 +313,12 @@ struct SearchCache::Impl {
     Registry &Obs = Registry::global();
     {
       std::lock_guard<std::mutex> Lock(Mu);
-      auto It = S.Map.find(K);
-      if (It == S.Map.end()) {
-        IsMiss = true;
-        SlotPtr = std::make_shared<Slot<T>>();
-        auto LruIt = S.Lru.insert(S.Lru.end(), K);
-        S.Map.emplace(K, typename Shard<T>::Entry{SlotPtr, LruIt});
-        maybeEvict(S);
-        Misses.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        // Touch for LRU.
-        S.Lru.splice(S.Lru.end(), S.Lru, It->second.LruIt);
-        SlotPtr = It->second.S;
-        Hits.fetch_add(1, std::memory_order_relaxed);
-      }
+      std::shared_ptr<Slot<T>> &Entry = S[K];
+      IsMiss = !Entry;
+      if (IsMiss)
+        Entry = std::make_shared<Slot<T>>();
+      SlotPtr = Entry;
+      (IsMiss ? Misses : Hits).fetch_add(1, std::memory_order_relaxed);
     }
     if (Obs.enabled())
       Obs.counter(IsMiss ? "search.cache.misses" : "search.cache.hits").inc();
@@ -390,11 +337,9 @@ struct SearchCache::Impl {
           SlotPtr->CV.notify_all();
         }
         std::lock_guard<std::mutex> Lock(Mu);
-        auto It = S.Map.find(K);
-        if (It != S.Map.end() && It->second.S == SlotPtr) {
-          S.Lru.erase(It->second.LruIt);
-          S.Map.erase(It);
-        }
+        auto It = S.find(K);
+        if (It != S.end() && It->second == SlotPtr)
+          S.erase(It);
         throw;
       }
     }
@@ -422,8 +367,6 @@ std::shared_ptr<const IntraLoopLadder>
 SearchCache::intraLoopLadder(const PatternTable &Table,
                              const MachineOptions &Opts, unsigned MinBudget) {
   auto Build = [&] { return buildIntraLoopLadder(Table, Opts, MinBudget); };
-  if (!enabled())
-    return std::make_shared<const IntraLoopLadder>(Build());
   Fingerprint F;
   F.word(0xA11); // family tag
   F.word(Opts.MaxStates);
@@ -439,8 +382,6 @@ std::shared_ptr<const ExitLadder>
 SearchCache::exitLadder(const PatternTable &Table, unsigned MaxStates,
                         bool StayOnTaken) {
   auto Build = [&] { return buildExitLadder(Table, MaxStates, StayOnTaken); };
-  if (!enabled())
-    return std::make_shared<const ExitLadder>(Build());
   Fingerprint F;
   F.word(0xB22); // family tag
   F.word(MaxStates);
@@ -456,8 +397,6 @@ SearchCache::correlatedLadder(int32_t BranchId, const PathProfile &Profile,
   auto Build = [&] {
     return buildCorrelatedLadder(BranchId, Profile, Opts, MinBudget);
   };
-  if (!enabled())
-    return std::make_shared<const CorrelatedLadder>(Build());
   Fingerprint F;
   F.word(0xC33); // family tag
   F.word(static_cast<uint64_t>(static_cast<int64_t>(BranchId)));
@@ -470,22 +409,11 @@ SearchCache::correlatedLadder(int32_t BranchId, const PathProfile &Profile,
   return P->get(P->Corr, F.key(), Build);
 }
 
-void SearchCache::setCapacity(size_t PerShard) {
-  std::lock_guard<std::mutex> Lock(P->Mu);
-  P->Capacity = std::max<size_t>(1, PerShard);
-}
-
 SearchCache::Stats SearchCache::stats() const {
   Stats S;
   S.Hits = P->Hits.load(std::memory_order_relaxed);
   S.Misses = P->Misses.load(std::memory_order_relaxed);
-  S.Evictions = P->Evictions.load(std::memory_order_relaxed);
   return S;
-}
-
-size_t SearchCache::size() const {
-  std::lock_guard<std::mutex> Lock(P->Mu);
-  return P->Intra.Map.size() + P->Exit.Map.size() + P->Corr.Map.size();
 }
 
 void SearchCache::clear() {
@@ -495,5 +423,4 @@ void SearchCache::clear() {
   P->Corr.clear();
   P->Hits.store(0, std::memory_order_relaxed);
   P->Misses.store(0, std::memory_order_relaxed);
-  P->Evictions.store(0, std::memory_order_relaxed);
 }

@@ -11,17 +11,18 @@
 /// every rung its winner covers — the best machine within budget B that
 /// uses K <= B states is also the best for every budget in [K, B], because
 /// the feasible sets are nested — so a full ladder costs a handful of
-/// searches instead of one per rung. computeSizeSweep and selectStrategies
-/// both consume ladders; a selection-only caller passes
-/// MinBudget == MaxStates and pays exactly one search.
+/// searches instead of one per rung. The per-branch machine search
+/// (searchBranchLadders, core/StrategySelection.h) is the only client;
+/// selection passes MinBudget == MaxStates and pays exactly one search per
+/// family, the size sweep passes 2.
 ///
 /// The cache keys ladders by a 128-bit content fingerprint (pattern table
 /// or path profile) plus every search option, so identical branches across
 /// one program — and repeated pipeline runs in one process — share results.
 /// Concurrent requests for the same key deduplicate in flight: the first
 /// requester computes (one miss), later requesters block on the entry (one
-/// hit each), which keeps the `search.cache.{hits,misses,evictions}`
-/// counters byte-identical across `--jobs` values.
+/// hit each), which keeps the `search.cache.{hits,misses}` counters
+/// byte-identical across `--jobs` values.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,14 +33,9 @@
 #include "core/MachineSearch.h"
 #include "support/CountingAlloc.h"
 
-#include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 namespace bpcr {
@@ -92,10 +88,8 @@ CorrelatedLadder buildCorrelatedLadder(int32_t BranchId,
                                        const CorrelatedOptions &Opts,
                                        unsigned MinBudget);
 
-/// Process-wide memoization of ladder construction. Thread-safe; disabled
-/// it degrades to calling the builders directly. Entries are evicted LRU
-/// only past a deliberately generous capacity — normal runs never evict,
-/// so the stats stay schedule-independent.
+/// Process-wide memoization of ladder construction. Thread-safe. Entries
+/// live until clear(), so the stats stay schedule-independent.
 class SearchCache {
 public:
   static SearchCache &global();
@@ -114,22 +108,11 @@ public:
   correlatedLadder(int32_t BranchId, const PathProfile &Profile,
                    const CorrelatedOptions &Opts, unsigned MinBudget);
 
-  bool enabled() const { return Enabled.load(std::memory_order_relaxed); }
-  void setEnabled(bool On) {
-    Enabled.store(On, std::memory_order_relaxed);
-  }
-
-  /// Max entries per family shard before LRU eviction kicks in.
-  void setCapacity(size_t PerShard);
-
   struct Stats {
     uint64_t Hits = 0;
     uint64_t Misses = 0;
-    uint64_t Evictions = 0;
   };
   Stats stats() const;
-
-  size_t size() const;
 
   /// Drops every entry and zeroes the stats. Requires quiescence (no
   /// concurrent lookups), like the metrics registry's clear().
@@ -138,7 +121,6 @@ public:
 private:
   struct Impl;
   std::unique_ptr<Impl> P;
-  std::atomic<bool> Enabled{true};
 };
 
 } // namespace bpcr

@@ -6,15 +6,8 @@
 
 #include "core/SizeSweep.h"
 
-#include "core/CorrelatedMachine.h"
-#include "core/MachineSearch.h"
 #include "core/Replication.h"
-#include "core/SearchCache.h"
-#include "obs/Metrics.h"
 #include "obs/TraceSpans.h"
-#include "sa/Dataflow.h"
-#include "support/ThreadPool.h"
-#include "trace/ColumnarTrace.h"
 
 #include <algorithm>
 #include <map>
@@ -29,7 +22,6 @@ using LoopKey = std::pair<uint32_t, int32_t>; // (function, loop index)
 /// One branch's machine ladder: best training-correct per state count, the
 /// family it uses, and the per-size correlated cost.
 struct Ladder {
-  int32_t BranchId = -1;
   StrategyKind Kind = StrategyKind::Profile;
   /// Correct[n] for n states, n = 1..MaxStates (index 0 unused).
   std::vector<uint64_t> Correct;
@@ -53,115 +45,42 @@ std::vector<SweepPoint> bpcr::computeSizeSweep(const ProgramAnalysis &PA,
   const uint64_t TotalExec = Profiles.totalExecutions();
   SweepSpan.arg("branches", static_cast<uint64_t>(PA.numBranches()));
 
-  unsigned PathLen = std::min<unsigned>(4, Opts.MaxStates);
+  LadderSearchSpec Spec;
+  Spec.MaxStates = Opts.MaxStates;
+  Spec.MinBudget = 2; // every rung is a candidate step
+  Spec.MinExecutions = Opts.MinExecutions;
+  Spec.NodeBudget = Opts.NodeBudget;
+  Spec.Jobs = Opts.Jobs;
+  Spec.Proofs = Opts.Proofs;
+  std::vector<BranchLadders> Searched =
+      searchBranchLadders(PA, Profiles, CT, Spec);
 
-  // Batch path profiles for the correlated family.
-  std::vector<std::vector<BranchPath>> Candidates(PA.numBranches());
-  for (uint32_t Id = 0; Id < PA.numBranches(); ++Id) {
-    const BranchProfile &P = Profiles.branch(static_cast<int32_t>(Id));
-    if (P.executions() < Opts.MinExecutions)
-      continue;
-    if (Opts.Proofs && Opts.Proofs->proven(static_cast<int32_t>(Id)))
-      continue;
-    Candidates[Id] = PA.backwardPaths(static_cast<int32_t>(Id), PathLen,
-                                      /*ThroughJumps=*/true);
-  }
-  std::vector<PathProfile> Paths = profilePaths(Candidates, CT, PathLen);
-
-  // Build ladders, one independent task per branch. Each branch's whole
-  // ladder comes from the memoized downward-fill search (one deep run
-  // fills every rung its winner covers), replacing the old probe-then-
-  // re-search-per-rung loop; results land in slots indexed by branch id,
-  // so the outcome is identical for any worker count.
-  std::vector<Ladder> Ladders(PA.numBranches());
-  SearchCache &Cache = SearchCache::global();
-  auto BuildLadder = [&](size_t Idx) {
-    uint32_t Id = static_cast<uint32_t>(Idx);
-    const BranchProfile &P = Profiles.branch(static_cast<int32_t>(Id));
-    Ladder &L = Ladders[Idx];
-    L.BranchId = static_cast<int32_t>(Id);
+  // Each branch's chosen-family ladder, made monotone: a deeper machine
+  // that scores lower is never worth growing into.
+  std::vector<Ladder> Ladders(Searched.size());
+  for (size_t I = 0; I < Searched.size(); ++I) {
+    const BranchLadders &B = Searched[I];
+    Ladder &L = Ladders[I];
+    const int32_t Id = static_cast<int32_t>(I);
+    L.Kind = B.Family;
     L.Correct.assign(Opts.MaxStates + 1, 0);
-    L.Correct[1] = P.executions() - P.profileMispredictions();
+    L.Correct[1] = B.ProfileCorrect;
     L.CorrCost.assign(Opts.MaxStates + 1, 0);
-
-    // Proven-unidirectional branches keep a flat ladder: the profile rung
-    // already predicts every execution, so deeper rungs cannot gain and
-    // the ladder search (SearchCache stays untouched) is skipped.
-    if (Opts.Proofs && Opts.Proofs->proven(static_cast<int32_t>(Id))) {
-      if (Registry::global().enabled())
-        Registry::global().counter("search.pruned_by_proof").inc();
-      for (unsigned N = 2; N <= Opts.MaxStates; ++N)
-        L.Correct[N] = L.Correct[1];
-      return;
+    for (unsigned N = 2; N <= Opts.MaxStates; ++N) {
+      L.Correct[N] = std::max(B.correctAt(N), L.Correct[N - 1]);
+      if (L.Kind == StrategyKind::Correlated)
+        L.CorrCost[N] = correlatedReplicationCost(B.Correlated->at(N), PA);
     }
-
-    if (P.executions() < Opts.MinExecutions) {
-      for (unsigned N = 2; N <= Opts.MaxStates; ++N)
-        L.Correct[N] = L.Correct[1];
-      return;
-    }
-
-    const BranchClass &C = PA.classOf(static_cast<int32_t>(Id));
-
-    // Full ladders for every applicable family; the deepest rung doubles
-    // as the family-decision probe.
-    std::shared_ptr<const IntraLoopLadder> IL;
-    std::shared_ptr<const ExitLadder> EL;
-    std::shared_ptr<const CorrelatedLadder> CL;
-    uint64_t BestLoopCorrect = 0;
-    uint64_t BestCorrCorrect = 0;
-    if (C.Kind == BranchKind::IntraLoop) {
-      MachineOptions MO;
-      MO.MaxStates = Opts.MaxStates;
-      MO.NodeBudget = Opts.NodeBudget;
-      IL = Cache.intraLoopLadder(P.Table, MO, /*MinBudget=*/2);
-      BestLoopCorrect = IL->at(Opts.MaxStates).Correct;
-    } else if (C.Kind == BranchKind::LoopExit) {
-      EL = Cache.exitLadder(P.Table, Opts.MaxStates, !C.TakenExits);
-      BestLoopCorrect = EL->at(Opts.MaxStates).Correct;
-    }
-    if (!Candidates[Id].empty()) {
-      CorrelatedOptions CO;
-      CO.MaxStates = Opts.MaxStates;
-      CO.MaxPathLen = PathLen;
-      CO.NodeBudget = Opts.NodeBudget;
-      CL = Cache.correlatedLadder(L.BranchId, Paths[Id], CO, /*MinBudget=*/2);
-      BestCorrCorrect = CL->at(Opts.MaxStates).Correct;
-    }
-
-    bool UseLoopFamily = (C.Kind != BranchKind::NonLoop) &&
-                         BestLoopCorrect >= BestCorrCorrect &&
-                         BestLoopCorrect > L.Correct[1];
-    bool UseCorrFamily =
-        !UseLoopFamily && BestCorrCorrect > L.Correct[1];
-
-    if (UseLoopFamily) {
-      L.Kind = (C.Kind == BranchKind::IntraLoop) ? StrategyKind::IntraLoop
-                                                 : StrategyKind::LoopExit;
-      const BranchRef &R = PA.ref(L.BranchId);
+    if (L.Kind == StrategyKind::IntraLoop ||
+        L.Kind == StrategyKind::LoopExit) {
+      const BranchRef &R = PA.ref(Id);
+      const BranchClass &C = PA.classOf(Id);
       L.Loop = {R.FuncIdx, C.LoopIdx};
       L.LoopSize = loopInstructionCount(
           Mod.Functions[R.FuncIdx],
-          PA.loopInfoFor(L.BranchId).loops()[static_cast<size_t>(C.LoopIdx)]);
-      for (unsigned N = 2; N <= Opts.MaxStates; ++N) {
-        uint64_t Corr = C.Kind == BranchKind::IntraLoop
-                            ? IL->at(N).Correct
-                            : EL->at(N).Correct;
-        L.Correct[N] = std::max(Corr, L.Correct[N - 1]);
-      }
-    } else if (UseCorrFamily) {
-      L.Kind = StrategyKind::Correlated;
-      for (unsigned N = 2; N <= Opts.MaxStates; ++N) {
-        const CorrelatedMachine &CM = CL->at(N);
-        L.Correct[N] = std::max(CM.Correct, L.Correct[N - 1]);
-        L.CorrCost[N] = correlatedReplicationCost(CM, PA);
-      }
-    } else {
-      for (unsigned N = 2; N <= Opts.MaxStates; ++N)
-        L.Correct[N] = L.Correct[1];
+          PA.loopInfoFor(Id).loops()[static_cast<size_t>(C.LoopIdx)]);
     }
-  };
-  parallelForJobs(Opts.Jobs, Ladders.size(), BuildLadder);
+  }
 
   // Greedy sweep.
   std::map<LoopKey, std::vector<size_t>> LoopMembers;
@@ -246,11 +165,11 @@ std::vector<SweepPoint> bpcr::computeSizeSweep(const ProgramAnalysis &PA,
 
     Ladders[BestIdx].CurStates = BestTarget;
     double Size = CurrentSize();
-    StepSpan.arg("branch", static_cast<int64_t>(Ladders[BestIdx].BranchId));
+    const int32_t Grown = static_cast<int32_t>(BestIdx);
+    StepSpan.arg("branch", static_cast<int64_t>(Grown));
     StepSpan.arg("states", static_cast<uint64_t>(BestTarget));
     StepSpan.arg("size_factor", Size);
-    Points.push_back(
-        {Size, CurrentMispredict(), Ladders[BestIdx].BranchId, BestTarget});
+    Points.push_back({Size, CurrentMispredict(), Grown, BestTarget});
     if (Size > Opts.MaxSizeFactor)
       break;
   }

@@ -12,7 +12,9 @@
 /// blowups beyond 1000x that were clearly never built), the curve uses an
 /// analytic size model: loop replication multiplies the states of all
 /// improved branches sharing a loop; correlated replication adds the
-/// duplicated path blocks.
+/// duplicated path blocks. The per-branch ladders come from the search that
+/// strategy selection reads (searchBranchLadders), so the curve charts only
+/// machines the replication pipeline would build.
 ///
 //===----------------------------------------------------------------------===//
 

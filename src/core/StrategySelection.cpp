@@ -30,169 +30,189 @@ const char *bpcr::strategyKindName(StrategyKind K) {
   return "<bad>";
 }
 
+uint64_t BranchLadders::correctAt(unsigned N) const {
+  switch (Family) {
+  case StrategyKind::Profile:
+    return ProfileCorrect;
+  case StrategyKind::IntraLoop:
+    return IntraLoop->at(N).Correct;
+  case StrategyKind::LoopExit:
+    return Exit->at(N).Correct;
+  case StrategyKind::Correlated:
+    return Correlated->at(N).Correct;
+  }
+  return ProfileCorrect;
+}
+
+std::vector<BranchLadders>
+bpcr::searchBranchLadders(const ProgramAnalysis &PA, const ProfileSet &Profiles,
+                          const ColumnarTrace &CT,
+                          const LadderSearchSpec &Spec) {
+  assert(Spec.MaxStates >= 2 && "the machine search needs a state budget");
+  const unsigned PathLen = std::min<unsigned>(Spec.MaxStates, 4);
+  std::vector<BranchLadders> Out(PA.numBranches());
+  Registry &Obs = Registry::global();
+
+  // Eligibility, then every correlated-path candidate profiled in a single
+  // trace pass.
+  std::vector<std::vector<BranchPath>> Candidates(PA.numBranches());
+  for (uint32_t Id = 0; Id < PA.numBranches(); ++Id) {
+    const int32_t B = static_cast<int32_t>(Id);
+    const BranchProfile &P = Profiles.branch(B);
+    BranchLadders &L = Out[Id];
+    L.Total = P.executions();
+    L.ProfileCorrect = P.executions() - P.profileMispredictions();
+    if (Spec.Proofs && Spec.Proofs->proven(B)) {
+      L.Skipped = BranchLadders::Skip::Proven;
+      if (Obs.enabled())
+        Obs.counter("search.pruned_by_proof").inc();
+      continue;
+    }
+    if (P.executions() < Spec.MinExecutions) {
+      L.Skipped = BranchLadders::Skip::Cold;
+      continue;
+    }
+    L.Recursive = PA.isRecursive(PA.ref(B).FuncIdx);
+    Candidates[Id] = PA.backwardPaths(B, PathLen, /*ThroughJumps=*/true);
+    L.PathCandidates = Candidates[Id].size();
+  }
+  std::vector<PathProfile> PathProfiles = profilePaths(Candidates, CT, PathLen);
+
+  // One independent task per branch; results land in slots indexed by
+  // branch id, so the outcome is identical for any worker count. Each
+  // ladder comes from the memoized downward-fill search, so identical
+  // pattern tables across branches share one search.
+  SearchCache &Cache = SearchCache::global();
+  auto SearchBranch = [&](size_t Idx) {
+    const int32_t B = static_cast<int32_t>(Idx);
+    BranchLadders &L = Out[Idx];
+    if (L.Skipped != BranchLadders::Skip::None)
+      return;
+
+    const PatternTable &Table = Profiles.branch(B).Table;
+    const BranchClass &C = PA.classOf(B);
+    if (!L.Recursive && C.Kind == BranchKind::IntraLoop) {
+      MachineOptions MO;
+      MO.MaxStates = Spec.MaxStates;
+      MO.MaxPatternLen = Table.maxBits();
+      MO.Exhaustive = Spec.Exhaustive;
+      MO.NodeBudget = Spec.NodeBudget;
+      L.IntraLoop = Cache.intraLoopLadder(Table, MO, Spec.MinBudget);
+    } else if (!L.Recursive && C.Kind == BranchKind::LoopExit) {
+      L.Exit = Cache.exitLadder(Table, Spec.MaxStates, !C.TakenExits);
+    }
+    if (!Candidates[Idx].empty()) {
+      CorrelatedOptions CO;
+      CO.MaxStates = Spec.MaxStates;
+      CO.MaxPathLen = PathLen;
+      CO.Exhaustive = Spec.Exhaustive;
+      CO.NodeBudget = Spec.NodeBudget;
+      L.Correlated =
+          Cache.correlatedLadder(B, PathProfiles[Idx], CO, Spec.MinBudget);
+    }
+
+    uint64_t Best = L.ProfileCorrect;
+    auto Consider = [&](StrategyKind K, uint64_t Correct) {
+      if (Correct > Best) {
+        Best = Correct;
+        L.Family = K;
+      }
+    };
+    if (L.IntraLoop)
+      Consider(StrategyKind::IntraLoop,
+               L.IntraLoop->at(Spec.MaxStates).Correct);
+    if (L.Exit)
+      Consider(StrategyKind::LoopExit, L.Exit->at(Spec.MaxStates).Correct);
+    if (L.Correlated)
+      Consider(StrategyKind::Correlated,
+               L.Correlated->at(Spec.MaxStates).Correct);
+  };
+  parallelForJobs(Spec.Jobs, Out.size(), SearchBranch);
+  return Out;
+}
+
 std::vector<BranchStrategy>
 bpcr::selectStrategies(const ProgramAnalysis &PA, const ProfileSet &Profiles,
                        const ColumnarTrace &CT, const StrategyOptions &Opts,
                        SelectionTrace *TraceOut) {
-  assert(Opts.MaxStates >= 2 && "strategy selection needs a state budget");
+  LadderSearchSpec Spec;
+  Spec.MaxStates = Opts.MaxStates;
+  Spec.MinBudget = Opts.MaxStates; // one search per family on a cold cache
+  Spec.MinExecutions = Opts.MinExecutions;
+  Spec.Exhaustive = Opts.Exhaustive;
+  Spec.NodeBudget = Opts.NodeBudget;
+  Spec.Jobs = Opts.Jobs;
+  Spec.Proofs = Opts.Proofs;
+  std::vector<BranchLadders> Ladders =
+      searchBranchLadders(PA, Profiles, CT, Spec);
+
   if (TraceOut) {
     TraceOut->PerBranch.clear();
     TraceOut->PerBranch.resize(PA.numBranches());
   }
-  const unsigned PathLen = std::min<unsigned>(Opts.MaxStates, 4);
-
-  // Collect correlated-path candidates for every eligible branch, then
-  // profile them in a single trace pass.
-  std::vector<std::vector<BranchPath>> Candidates(PA.numBranches());
-  for (uint32_t Id = 0; Id < PA.numBranches(); ++Id) {
-    const BranchProfile &P = Profiles.branch(static_cast<int32_t>(Id));
-    if (P.executions() < Opts.MinExecutions)
-      continue;
-    if (Opts.Proofs && Opts.Proofs->proven(static_cast<int32_t>(Id)))
-      continue; // proven branches collect no paths: their search is pruned
-    const BranchClass &C = PA.classOf(static_cast<int32_t>(Id));
-    if (C.Kind != BranchKind::NonLoop && !Opts.CorrelatedForLoopBranches)
-      continue;
-    Candidates[Id] = PA.backwardPaths(static_cast<int32_t>(Id), PathLen,
-                                      /*ThroughJumps=*/true);
-  }
-  std::vector<PathProfile> PathProfiles = profilePaths(Candidates, CT, PathLen);
-
   Registry &Obs = Registry::global();
   const bool ObsOn = Obs.enabled();
   if (ObsOn) {
     uint64_t PathCandidates = 0;
-    for (const std::vector<BranchPath> &C : Candidates)
-      PathCandidates += C.size();
+    for (const BranchLadders &L : Ladders)
+      PathCandidates += L.PathCandidates;
     Obs.counter("search.correlated.path_candidates").add(PathCandidates);
     Obs.counter("strategy.branches_considered").add(PA.numBranches());
   }
 
-  // Score branches in parallel: each branch's candidates are independent,
-  // results land in slots indexed by branch id, and the machine searches
-  // go through the memoized ladder cache (MinBudget == MaxStates, so a
-  // cold cache pays exactly one search per family, like the serial code
-  // did). Identical pattern tables across branches now share one search.
-  std::vector<BranchStrategy> Out(PA.numBranches());
-  SearchCache &Cache = SearchCache::global();
-
-  auto ScoreBranch = [&](size_t Idx) {
-    uint32_t Id = static_cast<uint32_t>(Idx);
-    const BranchProfile &P = Profiles.branch(static_cast<int32_t>(Id));
-    BranchStrategy S;
+  std::vector<BranchStrategy> Out(Ladders.size());
+  for (size_t Id = 0; Id < Ladders.size(); ++Id) {
+    const BranchLadders &L = Ladders[Id];
+    BranchStrategy &S = Out[Id];
     S.BranchId = static_cast<int32_t>(Id);
-    S.Kind = StrategyKind::Profile;
-    S.Total = P.executions();
-    S.Correct = P.executions() - P.profileMispredictions();
-    S.States = 1;
+    S.Total = L.Total;
+    S.Correct = L.ProfileCorrect;
 
-    auto RecordCandidate = [&](StrategyKind K, uint64_t Correct,
-                               uint64_t Total, unsigned States) {
+    // Records every family scored; the chosen one takes the top rung.
+    auto Candidate = [&](StrategyKind K, uint64_t Correct, uint64_t Total,
+                         unsigned States) {
       if (TraceOut)
-        TraceOut->PerBranch[Id].push_back(
-            {strategyKindName(K), Correct, Total, States, /*Chosen=*/false});
+        TraceOut->PerBranch[Id].push_back({strategyKindName(K), Correct,
+                                           Total, States, K == L.Family});
+      if (K != L.Family || K == StrategyKind::Profile)
+        return false;
+      S.Kind = K;
+      S.Correct = Correct;
+      S.Total = Total;
+      S.States = States;
+      return true;
     };
-    RecordCandidate(StrategyKind::Profile, S.Correct, S.Total, 1);
-    auto MarkChosen = [&](const BranchStrategy &Final) {
-      if (!TraceOut)
-        return;
-      for (CandidateScore &C : TraceOut->PerBranch[Id])
-        if (C.Strategy == strategyKindName(Final.Kind)) {
-          C.Chosen = true;
-          break;
-        }
-    };
-
-    // A branch proven unidirectional never consults its pattern table and
-    // never enters the machine search: its profile prediction already gets
-    // every execution right, so Correct == Total and no machine's strict
-    // `>` comparison could win. The skip is therefore score-preserving.
-    if (Opts.Proofs && Opts.Proofs->proven(static_cast<int32_t>(Id))) {
-      if (ObsOn)
-        Obs.counter("search.pruned_by_proof").inc();
-      MarkChosen(S);
-      Out[Idx] = std::move(S);
-      return;
-    }
-
-    if (P.executions() < Opts.MinExecutions) {
-      if (ObsOn)
-        Obs.counter("strategy.pruned.cold").inc();
-      MarkChosen(S);
-      Out[Idx] = std::move(S);
-      return;
-    }
-
-    const BranchClass &C = PA.classOf(static_cast<int32_t>(Id));
-    bool LoopMachinesOk =
-        !PA.isRecursive(PA.ref(static_cast<int32_t>(Id)).FuncIdx);
-
-    if (!LoopMachinesOk) {
-      // Fall through to the correlated candidates only.
-      if (ObsOn)
-        Obs.counter("strategy.pruned.recursive").inc();
-    } else if (C.Kind == BranchKind::IntraLoop) {
-      MachineOptions MO;
-      MO.MaxStates = Opts.MaxStates;
-      MO.MaxPatternLen = P.Table.maxBits();
-      MO.Exhaustive = Opts.Exhaustive;
-      MO.NodeBudget = Opts.NodeBudget;
-      auto IL = Cache.intraLoopLadder(P.Table, MO,
-                                      /*MinBudget=*/Opts.MaxStates);
-      const SuffixMachine &M = IL->at(Opts.MaxStates);
-      RecordCandidate(StrategyKind::IntraLoop, M.Correct, M.Total,
-                      M.numStates());
-      if (M.Correct > S.Correct) {
-        S.Kind = StrategyKind::IntraLoop;
-        S.Correct = M.Correct;
-        S.Total = M.Total;
-        S.States = M.numStates();
+    Candidate(StrategyKind::Profile, S.Correct, S.Total, 1);
+    if (L.IntraLoop) {
+      const SuffixMachine &M = L.IntraLoop->at(Opts.MaxStates);
+      if (Candidate(StrategyKind::IntraLoop, M.Correct, M.Total,
+                    M.numStates()))
         S.Machine = std::make_unique<SuffixMachine>(M);
-      }
-    } else if (C.Kind == BranchKind::LoopExit) {
-      auto EL = Cache.exitLadder(P.Table, Opts.MaxStates, !C.TakenExits);
-      const ExitChainMachine &M = EL->at(Opts.MaxStates);
-      RecordCandidate(StrategyKind::LoopExit, M.Correct, M.Total,
-                      M.numStates());
-      if (M.Correct > S.Correct) {
-        S.Kind = StrategyKind::LoopExit;
-        S.Correct = M.Correct;
-        S.Total = M.Total;
-        S.States = M.numStates();
+    }
+    if (L.Exit) {
+      const ExitChainMachine &M = L.Exit->at(Opts.MaxStates);
+      if (Candidate(StrategyKind::LoopExit, M.Correct, M.Total,
+                    M.numStates()))
         S.Machine = std::make_unique<ExitChainMachine>(M);
-      }
     }
-
-    if (!Candidates[Id].empty()) {
-      CorrelatedOptions CO;
-      CO.MaxStates = Opts.MaxStates;
-      CO.MaxPathLen = PathLen;
-      CO.Exhaustive = Opts.Exhaustive;
-      CO.NodeBudget = Opts.NodeBudget;
-      auto CL = Cache.correlatedLadder(static_cast<int32_t>(Id),
-                                       PathProfiles[Id], CO,
-                                       /*MinBudget=*/Opts.MaxStates);
-      const CorrelatedMachine &CM = CL->at(Opts.MaxStates);
-      RecordCandidate(StrategyKind::Correlated, CM.Correct, CM.Total,
-                      CM.numStates());
-      if (CM.Correct > S.Correct) {
-        S.Kind = StrategyKind::Correlated;
-        S.Correct = CM.Correct;
-        S.Total = CM.Total;
-        S.States = CM.numStates();
-        S.Machine.reset();
+    if (L.Correlated) {
+      const CorrelatedMachine &CM = L.Correlated->at(Opts.MaxStates);
+      if (Candidate(StrategyKind::Correlated, CM.Correct, CM.Total,
+                    CM.numStates()))
         S.Corr = std::make_unique<CorrelatedMachine>(CM);
-      }
     }
 
-    if (ObsOn)
-      Obs.counter(std::string("strategy.chosen.") +
-                  strategyKindName(S.Kind))
-          .inc();
-    MarkChosen(S);
-    Out[Idx] = std::move(S);
-  };
-  parallelForJobs(Opts.Jobs, Out.size(), ScoreBranch);
+    if (!ObsOn || L.Skipped == BranchLadders::Skip::Proven)
+      continue;
+    if (L.Skipped == BranchLadders::Skip::Cold) {
+      Obs.counter("strategy.pruned.cold").inc();
+      continue;
+    }
+    if (L.Recursive)
+      Obs.counter("strategy.pruned.recursive").inc();
+    Obs.counter(std::string("strategy.chosen.") + strategyKindName(S.Kind))
+        .inc();
+  }
   return Out;
 }
 

@@ -11,9 +11,11 @@
 /// correlated branch state machines are selected. The best available
 /// strategy for each branch is chosen." (paper sec. 5)
 ///
-/// This module builds, per branch, the best machine of each applicable
-/// family within a state budget and picks the winner; Table 5 aggregates
-/// the result, and the replication pipeline materializes it.
+/// This module is the only per-branch machine search: it builds, per
+/// branch, the ladder of best machines of each applicable family and picks
+/// the winning family. Strategy selection reads the top rung (Table 5
+/// aggregates it, the replication pipeline materializes it); the size
+/// sweep (core/SizeSweep.h) walks every rung.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +26,7 @@
 #include "core/CorrelatedMachine.h"
 #include "core/MachineSearch.h"
 #include "core/ProgramAnalysis.h"
+#include "core/SearchCache.h"
 #include "obs/Attribution.h"
 
 #include <memory>
@@ -59,32 +62,83 @@ struct BranchStrategy {
   uint64_t mispredicted() const { return Total - Correct; }
 };
 
+/// What the per-branch machine search covers. Selection and the size sweep
+/// differ only in these values.
+struct LadderSearchSpec {
+  /// Deepest rung. Correlated paths are at most min(MaxStates, 4) long,
+  /// like the paper ("a maximum path length of n for an n state machine"),
+  /// and run through jumps as well as direct branch edges (the replication
+  /// transform clones the jump chains).
+  unsigned MaxStates = 4;
+  /// Shallowest intra-loop and correlated rung built (exit ladders always
+  /// start at 2).
+  unsigned MinBudget = 2;
+  /// Branches executed fewer times are not searched.
+  uint64_t MinExecutions = 16;
+  bool Exhaustive = true;
+  uint64_t NodeBudget = 200'000;
+  /// Worker threads for the per-branch ladder lookups: 0 = one per
+  /// hardware core, 1 = serial (no pool). The result is identical for
+  /// every value.
+  unsigned Jobs = 0;
+  /// Proven branches (sa/Dataflow.h) are not searched: their profile
+  /// prediction is already perfect. Each skip increments the
+  /// `search.pruned_by_proof` counter.
+  const sa::BranchProofs *Proofs = nullptr;
+};
+
+/// One branch's machine ladders.
+struct BranchLadders {
+  /// Why the branch was not searched, if it was not.
+  enum class Skip : uint8_t { None, Proven, Cold };
+  Skip Skipped = Skip::None;
+  /// The branch is in a recursive function, so no loop family was searched:
+  /// the replicated per-activation state cannot be modelled by trace
+  /// profiling, so the trained scores would be unreliable.
+  bool Recursive = false;
+  /// Executions, and hits of the profile prediction (the one-state rung).
+  uint64_t Total = 0;
+  uint64_t ProfileCorrect = 0;
+  /// Correlated-path candidates profiled for the branch.
+  size_t PathCandidates = 0;
+  /// Ladders of the families searched (at most one loop family).
+  std::shared_ptr<const IntraLoopLadder> IntraLoop;
+  std::shared_ptr<const ExitLadder> Exit;
+  std::shared_ptr<const CorrelatedLadder> Correlated;
+  /// The family with the most correct predictions at rung MaxStates. It
+  /// must beat the profile strictly; the loop family wins a tie with the
+  /// correlated one.
+  StrategyKind Family = StrategyKind::Profile;
+
+  /// Correct predictions of the chosen family at rung \p N (the profile
+  /// score for StrategyKind::Profile).
+  uint64_t correctAt(unsigned N) const;
+};
+
+/// Searches every branch once: eligibility (warm, unproven, loop families
+/// only outside recursive functions), one correlated-path profiling pass
+/// over \p CT, the memoized ladder lookups (SearchCache) in parallel, and
+/// the family choice. Indexed by branch id.
+std::vector<BranchLadders> searchBranchLadders(const ProgramAnalysis &PA,
+                                               const ProfileSet &Profiles,
+                                               const ColumnarTrace &CT,
+                                               const LadderSearchSpec &Spec);
+
 /// Selection parameters.
 struct StrategyOptions {
-  /// State budget per branch. Correlated paths are at most
-  /// min(MaxStates, 4) long, like the paper ("a maximum path length of n
-  /// for an n state machine"), and run through jumps as well as direct
-  /// branch edges (the replication transform clones the jump chains).
-  /// Branches in recursive functions get no loop machine: the replicated
-  /// per-activation state cannot be modelled by trace profiling, so the
-  /// trained scores would be unreliable.
+  /// State budget per branch (see LadderSearchSpec).
   unsigned MaxStates = 4;
-  /// Also consider correlated machines for loop branches.
-  bool CorrelatedForLoopBranches = true;
   bool Exhaustive = true;
   uint64_t NodeBudget = 200'000;
   /// Branches executed fewer times keep the plain profile strategy; very
   /// cold branches cannot amortize any replication.
   uint64_t MinExecutions = 16;
-  /// Worker threads for the per-branch candidate scoring: 0 = one per
-  /// hardware core, 1 = serial (no pool). The selection is identical for
-  /// every value.
+  /// Worker threads for the search (see LadderSearchSpec).
   unsigned Jobs = 0;
   /// Branch-direction proofs from sa const-prop (sa/Dataflow.h). A proven
   /// branch keeps the profile strategy without scoring any machine — its
   /// profile prediction is already perfect, so no machine can beat it and
-  /// skipping the search cannot change the chosen strategies. Each skip
-  /// increments the `search.pruned_by_proof` counter.
+  /// skipping the search cannot change the chosen strategies.
   const sa::BranchProofs *Proofs = nullptr;
 };
 
@@ -95,9 +149,9 @@ struct SelectionTrace {
   std::vector<std::vector<CandidateScore>> PerBranch;
 };
 
-/// Chooses the best strategy for every branch. When \p TraceOut is non-null
-/// every candidate score (winner and losers) is recorded into it. The only
-/// trace use is the correlated-path profiling pass over \p CT's columns.
+/// Chooses the best strategy for every branch: the top rung of
+/// searchBranchLadders. When \p TraceOut is non-null every candidate score
+/// (winner and losers) is recorded into it.
 std::vector<BranchStrategy> selectStrategies(const ProgramAnalysis &PA,
                                              const ProfileSet &Profiles,
                                              const ColumnarTrace &CT,

@@ -29,13 +29,18 @@ struct BranchRef {
   uint32_t InstIdx = 0;
 };
 
+/// Largest data memory a module may declare: 2^24 words (128 MiB). The
+/// interpreter allocates the whole image up front, so the loader and the
+/// verifier reject anything larger (the biggest workload uses ~2^18).
+constexpr uint64_t MaxMemWords = uint64_t{1} << 24;
+
 /// A whole program: functions, entry point and data memory image.
 struct Module {
   std::string Name;
   std::vector<Function> Functions;
   uint32_t EntryFunction = 0;
 
-  /// Words of data memory available to the program.
+  /// Words of data memory available to the program (at most MaxMemWords).
   uint64_t MemWords = 0;
   /// Initial contents of the low words of memory (rest is zero).
   std::vector<int64_t> InitialMemory;

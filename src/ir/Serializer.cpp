@@ -276,6 +276,9 @@ bool bpcr::parseModuleText(const std::string &Text, Module &Out,
       int64_t V = 0;
       if (Tok.size() != 2 || !parseInt(Tok[1], V) || V < 0)
         return Fail("expected 'mem <words>'");
+      if (static_cast<uint64_t>(V) > MaxMemWords)
+        return Fail("memory size exceeds the limit of " +
+                    std::to_string(MaxMemWords) + " words");
       Out.MemWords = static_cast<uint64_t>(V);
       continue;
     }

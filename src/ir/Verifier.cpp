@@ -172,6 +172,11 @@ std::vector<Diagnostic> bpcr::verifyModuleDiags(const Module &M) {
     D.error("entry-function", moduleLoc(),
             "entry function index " + std::to_string(M.EntryFunction) +
                 " out of range");
+  if (M.MemWords > MaxMemWords)
+    D.error("memory-size", moduleLoc(),
+            "memory size (" + std::to_string(M.MemWords) +
+                " words) exceeds the limit of " + std::to_string(MaxMemWords) +
+                " words");
   if (M.InitialMemory.size() > M.MemWords)
     D.error("memory-image", moduleLoc(),
             "initial memory image (" +

@@ -6,13 +6,15 @@
 ///
 /// \file
 /// Small helpers that let tests spell a trace as a list of (branch id,
-/// direction) events, read one back the same way, and trace a module.
+/// direction) events, read one back the same way, trace a module, and fit
+/// one branch's correlated machine to a trace.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BPCR_TESTS_TRACETESTUTIL_H
 #define BPCR_TESTS_TRACETESTUTIL_H
 
+#include "core/CorrelatedMachine.h"
 #include "interp/Interpreter.h"
 #include "ir/Module.h"
 #include "support/Rng.h"
@@ -84,6 +86,21 @@ inline TracedRun traceModule(const Module &M,
   Run.Trace = Sink.takeTrace();
   Run.Trace.finalize(static_cast<uint32_t>(M.conditionalBranchCount()));
   return Run;
+}
+
+/// Profiles \p CT over \p CandidatePaths for one branch and fits its
+/// correlated machine.
+inline CorrelatedMachine
+fitCorrelatedMachine(int32_t BranchId,
+                     const std::vector<BranchPath> &CandidatePaths,
+                     const ColumnarTrace &CT, const CorrelatedOptions &Opts) {
+  std::vector<std::vector<BranchPath>> ByBranch(
+      static_cast<size_t>(BranchId) + 1);
+  ByBranch[static_cast<size_t>(BranchId)] = CandidatePaths;
+  std::vector<PathProfile> Profiles =
+      profilePaths(ByBranch, CT, Opts.MaxPathLen);
+  return buildCorrelatedMachineFromProfile(
+      BranchId, Profiles[static_cast<size_t>(BranchId)], Opts);
 }
 
 } // namespace bpcr::test

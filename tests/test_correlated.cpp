@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TraceTestUtil.h"
+
 #include "core/CorrelatedMachine.h"
 #include "support/Rng.h"
 #include "trace/ColumnarTrace.h"
@@ -81,7 +83,7 @@ TEST(CorrelatedMachine, SolvesCopyBranch) {
   CorrelatedOptions Opts;
   Opts.MaxStates = 5; // 4 paths + catch-all
   Opts.MaxPathLen = 2;
-  CorrelatedMachine M = buildCorrelatedMachine(2, Cands, T, Opts);
+  CorrelatedMachine M = test::fitCorrelatedMachine(2, Cands, T, Opts);
   PredictionStats S = evaluateCorrelatedMachine(M, T);
   // Branch 2 is fully determined by the (0,x) part of the path.
   EXPECT_LE(S.mispredictionPercent(), 1.0);
@@ -101,7 +103,7 @@ TEST(CorrelatedMachine, BudgetTwoUsesBestSinglePath) {
   CorrelatedOptions Opts;
   Opts.MaxStates = 2;
   Opts.MaxPathLen = 1;
-  CorrelatedMachine M = buildCorrelatedMachine(2, Cands, T, Opts);
+  CorrelatedMachine M = test::fitCorrelatedMachine(2, Cands, T, Opts);
   ASSERT_EQ(M.Paths.size(), 1u);
   // One path plus the default suffices: (1,T)->T, default->N (or the
   // mirror image).
@@ -119,7 +121,7 @@ TEST(CorrelatedMachine, AssignmentScoreMatchesEvaluation) {
   CorrelatedOptions Opts;
   Opts.MaxStates = 4;
   Opts.MaxPathLen = 2;
-  CorrelatedMachine M = buildCorrelatedMachine(2, Cands, T, Opts);
+  CorrelatedMachine M = test::fitCorrelatedMachine(2, Cands, T, Opts);
   PredictionStats S = evaluateCorrelatedMachine(M, T);
   EXPECT_EQ(S.Predictions, M.Total);
   EXPECT_EQ(S.Mispredictions, M.Total - M.Correct);
@@ -165,7 +167,7 @@ TEST(CorrelatedMachine, StateBudgetMonotone) {
     CorrelatedOptions Opts;
     Opts.MaxStates = States;
     Opts.MaxPathLen = 2;
-    CorrelatedMachine M = buildCorrelatedMachine(2, Cands, T, Opts);
+    CorrelatedMachine M = test::fitCorrelatedMachine(2, Cands, T, Opts);
     EXPECT_GE(M.Correct, Prev);
     Prev = M.Correct;
   }

@@ -188,6 +188,17 @@ TEST(Verifier, DetectsOversizedMemoryImage) {
   EXPECT_FALSE(verifyModule(M).empty());
 }
 
+TEST(Verifier, DetectsMemoryPastTheLimit) {
+  Module M = countToFive();
+  M.MemWords = MaxMemWords;
+  EXPECT_TRUE(verifyModule(M).empty());
+  M.MemWords = MaxMemWords + 1;
+  bool Found = false;
+  for (const auto &D : verifyModuleDiags(M))
+    Found = Found || D.fullRuleId() == "ir-verify.memory-size";
+  EXPECT_TRUE(Found);
+}
+
 TEST(Verifier, DetectsEntryBlockWithPredecessors) {
   // Regression: an edge back into block 0 used to pass silently, but the
   // interpreter and CFG both treat the entry as a pure reset point.

@@ -258,15 +258,14 @@ TEST(JointReplication, TwoStatesInsteadOfFour) {
 }
 
 TEST(JointPipeline, FiresWhenLoopBranchesShareAMachine) {
-  // Force the ghostview dispatch branches onto loop machines (instead of
-  // correlated ones): they share the interpreter loop, so the pipeline
-  // should fuse them into one joint machine rather than pay the product.
+  // The ghostview dispatch branches that pick loop machines share the
+  // interpreter loop, so the pipeline should fuse them into one joint
+  // machine rather than pay the product.
   Module M;
   ColumnarTrace T = traceWorkloadColumnar(allWorkloads()[3], 1, M, 200'000);
   PipelineOptions Opts;
   Opts.Strategy.MaxStates = 4;
   Opts.Strategy.NodeBudget = 20'000;
-  Opts.Strategy.CorrelatedForLoopBranches = false;
   Opts.MaxSizeFactor = 4.0;
   Opts.JointMaxStates = 8;
   PipelineResult PR = replicateModule(M, T, Opts);

@@ -294,7 +294,7 @@ TEST(CorrelatedReplication, OneStepPathsSplitTheCopyBranch) {
   CorrelatedOptions CO;
   CO.MaxStates = 3;
   CO.MaxPathLen = 1;
-  CorrelatedMachine CM = buildCorrelatedMachine(2, Cands, T, CO);
+  CorrelatedMachine CM = test::fitCorrelatedMachine(2, Cands, T, CO);
   EXPECT_EQ(CM.Total - CM.Correct, 0u);
 
   Module X = M;
@@ -484,7 +484,7 @@ TEST(CorrelatedReplication, TwoStepPathsChainThroughMiddleBlock) {
   CorrelatedOptions CO;
   CO.MaxStates = 6;
   CO.MaxPathLen = 2;
-  CorrelatedMachine CM = buildCorrelatedMachine(3, Cands, T, CO);
+  CorrelatedMachine CM = test::fitCorrelatedMachine(3, Cands, T, CO);
   // The 1-step path (branch 2) is noise; the 2-step paths through branch 1
   // predict branch 3 perfectly.
   EXPECT_EQ(CM.Total - CM.Correct, 0u);

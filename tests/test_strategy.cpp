@@ -210,3 +210,88 @@ TEST(SizeSweep, FirstStepsGiveTheBiggestDrops) {
     EXPECT_GE(FirstDrop, LastDrop);
   }
 }
+
+TEST(SizeSweep, GrowsOnlyMachinesSelectionWouldBuild) {
+  // Abalone's negamax is recursive, so selection gives its loop branches no
+  // loop machine. The sweep must not grow one either: every branch it grows
+  // gets a machine from selection at the same budget, and a loop branch in
+  // a recursive function only a correlated one.
+  Prepared P = prepare(0); // abalone
+  SweepOptions SO;
+  SO.MaxStates = 6;
+  SO.NodeBudget = 50'000;
+  auto Points = computeSizeSweep(*P.PA, *P.Profiles, P.T, SO);
+  StrategyOptions StO;
+  StO.MaxStates = SO.MaxStates;
+  StO.NodeBudget = SO.NodeBudget;
+  StO.MinExecutions = SO.MinExecutions;
+  auto Strategies = selectStrategies(*P.PA, *P.Profiles, P.T, StO);
+
+  auto RecursiveLoopBranch = [&](int32_t Id) {
+    return P.PA->classOf(Id).Kind != BranchKind::NonLoop &&
+           P.PA->isRecursive(P.PA->ref(Id).FuncIdx);
+  };
+  unsigned RecursiveLoopBranches = 0;
+  for (uint32_t Id = 0; Id < P.PA->numBranches(); ++Id)
+    RecursiveLoopBranches += RecursiveLoopBranch(static_cast<int32_t>(Id));
+  ASSERT_GE(RecursiveLoopBranches, 3u);
+
+  ASSERT_GE(Points.size(), 2u);
+  for (size_t I = 1; I < Points.size(); ++I) {
+    const int32_t B = Points[I].BranchId;
+    const BranchStrategy &S = Strategies[static_cast<size_t>(B)];
+    EXPECT_NE(S.Kind, StrategyKind::Profile) << "step " << I << " branch " << B;
+    if (RecursiveLoopBranch(B)) {
+      EXPECT_EQ(S.Kind, StrategyKind::Correlated)
+          << "step " << I << " branch " << B;
+    }
+  }
+}
+
+// -- Per-branch machine search -----------------------------------------------
+
+TEST(LadderSearch, NoLoopLaddersInRecursiveFunctions) {
+  Prepared P = prepare(0); // abalone
+  LadderSearchSpec Spec;
+  Spec.MaxStates = 6;
+  Spec.NodeBudget = 50'000;
+  auto Ladders = searchBranchLadders(*P.PA, *P.Profiles, P.T, Spec);
+  ASSERT_EQ(Ladders.size(), P.PA->numBranches());
+  unsigned Recursive = 0;
+  for (uint32_t Id = 0; Id < P.PA->numBranches(); ++Id) {
+    const BranchLadders &L = Ladders[Id];
+    if (L.Skipped != BranchLadders::Skip::None)
+      continue;
+    const int32_t B = static_cast<int32_t>(Id);
+    EXPECT_EQ(L.Recursive, P.PA->isRecursive(P.PA->ref(B).FuncIdx));
+    if (!L.Recursive)
+      continue;
+    ++Recursive;
+    EXPECT_EQ(L.IntraLoop, nullptr) << "branch " << Id;
+    EXPECT_EQ(L.Exit, nullptr) << "branch " << Id;
+    EXPECT_TRUE(L.Family == StrategyKind::Profile ||
+                L.Family == StrategyKind::Correlated)
+        << "branch " << Id;
+  }
+  EXPECT_GE(Recursive, 3u);
+}
+
+TEST(LadderSearch, SelectionTakesTheSearchedFamily) {
+  Prepared P = prepare(3); // ghostview
+  StrategyOptions Opts;
+  Opts.MaxStates = 5;
+  Opts.NodeBudget = 20'000;
+  auto Strategies = selectStrategies(*P.PA, *P.Profiles, P.T, Opts);
+  LadderSearchSpec Spec;
+  Spec.MaxStates = Opts.MaxStates;
+  Spec.MinBudget = Opts.MaxStates;
+  Spec.NodeBudget = Opts.NodeBudget;
+  auto Ladders = searchBranchLadders(*P.PA, *P.Profiles, P.T, Spec);
+  ASSERT_EQ(Strategies.size(), Ladders.size());
+  for (size_t Id = 0; Id < Ladders.size(); ++Id) {
+    EXPECT_EQ(Strategies[Id].Kind, Ladders[Id].Family) << "branch " << Id;
+    EXPECT_EQ(Strategies[Id].Correct,
+              Ladders[Id].correctAt(Opts.MaxStates))
+        << "branch " << Id;
+  }
+}

@@ -838,17 +838,22 @@ int cmdAnalyze(const Args &A) {
   return writeMetrics(A, nullptr) ? 0 : 1;
 }
 
-/// Shared by replicate and report: trace + pipeline + verification.
-bool runPipeline(const Args &A, const Workload &W, Module &M,
-                 ColumnarTrace &T, PipelineResult &PR) {
-  T = traceWorkloadColumnar(W, A.Seed, M, A.Events);
+/// The pipeline options every command that replicates runs with.
+PipelineOptions pipelineOptions(const Args &A) {
   PipelineOptions Opts;
   Opts.Strategy.MaxStates = A.States;
   Opts.Strategy.NodeBudget = 50'000;
   Opts.Strategy.Jobs = A.Jobs;
   Opts.MaxSizeFactor = A.Budget;
   Opts.TimelineWindowEvents = A.Window;
-  PR = replicateModule(M, T, Opts);
+  return Opts;
+}
+
+/// Shared by replicate and report: trace + pipeline + verification.
+bool runPipeline(const Args &A, const Workload &W, Module &M,
+                 ColumnarTrace &T, PipelineResult &PR) {
+  T = traceWorkloadColumnar(W, A.Seed, M, A.Events);
+  PR = replicateModule(M, T, pipelineOptions(A));
   if (!verifyModule(PR.Transformed).empty()) {
     std::fprintf(stderr,
                  "bpcr: error: transformed module failed verification\n");
@@ -1581,12 +1586,7 @@ int cmdLint(const Args &A) {
     }
     Module Traced;
     ColumnarTrace T = traceWorkloadColumnar(*W, A.Seed, Traced, A.Events);
-    PipelineOptions Opts;
-    Opts.Strategy.MaxStates = A.States;
-    Opts.Strategy.NodeBudget = 50'000;
-    Opts.Strategy.Jobs = A.Jobs;
-    Opts.MaxSizeFactor = A.Budget;
-    PipelineResult PR = replicateModule(Traced, T, Opts);
+    PipelineResult PR = replicateModule(Traced, T, pipelineOptions(A));
     Rules.push_back(
         {"replication-soundness",
          "the replicated module simulates its original: paired blocks run "
