@@ -10,8 +10,9 @@
 #include "trace/ColumnarTrace.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <map>
+#include <span>
 
 using namespace bpcr;
 
@@ -62,66 +63,218 @@ int CorrelatedMachine::match(const std::vector<PathStep> &Recent) const {
   return -1;
 }
 
+namespace {
+
+/// Span-vs-key order for binary searches over sorted SymbolStrings.
+bool keyLess(const SymbolString &K, std::span<const uint32_t> S) {
+  return std::lexicographical_compare(K.begin(), K.end(), S.begin(),
+                                      S.end());
+}
+
+/// Position of \p S in the sorted range [First, Last), or Last.
+std::vector<SymbolString>::const_iterator
+findKey(std::vector<SymbolString>::const_iterator First,
+        std::vector<SymbolString>::const_iterator Last,
+        std::span<const uint32_t> S) {
+  auto It = std::lower_bound(First, Last, S, keyLess);
+  if (It != Last &&
+      std::equal(It->begin(), It->end(), S.begin(), S.end()))
+    return It;
+  return Last;
+}
+
+/// The matcher behind profilePaths: an Aho-Corasick automaton over every
+/// branch's candidate keys (oldest decision first). A state is a prefix of
+/// some key: the longest one the decisions so far end with. Every key
+/// that matches the recent decisions ends that prefix, so a state and the
+/// next event's branch fix the event's count slot. Transitions, keyed by
+/// (state, event symbol), carry both that slot and the next state; they
+/// are built on first use into a flat open-addressing table, so a trace
+/// pass costs one table probe per event. The states are bounded by the
+/// candidates and the table by MaxTransitions (it starts over when full),
+/// whatever the trace.
+class PathAutomaton {
+public:
+  /// Count slots: one per distinct candidate key, numbered in each
+  /// branch's sorted key order, then one unmatched slot per branch, then
+  /// one for events whose id has no branch.
+  PathAutomaton(const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
+                unsigned MaxPathLen) {
+    FirstSlot.reserve(CandidatesByBranch.size() + 1);
+    for (const std::vector<BranchPath> &Cands : CandidatesByBranch) {
+      FirstSlot.push_back(static_cast<uint32_t>(Keys.size()));
+      size_t First = Keys.size();
+      for (const BranchPath &P : Cands)
+        if (!P.Steps.empty() && P.Steps.size() <= MaxPathLen)
+          Keys.push_back(encodePathSteps(P));
+      sortUnique(Keys, First);
+    }
+    FirstSlot.push_back(static_cast<uint32_t>(Keys.size()));
+
+    States.push_back({}); // the empty prefix sorts first: Start
+    for (const SymbolString &K : Keys)
+      for (size_t L = 1; L <= K.size(); ++L)
+        States.emplace_back(K.begin(), K.begin() + static_cast<long>(L));
+    sortUnique(States, 0);
+    resize(256);
+  }
+
+  size_t numBranches() const { return FirstSlot.size() - 1; }
+  size_t numSlots() const { return Keys.size() + numBranches() + 1; }
+  uint32_t unmatchedSlot(size_t B) const {
+    return static_cast<uint32_t>(Keys.size() + B);
+  }
+  const SymbolString &key(uint32_t Slot) const { return Keys[Slot]; }
+  uint32_t firstSlot(size_t B) const { return FirstSlot[B]; }
+
+  /// The state before the first event.
+  static constexpr uint32_t Start = 0;
+
+  /// Advances \p State over the event (\p Id, \p Taken); \returns the
+  /// event's count slot.
+  uint32_t step(uint32_t &State, int32_t Id, bool Taken) {
+    const uint32_t Sym = encodeStep({Id, Taken});
+    const uint64_t Key = keyOf(State, Sym);
+    size_t H = home(Key);
+    while (Table[H].Key != Key) {
+      if (Table[H].Key == Empty) {
+        H = add(State, Id, Sym);
+        break;
+      }
+      H = (H + 1) & (Table.size() - 1);
+    }
+    State = Table[H].Next;
+    return Table[H].Slot;
+  }
+
+private:
+  struct Transition {
+    uint64_t Key;
+    uint32_t Next;
+    uint32_t Slot;
+  };
+  static constexpr uint64_t Empty = UINT64_MAX;
+  static constexpr size_t MaxTransitions = size_t{1} << 16;
+
+  static void sortUnique(std::vector<SymbolString> &V, size_t First) {
+    std::sort(V.begin() + static_cast<long>(First), V.end());
+    V.erase(std::unique(V.begin() + static_cast<long>(First), V.end()),
+            V.end());
+  }
+
+  static uint64_t keyOf(uint32_t State, uint32_t Sym) {
+    return (uint64_t{State} << 32) | Sym;
+  }
+
+  size_t home(uint64_t Key) const {
+    return static_cast<size_t>((Key * 0x9E3779B97F4A7C15ULL) >> Shift);
+  }
+
+  /// Builds the transition from \p State over (\p Id, \p Sym); \returns
+  /// its table index.
+  size_t add(uint32_t State, int32_t Id, uint32_t Sym) {
+    if (Used == MaxTransitions) {
+      resize(256);
+      Used = 0;
+    } else if (2 * (Used + 1) > Table.size()) {
+      std::vector<Transition> Old = std::move(Table);
+      resize(2 * Old.size());
+      for (const Transition &T : Old)
+        if (T.Key != Empty)
+          Table[place(T.Key)] = T;
+    }
+    const uint64_t Key = keyOf(State, Sym);
+    size_t H = place(Key);
+    Table[H] = {Key, nextState(State, Sym), slotFor(States[State], Id)};
+    ++Used;
+    return H;
+  }
+
+  /// Longest candidate of branch \p Id that \p Prefix ends with.
+  uint32_t slotFor(const SymbolString &Prefix, int32_t Id) const {
+    size_t B = static_cast<size_t>(Id);
+    if (B >= numBranches())
+      return static_cast<uint32_t>(numSlots() - 1);
+    auto First = Keys.begin() + FirstSlot[B];
+    auto Last = Keys.begin() + FirstSlot[B + 1];
+    for (size_t L = Prefix.size(); L >= 1; --L) {
+      auto It = findKey(First, Last,
+                        std::span(Prefix).subspan(Prefix.size() - L));
+      if (It != Last)
+        return static_cast<uint32_t>(It - Keys.begin());
+    }
+    return unmatchedSlot(B);
+  }
+
+  /// The longest state that \p State's prefix followed by \p Sym ends
+  /// with.
+  uint32_t nextState(uint32_t State, uint32_t Sym) {
+    Extended.assign(States[State].begin(), States[State].end());
+    Extended.push_back(Sym);
+    for (size_t Drop = 0; Drop < Extended.size(); ++Drop) {
+      auto It = findKey(States.begin(), States.end(),
+                        std::span(Extended).subspan(Drop));
+      if (It != States.end())
+        return static_cast<uint32_t>(It - States.begin());
+    }
+    return Start;
+  }
+
+  /// First free table index on \p Key's probe sequence.
+  size_t place(uint64_t Key) const {
+    size_t H = home(Key);
+    while (Table[H].Key != Empty)
+      H = (H + 1) & (Table.size() - 1);
+    return H;
+  }
+
+  void resize(size_t Size) {
+    Table.assign(Size, {Empty, 0, 0});
+    Shift = 64 - static_cast<unsigned>(std::countr_zero(Size));
+  }
+
+  std::vector<SymbolString> Keys;
+  std::vector<uint32_t> FirstSlot;
+  /// Every distinct prefix of a key, sorted; a state is an index here.
+  std::vector<SymbolString> States;
+  std::vector<Transition> Table;
+  unsigned Shift = 0;
+  size_t Used = 0;
+  /// nextState's buffer, reused so building a transition does not
+  /// allocate once it has grown.
+  SymbolString Extended;
+};
+
+} // namespace
+
 std::vector<PathProfile> bpcr::profilePaths(
     const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
     const ColumnarTrace &CT, unsigned MaxPathLen) {
   Span S("profiles.paths", "kernel");
   S.arg("events", static_cast<uint64_t>(CT.size()));
-  size_t NumBranches = CandidatesByBranch.size();
-  std::vector<PathProfile> Out(NumBranches);
-
-  // Candidate lookup per branch; remember the longest candidate to bound
-  // the suffix probing.
-  std::vector<std::map<SymbolString, size_t>> Lookup(NumBranches);
-  std::vector<size_t> Longest(NumBranches, 0);
-  std::vector<std::map<SymbolString, DirCounts>> Accum(NumBranches);
-  for (size_t B = 0; B < NumBranches; ++B)
-    for (const BranchPath &P : CandidatesByBranch[B]) {
-      if (P.Steps.empty() || P.Steps.size() > MaxPathLen)
-        continue;
-      Lookup[B].emplace(encodePathSteps(P), 0);
-      Longest[B] = std::max(Longest[B], P.Steps.size());
-    }
+  PathAutomaton Paths(CandidatesByBranch, MaxPathLen);
+  std::vector<DirCounts> Counts(Paths.numSlots());
 
   // One global-order pass over the id column and the packed direction
-  // words; the window holds the last MaxPathLen encoded events. Both the
-  // window and the probe key are reused across the whole trace — this loop
-  // runs once per branch event and must not allocate per event.
+  // words: one table probe and one counter bump per event, no allocation
+  // and no map lookup (those happen only when a context is first seen).
   const int32_t *Ids = CT.ids().data();
   const BitstreamView Dirs = CT.directions();
-  SymbolString Window;
-  Window.reserve(MaxPathLen + 1);
-  SymbolString Key;
-  Key.reserve(MaxPathLen);
+  uint32_t State = PathAutomaton::Start;
   for (size_t I = 0, N = CT.size(); I < N; ++I) {
-    const PathStep E{Ids[I], Dirs.bit(I)};
-    size_t B = static_cast<size_t>(E.BranchId);
-    if (B < NumBranches && !Lookup[B].empty()) {
-      bool Matched = false;
-      for (size_t L = std::min(Window.size(), Longest[B]); L >= 1; --L) {
-        Key.assign(Window.end() - static_cast<long>(L), Window.end());
-        if (Lookup[B].count(Key)) {
-          Accum[B][Key].record(E.Taken);
-          Matched = true;
-          break;
-        }
-        if (L == 1)
-          break;
-      }
-      if (!Matched)
-        Out[B].Unmatched.record(E.Taken);
-    } else if (B < NumBranches) {
-      Out[B].Unmatched.record(E.Taken);
-    }
-    if (Window.size() == MaxPathLen)
-      Window.erase(Window.begin());
-    Window.push_back(encodeStep(E));
+    const bool Taken = Dirs.bit(I);
+    Counts[Paths.step(State, Ids[I], Taken)].record(Taken);
   }
 
-  for (size_t B = 0; B < NumBranches; ++B) {
-    Out[B].PerPath.reserve(Accum[B].size());
-    for (auto &[Path, Counts] : Accum[B])
-      Out[B].PerPath.emplace_back(Path, Counts);
+  // Slots run in sorted key order within each branch; report the keys that
+  // were hit.
+  std::vector<PathProfile> Out(CandidatesByBranch.size());
+  for (size_t B = 0; B < Out.size(); ++B) {
+    for (uint32_t Slot = Paths.firstSlot(B); Slot < Paths.firstSlot(B + 1);
+         ++Slot)
+      if (Counts[Slot].total() > 0)
+        Out[B].PerPath.emplace_back(Paths.key(Slot), Counts[Slot]);
+    Out[B].Unmatched = Counts[Paths.unmatchedSlot(B)];
   }
   return Out;
 }

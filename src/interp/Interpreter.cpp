@@ -9,6 +9,7 @@
 #include "obs/Metrics.h"
 #include "obs/TraceSpans.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 
@@ -18,17 +19,6 @@ TraceSink::~TraceSink() = default;
 InstrListener::~InstrListener() = default;
 
 namespace {
-
-/// One activation record. The interpreter keeps an explicit stack so deep
-/// recursion in workloads (the prolog-style backtracking search) cannot
-/// overflow the host stack.
-struct Frame {
-  uint32_t FuncIdx;
-  uint32_t Block = 0;
-  uint32_t Inst = 0;
-  Reg RetDst = 0;
-  std::vector<int64_t> Regs;
-};
 
 int64_t shiftLeft(int64_t A, int64_t B) {
   // Shift in the unsigned domain to avoid signed-overflow UB; the shift
@@ -42,9 +32,342 @@ int64_t shiftRight(int64_t A, int64_t B) {
   return A >> (static_cast<uint64_t>(B) & 63);
 }
 
-} // namespace
+/// Two's-complement wrapping add (memory addresses).
+int64_t wrapAdd(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) +
+                              static_cast<uint64_t>(B));
+}
 
-namespace {
+/// The IR's arithmetic and comparison semantics, one instantiation per
+/// opcode so each lowered form compiles to straight-line code.
+template <Opcode Op> int64_t apply(int64_t A, int64_t B) {
+  uint64_t UA = static_cast<uint64_t>(A), UB = static_cast<uint64_t>(B);
+  if constexpr (Op == Opcode::Add)
+    return static_cast<int64_t>(UA + UB);
+  else if constexpr (Op == Opcode::Sub)
+    return static_cast<int64_t>(UA - UB);
+  else if constexpr (Op == Opcode::Mul)
+    return static_cast<int64_t>(UA * UB);
+  else if constexpr (Op == Opcode::Div || Op == Opcode::Rem) {
+    // Division by zero yields 0; INT64_MIN / -1 wraps (remainder 0).
+    if (B == 0)
+      return 0;
+    if (A == std::numeric_limits<int64_t>::min() && B == -1)
+      return Op == Opcode::Div ? A : 0;
+    return Op == Opcode::Div ? A / B : A % B;
+  }
+  else if constexpr (Op == Opcode::And)
+    return A & B;
+  else if constexpr (Op == Opcode::Or)
+    return A | B;
+  else if constexpr (Op == Opcode::Xor)
+    return A ^ B;
+  else if constexpr (Op == Opcode::Shl)
+    return shiftLeft(A, B);
+  else if constexpr (Op == Opcode::Shr)
+    return shiftRight(A, B);
+  else if constexpr (Op == Opcode::CmpEq)
+    return A == B;
+  else if constexpr (Op == Opcode::CmpNe)
+    return A != B;
+  else if constexpr (Op == Opcode::CmpLt)
+    return A < B;
+  else if constexpr (Op == Opcode::CmpLe)
+    return A <= B;
+  else if constexpr (Op == Opcode::CmpGt)
+    return A > B;
+  else
+    return A >= B;
+}
+
+// The two-operand opcodes, in Opcode order (Add .. CmpGe).
+#define BPCR_BINARY_OPS(X)                                                     \
+  X(Add) X(Sub) X(Mul) X(Div) X(Rem) X(And) X(Or) X(Xor) X(Shl) X(Shr)         \
+  X(CmpEq) X(CmpNe) X(CmpLt) X(CmpLe) X(CmpGt) X(CmpGe)
+
+/// Lowered opcodes: an IR opcode with its operand kinds folded in. `R` is a
+/// register operand and `I` an immediate (a missing operand reads as 0);
+/// for Load/Store the letters name the address operands, and a trailing
+/// `K` marks an immediate stored value.
+enum class XOp : uint8_t {
+#define BPCR_X(Name) Name##RR, Name##RI, Name##IR,
+  BPCR_BINARY_OPS(BPCR_X)
+#undef BPCR_X
+  MovR,
+  MovI,
+  LoadRR,
+  LoadRI,
+  LoadI,
+  StoreRR,
+  StoreRI,
+  StoreI,
+  StoreRRK,
+  StoreRIK,
+  StoreIK,
+  Call,
+  BrR,
+  BrI,
+  Jmp,
+  RetR,
+  RetI,
+  /// Control reached the end of a block, an out-of-range target or an
+  /// unknown callee: the run stops before this fetch.
+  FellOff,
+};
+
+static_assert(static_cast<unsigned>(Opcode::CmpGe) -
+                      static_cast<unsigned>(Opcode::Add) ==
+                  15 &&
+              static_cast<unsigned>(XOp::MovR) == 48,
+              "binary XOps are laid out as (Opcode - Add) * 3 + form");
+
+/// One pre-decoded instruction. Field use by opcode:
+///  - binary/Mov/Load: Dst; A and B registers; Imm the immediate operand
+///    (or the whole address for LoadI);
+///  - Store: A and B address registers, Imm the immediate address part,
+///    C the value register or Imm2 the immediate value;
+///  - Br: A condition register (BrI: Imm2 the constant condition), B and C
+///    the true and false PCs, Imm the branch's index in Program::Branches;
+///  - Jmp: A the target PC; Ret: A register or Imm;
+///  - Call: Dst, A the callee entry PC, B/C the first argument index and
+///    argument count, Imm the callee frame size;
+///  - FellOff: A the function index.
+struct XInst {
+  XOp Op = XOp::FellOff;
+  Reg Dst = 0;
+  uint32_t A = 0;
+  uint32_t B = 0;
+  uint32_t C = 0;
+  int64_t Imm = 0;
+  int64_t Imm2 = 0;
+};
+
+/// A call argument: a caller register or an immediate.
+struct XArg {
+  bool IsReg;
+  Reg R;
+  int64_t Imm;
+};
+
+/// Where a PC came from, for the instruction listener.
+struct XLoc {
+  uint32_t Func, Block, Inst;
+};
+
+/// A module lowered to one flat code array. Every function's blocks are
+/// laid out back to back; a block that does not end in a terminator is
+/// followed by a FellOff stub, and each function ends with one more stub
+/// that out-of-range branch targets point at.
+struct Program {
+  std::vector<XInst> Code;
+  std::vector<XLoc> Locs;
+  std::vector<XArg> Args;
+  std::vector<const Instruction *> Branches;
+  std::vector<uint32_t> Entry;
+  /// Registers per frame: NumRegs, raised to cover every register the
+  /// function names, so no access leaves its frame even in a module that
+  /// was never verified.
+  std::vector<uint32_t> FrameSize;
+};
+
+int64_t foldBinary(Opcode Op, int64_t A, int64_t B) {
+  switch (Op) {
+#define BPCR_X(Name)                                                           \
+  case Opcode::Name:                                                           \
+    return apply<Opcode::Name>(A, B);
+    BPCR_BINARY_OPS(BPCR_X)
+#undef BPCR_X
+  default:
+    return 0;
+  }
+}
+
+/// Immediate value of a non-register operand (a missing one reads as 0).
+int64_t immOf(const Operand &O) { return O.isImm() ? O.Val : 0; }
+
+uint32_t frameSize(const Function &F) {
+  uint32_t N = F.NumRegs;
+  auto Cover = [&N](const Operand &O) {
+    if (O.isReg())
+      N = std::max<uint32_t>(N, static_cast<uint32_t>(O.asReg()) + 1);
+  };
+  for (const BasicBlock &BB : F.Blocks)
+    for (const Instruction &I : BB.Insts) {
+      if (writesRegister(I.Op))
+        N = std::max<uint32_t>(N, static_cast<uint32_t>(I.Dst) + 1);
+      Cover(I.A);
+      Cover(I.B);
+      Cover(I.C);
+      for (const Operand &Arg : I.Args)
+        Cover(Arg);
+    }
+  return N;
+}
+
+XInst lowerInst(const Instruction &I, const Program &P,
+                const std::vector<uint32_t> &BlockPC, uint32_t Stub,
+                uint32_t FuncIdx) {
+  XInst X;
+  X.Dst = I.Dst;
+  auto Target = [&](uint32_t T) {
+    return T < BlockPC.size() ? BlockPC[T] : Stub;
+  };
+  switch (I.Op) {
+  case Opcode::Mov:
+    if (I.A.isReg()) {
+      X.Op = XOp::MovR;
+      X.A = I.A.asReg();
+    } else {
+      X.Op = XOp::MovI;
+      X.Imm = immOf(I.A);
+    }
+    break;
+
+  case Opcode::Load:
+  case Opcode::Store: {
+    bool IsLoad = I.Op == Opcode::Load;
+    bool StoreImm = !IsLoad && !I.C.isReg();
+    // The address is A + B; an immediate part moves to Imm.
+    if (I.A.isReg() && I.B.isReg()) {
+      X.Op = IsLoad ? XOp::LoadRR : StoreImm ? XOp::StoreRRK : XOp::StoreRR;
+      X.A = I.A.asReg();
+      X.B = I.B.asReg();
+    } else if (I.A.isReg() || I.B.isReg()) {
+      X.Op = IsLoad ? XOp::LoadRI : StoreImm ? XOp::StoreRIK : XOp::StoreRI;
+      X.A = I.A.isReg() ? I.A.asReg() : I.B.asReg();
+      X.Imm = I.A.isReg() ? immOf(I.B) : immOf(I.A);
+    } else {
+      X.Op = IsLoad ? XOp::LoadI : StoreImm ? XOp::StoreIK : XOp::StoreI;
+      X.Imm = wrapAdd(immOf(I.A), immOf(I.B));
+    }
+    if (StoreImm)
+      X.Imm2 = immOf(I.C);
+    else if (!IsLoad)
+      X.C = I.C.asReg();
+    break;
+  }
+
+  case Opcode::Call: {
+    if (I.Callee >= P.Entry.size()) {
+      X.Op = XOp::FellOff;
+      X.A = FuncIdx;
+      break;
+    }
+    X.Op = XOp::Call;
+    X.A = P.Entry[I.Callee];
+    X.Imm = P.FrameSize[I.Callee];
+    X.B = static_cast<uint32_t>(P.Args.size());
+    X.C = static_cast<uint32_t>(
+        std::min<size_t>(I.Args.size(), P.FrameSize[I.Callee]));
+    break;
+  }
+
+  case Opcode::Br:
+    if (I.A.isReg()) {
+      X.Op = XOp::BrR;
+      X.A = I.A.asReg();
+    } else {
+      X.Op = XOp::BrI;
+      X.Imm2 = immOf(I.A);
+    }
+    X.B = Target(I.TrueTarget);
+    X.C = Target(I.FalseTarget);
+    X.Imm = static_cast<int64_t>(P.Branches.size());
+    break;
+
+  case Opcode::Jmp:
+    X.Op = XOp::Jmp;
+    X.A = Target(I.TrueTarget);
+    break;
+
+  case Opcode::Ret:
+    if (I.A.isReg()) {
+      X.Op = XOp::RetR;
+      X.A = I.A.asReg();
+    } else {
+      X.Op = XOp::RetI;
+      X.Imm = immOf(I.A);
+    }
+    break;
+
+  default: {
+    // Two-operand arithmetic and comparisons.
+    unsigned Base = (static_cast<unsigned>(I.Op) -
+                     static_cast<unsigned>(Opcode::Add)) * 3;
+    if (I.A.isReg() && I.B.isReg()) {
+      X.Op = static_cast<XOp>(Base);
+      X.A = I.A.asReg();
+      X.B = I.B.asReg();
+    } else if (I.A.isReg()) {
+      X.Op = static_cast<XOp>(Base + 1);
+      X.A = I.A.asReg();
+      X.Imm = immOf(I.B);
+    } else if (I.B.isReg()) {
+      X.Op = static_cast<XOp>(Base + 2);
+      X.Imm = immOf(I.A);
+      X.B = I.B.asReg();
+    } else {
+      X.Op = XOp::MovI;
+      X.Imm = foldBinary(I.Op, immOf(I.A), immOf(I.B));
+    }
+    break;
+  }
+  }
+  return X;
+}
+
+/// Lowers \p M: lays out every function, then emits its code with branch
+/// targets and callees resolved to PCs.
+Program lowerModule(const Module &M) {
+  Program P;
+  size_t NumFuncs = M.Functions.size();
+  std::vector<std::vector<uint32_t>> BlockPC(NumFuncs);
+  std::vector<uint32_t> Stub(NumFuncs);
+  P.Entry.resize(NumFuncs);
+  P.FrameSize.resize(NumFuncs);
+  uint32_t PC = 0;
+  for (size_t F = 0; F < NumFuncs; ++F) {
+    const Function &Fn = M.Functions[F];
+    for (const BasicBlock &BB : Fn.Blocks) {
+      BlockPC[F].push_back(PC);
+      PC += static_cast<uint32_t>(BB.Insts.size()) + (BB.isComplete() ? 0 : 1);
+    }
+    Stub[F] = PC++;
+    P.Entry[F] = Fn.Blocks.empty() ? Stub[F] : BlockPC[F][0];
+    P.FrameSize[F] = frameSize(Fn);
+  }
+
+  P.Code.reserve(PC);
+  P.Locs.reserve(PC);
+  for (size_t F = 0; F < NumFuncs; ++F) {
+    const Function &Fn = M.Functions[F];
+    uint32_t FI = static_cast<uint32_t>(F);
+    XInst FellOff;
+    FellOff.A = FI;
+    for (size_t B = 0; B < Fn.Blocks.size(); ++B) {
+      const BasicBlock &BB = Fn.Blocks[B];
+      for (size_t N = 0; N < BB.Insts.size(); ++N) {
+        const Instruction &I = BB.Insts[N];
+        P.Code.push_back(lowerInst(I, P, BlockPC[F], Stub[F], FI));
+        P.Locs.push_back({FI, static_cast<uint32_t>(B),
+                          static_cast<uint32_t>(N)});
+        if (P.Code.back().Op == XOp::Call)
+          for (const Operand &Arg : I.Args)
+            P.Args.push_back({Arg.isReg(), Arg.isReg() ? Arg.asReg() : Reg(0),
+                              immOf(Arg)});
+        else if (P.Code.back().Op == XOp::BrR || P.Code.back().Op == XOp::BrI)
+          P.Branches.push_back(&I);
+      }
+      if (!BB.isComplete()) {
+        P.Code.push_back(FellOff);
+        P.Locs.push_back({FI, static_cast<uint32_t>(B), 0});
+      }
+    }
+    P.Code.push_back(FellOff);
+    P.Locs.push_back({FI, 0, 0});
+  }
+  return P;
+}
 
 /// Emitter policies for the templated execution loop. The interpreter is
 /// instantiated once per policy, so the no-sink run pays nothing per
@@ -81,6 +404,245 @@ struct BatchEmitter {
   size_t N = 0;
 };
 
+/// A caller's state, saved across a call. Frames and registers live on
+/// explicit stacks, so deep recursion in workloads (the prolog-style
+/// backtracking search) cannot overflow the host stack.
+struct Frame {
+  const XInst *RetPC;
+  size_t Base;
+  Reg RetDst;
+};
+
+/// Runs \p P from its entry function until it returns, errs or hits a
+/// limit. All registers live on one contiguous stack; a frame is a base
+/// offset into it. \p Listen instantiates the per-instruction listener
+/// call, so runs without one test nothing for it.
+template <bool Listen, class Emitter>
+void run(const Program &P, uint32_t EntryFunc, uint32_t EntryRegs,
+         Emitter &Emit, const ExecOptions &Opts, std::vector<int64_t> &Mem,
+         ExecResult &R) {
+  const XInst *const Code = P.Code.data();
+  const XArg *const Args = P.Args.data();
+  int64_t *const MemData = Mem.data();
+  const uint64_t MemSize = Mem.size();
+  const uint64_t MaxInstructions = Opts.MaxInstructions;
+  const uint64_t MaxBranchEvents = Opts.MaxBranchEvents;
+
+  std::vector<int64_t> Stack(
+      std::max<size_t>(4096, 4 * size_t{P.FrameSize[EntryFunc]}), 0);
+  std::vector<Frame> Frames;
+  Frames.reserve(64);
+  size_t Base = 0, Top = P.FrameSize[EntryFunc];
+  int64_t *Regs = Stack.data();
+  for (size_t I = 0; I < Opts.EntryArgs.size() && I < EntryRegs; ++I)
+    Regs[I] = Opts.EntryArgs[I];
+
+  const XInst *PC = Code + P.Entry[EntryFunc];
+  uint64_t Count = 0, Events = 0;
+  bool Errored = false;
+  auto Stop = [&](const char *Fmt, long long V) {
+    char Buf[128];
+    std::snprintf(Buf, sizeof(Buf), Fmt, V);
+    R.Error = Buf;
+    Errored = true;
+  };
+  // A fall-off stops the run before its fetch is counted or reported to
+  // the listener.
+  auto FellOff = [&] {
+    Stop("control fell off a block in function %lld",
+         static_cast<long long>(PC->A));
+  };
+  auto Load = [&](int64_t Addr) {
+    if (static_cast<uint64_t>(Addr) >= MemSize) {
+      Stop("load from address %lld out of bounds",
+           static_cast<long long>(Addr));
+      return false;
+    }
+    Regs[PC->Dst] = MemData[static_cast<size_t>(Addr)];
+    ++PC;
+    return true;
+  };
+  auto Store = [&](int64_t Addr, int64_t V) {
+    if (static_cast<uint64_t>(Addr) >= MemSize) {
+      Stop("store to address %lld out of bounds",
+           static_cast<long long>(Addr));
+      return false;
+    }
+    MemData[static_cast<size_t>(Addr)] = V;
+    ++PC;
+    return true;
+  };
+  auto Branch = [&](bool Taken) {
+    Emit.emit(*P.Branches[static_cast<size_t>(PC->Imm)], Taken);
+    PC = Code + (Taken ? PC->B : PC->C);
+    if (++Events >= MaxBranchEvents) {
+      R.HitBranchLimit = true;
+      return false;
+    }
+    return true;
+  };
+  auto Return = [&](int64_t V) {
+    if (Frames.empty()) {
+      R.ReturnValue = V;
+      return false;
+    }
+    const Frame F = Frames.back();
+    Frames.pop_back();
+    Top = Base;
+    Base = F.Base;
+    Regs = Stack.data() + Base;
+    Regs[F.RetDst] = V;
+    PC = F.RetPC;
+    return true;
+  };
+
+  for (;;) {
+    const XInst &X = *PC;
+    if constexpr (Listen) {
+      if (X.Op == XOp::FellOff) {
+        FellOff();
+        break;
+      }
+      const XLoc &L = P.Locs[static_cast<size_t>(PC - Code)];
+      Opts.Listener->onInstruction(L.Func, L.Block, L.Inst);
+    }
+    if (++Count > MaxInstructions) {
+      if (X.Op == XOp::FellOff) {
+        --Count;
+        FellOff();
+      } else {
+        Stop("instruction budget exhausted (%lld)",
+             static_cast<long long>(MaxInstructions));
+      }
+      break;
+    }
+
+    switch (X.Op) {
+#define BPCR_X(Name)                                                           \
+  case XOp::Name##RR:                                                          \
+    Regs[X.Dst] = apply<Opcode::Name>(Regs[X.A], Regs[X.B]);                   \
+    ++PC;                                                                      \
+    continue;                                                                  \
+  case XOp::Name##RI:                                                          \
+    Regs[X.Dst] = apply<Opcode::Name>(Regs[X.A], X.Imm);                       \
+    ++PC;                                                                      \
+    continue;                                                                  \
+  case XOp::Name##IR:                                                          \
+    Regs[X.Dst] = apply<Opcode::Name>(X.Imm, Regs[X.B]);                       \
+    ++PC;                                                                      \
+    continue;
+      BPCR_BINARY_OPS(BPCR_X)
+#undef BPCR_X
+
+    case XOp::MovR:
+      Regs[X.Dst] = Regs[X.A];
+      ++PC;
+      continue;
+    case XOp::MovI:
+      Regs[X.Dst] = X.Imm;
+      ++PC;
+      continue;
+
+    case XOp::LoadRR:
+      if (Load(wrapAdd(Regs[X.A], Regs[X.B])))
+        continue;
+      break;
+    case XOp::LoadRI:
+      if (Load(wrapAdd(Regs[X.A], X.Imm)))
+        continue;
+      break;
+    case XOp::LoadI:
+      if (Load(X.Imm))
+        continue;
+      break;
+
+    case XOp::StoreRR:
+      if (Store(wrapAdd(Regs[X.A], Regs[X.B]), Regs[X.C]))
+        continue;
+      break;
+    case XOp::StoreRI:
+      if (Store(wrapAdd(Regs[X.A], X.Imm), Regs[X.C]))
+        continue;
+      break;
+    case XOp::StoreI:
+      if (Store(X.Imm, Regs[X.C]))
+        continue;
+      break;
+    case XOp::StoreRRK:
+      if (Store(wrapAdd(Regs[X.A], Regs[X.B]), X.Imm2))
+        continue;
+      break;
+    case XOp::StoreRIK:
+      if (Store(wrapAdd(Regs[X.A], X.Imm), X.Imm2))
+        continue;
+      break;
+    case XOp::StoreIK:
+      if (Store(X.Imm, X.Imm2))
+        continue;
+      break;
+
+    case XOp::Call: {
+      if (Frames.size() + 1 >= Opts.MaxCallDepth) {
+        Stop("call depth limit exceeded (%lld)",
+             static_cast<long long>(Opts.MaxCallDepth));
+        break;
+      }
+      size_t Size = static_cast<size_t>(X.Imm);
+      if (Top + Size > Stack.size()) {
+        Stack.resize(std::max(2 * Stack.size(), Top + Size));
+        Regs = Stack.data() + Base;
+      }
+      // Arguments are read from the caller's frame into the fresh one
+      // just above it.
+      int64_t *Callee = Stack.data() + Top;
+      std::fill(Callee, Callee + Size, 0);
+      for (uint32_t I = 0; I < X.C; ++I) {
+        const XArg &Arg = Args[X.B + I];
+        Callee[I] = Arg.IsReg ? Regs[Arg.R] : Arg.Imm;
+      }
+      Frames.push_back({PC + 1, Base, X.Dst});
+      Base = Top;
+      Top += Size;
+      Regs = Callee;
+      PC = Code + X.A;
+      continue;
+    }
+
+    case XOp::BrR:
+      if (Branch(Regs[X.A] != 0))
+        continue;
+      break;
+    case XOp::BrI:
+      if (Branch(X.Imm2 != 0))
+        continue;
+      break;
+
+    case XOp::Jmp:
+      PC = Code + X.A;
+      continue;
+
+    case XOp::RetR:
+      if (Return(Regs[X.A]))
+        continue;
+      break;
+    case XOp::RetI:
+      if (Return(X.Imm))
+        continue;
+      break;
+
+    case XOp::FellOff:
+      --Count;
+      FellOff();
+      break;
+    }
+    break;
+  }
+
+  R.Ok = !Errored;
+  R.InstructionsExecuted = Count;
+  R.BranchEvents = Events;
+}
+
 template <class Emitter>
 ExecResult executeImpl(const Module &M, Emitter &Emit,
                        const ExecOptions &Opts) {
@@ -103,255 +665,19 @@ ExecResult executeImpl(const Module &M, Emitter &Emit,
   for (size_t I = 0; I < M.InitialMemory.size() && I < Mem.size(); ++I)
     Mem[I] = M.InitialMemory[I];
 
-  std::vector<Frame> Stack;
-  {
-    Frame F;
-    F.FuncIdx = M.EntryFunction;
-    F.Regs.assign(M.Functions[M.EntryFunction].NumRegs, 0);
-    for (size_t I = 0;
-         I < Opts.EntryArgs.size() && I < F.Regs.size(); ++I)
-      F.Regs[I] = Opts.EntryArgs[I];
-    Stack.push_back(std::move(F));
-  }
-
-  auto Fail = [&R](const char *Fmt, long long V = 0) {
-    char Buf[128];
-    std::snprintf(Buf, sizeof(Buf), Fmt, V);
-    R.Error = Buf;
-    return false;
-  };
-
-  int64_t RetVal = 0;
-  bool Running = true;
-  bool Errored = false;
-
-  while (Running) {
-    Frame &F = Stack.back();
-    const Function &Fn = M.Functions[F.FuncIdx];
-
-    if (F.Block >= Fn.Blocks.size() ||
-        F.Inst >= Fn.Blocks[F.Block].Insts.size()) {
-      Errored = !Fail("control fell off a block in function %lld",
-                      static_cast<long long>(F.FuncIdx));
-      break;
-    }
-
-    const Instruction &I = Fn.Blocks[F.Block].Insts[F.Inst];
-
-    if (Opts.Listener)
-      Opts.Listener->onInstruction(F.FuncIdx, F.Block, F.Inst);
-
-    if (++R.InstructionsExecuted > Opts.MaxInstructions) {
-      Errored = !Fail("instruction budget exhausted (%lld)",
-                      static_cast<long long>(Opts.MaxInstructions));
-      break;
-    }
-
-    auto Eval = [&F](const Operand &O) -> int64_t {
-      if (O.isImm())
-        return O.Val;
-      if (O.isReg())
-        return F.Regs[O.asReg()];
-      return 0;
-    };
-
-    switch (I.Op) {
-    case Opcode::Mov:
-      F.Regs[I.Dst] = Eval(I.A);
-      ++F.Inst;
-      break;
-
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Mul:
-    case Opcode::Div:
-    case Opcode::Rem:
-    case Opcode::And:
-    case Opcode::Or:
-    case Opcode::Xor:
-    case Opcode::Shl:
-    case Opcode::Shr: {
-      int64_t A = Eval(I.A), B = Eval(I.B), V = 0;
-      uint64_t UA = static_cast<uint64_t>(A), UB = static_cast<uint64_t>(B);
-      switch (I.Op) {
-      case Opcode::Add:
-        V = static_cast<int64_t>(UA + UB);
-        break;
-      case Opcode::Sub:
-        V = static_cast<int64_t>(UA - UB);
-        break;
-      case Opcode::Mul:
-        V = static_cast<int64_t>(UA * UB);
-        break;
-      case Opcode::Div:
-        if (B == 0)
-          V = 0;
-        else if (A == std::numeric_limits<int64_t>::min() && B == -1)
-          V = A;
-        else
-          V = A / B;
-        break;
-      case Opcode::Rem:
-        if (B == 0)
-          V = 0;
-        else if (A == std::numeric_limits<int64_t>::min() && B == -1)
-          V = 0;
-        else
-          V = A % B;
-        break;
-      case Opcode::And:
-        V = A & B;
-        break;
-      case Opcode::Or:
-        V = A | B;
-        break;
-      case Opcode::Xor:
-        V = A ^ B;
-        break;
-      case Opcode::Shl:
-        V = shiftLeft(A, B);
-        break;
-      case Opcode::Shr:
-        V = shiftRight(A, B);
-        break;
-      default:
-        break;
-      }
-      F.Regs[I.Dst] = V;
-      ++F.Inst;
-      break;
-    }
-
-    case Opcode::CmpEq:
-    case Opcode::CmpNe:
-    case Opcode::CmpLt:
-    case Opcode::CmpLe:
-    case Opcode::CmpGt:
-    case Opcode::CmpGe: {
-      int64_t A = Eval(I.A), B = Eval(I.B);
-      bool V = false;
-      switch (I.Op) {
-      case Opcode::CmpEq:
-        V = A == B;
-        break;
-      case Opcode::CmpNe:
-        V = A != B;
-        break;
-      case Opcode::CmpLt:
-        V = A < B;
-        break;
-      case Opcode::CmpLe:
-        V = A <= B;
-        break;
-      case Opcode::CmpGt:
-        V = A > B;
-        break;
-      case Opcode::CmpGe:
-        V = A >= B;
-        break;
-      default:
-        break;
-      }
-      F.Regs[I.Dst] = V ? 1 : 0;
-      ++F.Inst;
-      break;
-    }
-
-    case Opcode::Load: {
-      int64_t Addr = Eval(I.A) + Eval(I.B);
-      if (Addr < 0 || static_cast<uint64_t>(Addr) >= Mem.size()) {
-        Errored = !Fail("load from address %lld out of bounds",
-                        static_cast<long long>(Addr));
-        Running = false;
-        break;
-      }
-      F.Regs[I.Dst] = Mem[static_cast<size_t>(Addr)];
-      ++F.Inst;
-      break;
-    }
-
-    case Opcode::Store: {
-      int64_t Addr = Eval(I.A) + Eval(I.B);
-      if (Addr < 0 || static_cast<uint64_t>(Addr) >= Mem.size()) {
-        Errored = !Fail("store to address %lld out of bounds",
-                        static_cast<long long>(Addr));
-        Running = false;
-        break;
-      }
-      Mem[static_cast<size_t>(Addr)] = Eval(I.C);
-      ++F.Inst;
-      break;
-    }
-
-    case Opcode::Call: {
-      if (Stack.size() >= Opts.MaxCallDepth) {
-        Errored = !Fail("call depth limit exceeded (%lld)",
-                        static_cast<long long>(Opts.MaxCallDepth));
-        Running = false;
-        break;
-      }
-      // Evaluate arguments in the caller frame before pushing.
-      std::vector<int64_t> ArgVals;
-      ArgVals.reserve(I.Args.size());
-      for (const Operand &Arg : I.Args)
-        ArgVals.push_back(Eval(Arg));
-
-      Frame NF;
-      NF.FuncIdx = I.Callee;
-      NF.RetDst = I.Dst;
-      NF.Regs.assign(M.Functions[I.Callee].NumRegs, 0);
-      for (size_t AI = 0; AI < ArgVals.size(); ++AI)
-        NF.Regs[AI] = ArgVals[AI];
-      // Return resumes after the call.
-      ++F.Inst;
-      Stack.push_back(std::move(NF));
-      break;
-    }
-
-    case Opcode::Br: {
-      bool Taken = Eval(I.A) != 0;
-      Emit.emit(I, Taken);
-      ++R.BranchEvents;
-      F.Block = Taken ? I.TrueTarget : I.FalseTarget;
-      F.Inst = 0;
-      if (R.BranchEvents >= Opts.MaxBranchEvents) {
-        R.HitBranchLimit = true;
-        Running = false;
-      }
-      break;
-    }
-
-    case Opcode::Jmp:
-      F.Block = I.TrueTarget;
-      F.Inst = 0;
-      break;
-
-    case Opcode::Ret: {
-      int64_t V = Eval(I.A);
-      Stack.pop_back();
-      if (Stack.empty()) {
-        RetVal = V;
-        Running = false;
-        break;
-      }
-      // The caller's Inst was advanced at call time; the call instruction
-      // sits just before it.
-      Frame &Caller = Stack.back();
-      const Function &CallerFn = M.Functions[Caller.FuncIdx];
-      const Instruction &CallI =
-          CallerFn.Blocks[Caller.Block].Insts[Caller.Inst - 1];
-      Caller.Regs[CallI.Dst] = V;
-      break;
-    }
-    }
-  }
+  // Lowered once per call: the module may change between runs.
+  const Program P = lowerModule(M);
+  const uint32_t EntryRegs = M.Functions[M.EntryFunction].NumRegs;
+  if (Opts.Listener)
+    run<true>(P, M.EntryFunction, EntryRegs, Emit, Opts, Mem, R);
+  else
+    run<false>(P, M.EntryFunction, EntryRegs, Emit, Opts, Mem, R);
+  const bool Errored = !R.Ok;
 
   // Deliver any buffered events before the run result is observable —
   // every exit path (return, error, branch limit) funnels through here.
   Emit.flush();
 
-  R.Ok = !Errored;
-  R.ReturnValue = RetVal;
   R.Memory = std::move(Mem);
 
   ExecSpan.arg("instructions", R.InstructionsExecuted);

@@ -12,6 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+
 using namespace bpcr;
 
 namespace {
@@ -71,6 +76,172 @@ TEST(PathProfiler, UnmatchedBucketCatchesTheRest) {
     Matched += C.total();
   EXPECT_EQ(Matched + Profiles[2].Unmatched.total(), 1000u);
   EXPECT_GT(Profiles[2].Unmatched.total(), 0u);
+}
+
+namespace {
+
+/// Brute-force reference for profilePaths: for every event of a branch,
+/// try each suffix of the preceding MaxPathLen decisions, longest first,
+/// against the branch's candidate set.
+std::vector<PathProfile>
+referencePathProfiles(const std::vector<std::vector<BranchPath>> &Cands,
+                      const std::vector<test::Event> &Events,
+                      unsigned MaxPathLen) {
+  std::vector<std::map<SymbolString, DirCounts>> Hits(Cands.size());
+  std::vector<std::set<SymbolString>> Keys(Cands.size());
+  for (size_t B = 0; B < Cands.size(); ++B)
+    for (const BranchPath &P : Cands[B])
+      if (!P.Steps.empty() && P.Steps.size() <= MaxPathLen)
+        Keys[B].insert(encodePathSteps(P));
+
+  std::vector<PathProfile> Out(Cands.size());
+  for (size_t I = 0; I < Events.size(); ++I) {
+    auto [Id, Taken] = Events[I];
+    if (Id < 0 || static_cast<size_t>(Id) >= Cands.size())
+      continue;
+    size_t B = static_cast<size_t>(Id);
+    bool Matched = false;
+    for (size_t L = std::min<size_t>(I, MaxPathLen); L >= 1 && !Matched;
+         --L) {
+      BranchPath Window;
+      for (size_t K = I - L; K < I; ++K)
+        Window.Steps.push_back({Events[K].first, Events[K].second});
+      SymbolString Key = encodePathSteps(Window);
+      if (Keys[B].count(Key)) {
+        Hits[B][Key].record(Taken);
+        Matched = true;
+      }
+    }
+    if (!Matched)
+      Out[B].Unmatched.record(Taken);
+  }
+  for (size_t B = 0; B < Cands.size(); ++B)
+    for (const auto &[Key, Counts] : Hits[B])
+      Out[B].PerPath.emplace_back(Key, Counts);
+  return Out;
+}
+
+/// PerPath keys in order, their counts, and the unmatched counts.
+void expectSameProfiles(const std::vector<PathProfile> &Got,
+                        const std::vector<PathProfile> &Want) {
+  ASSERT_EQ(Got.size(), Want.size());
+  for (size_t B = 0; B < Want.size(); ++B) {
+    SCOPED_TRACE("branch " + std::to_string(B));
+    ASSERT_EQ(Got[B].PerPath.size(), Want[B].PerPath.size());
+    for (size_t K = 0; K < Want[B].PerPath.size(); ++K) {
+      EXPECT_EQ(Got[B].PerPath[K].first, Want[B].PerPath[K].first);
+      EXPECT_EQ(Got[B].PerPath[K].second.Taken,
+                Want[B].PerPath[K].second.Taken);
+      EXPECT_EQ(Got[B].PerPath[K].second.NotTaken,
+                Want[B].PerPath[K].second.NotTaken);
+    }
+    EXPECT_EQ(Got[B].Unmatched.Taken, Want[B].Unmatched.Taken);
+    EXPECT_EQ(Got[B].Unmatched.NotTaken, Want[B].Unmatched.NotTaken);
+  }
+}
+
+BranchPath randomPath(Rng &G, size_t Len, int32_t IdRange) {
+  BranchPath P;
+  for (size_t K = 0; K < Len; ++K)
+    P.Steps.push_back({static_cast<int32_t>(G.below(
+                           static_cast<uint64_t>(IdRange))),
+                       G.chance(1, 2)});
+  return P;
+}
+
+} // namespace
+
+class PathProfilerDiff : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PathProfilerDiff, MatchesBruteForceLongestSuffix) {
+  Rng G(GetParam() * 1009 + 17);
+  const unsigned MaxPathLen = 1 + static_cast<unsigned>(G.below(5));
+  const size_t NumBranches = 1 + G.below(6);
+  // Trace ids run past NumBranches: those events feed only the window.
+  const int32_t IdRange = static_cast<int32_t>(NumBranches + 2);
+
+  std::vector<std::vector<BranchPath>> Cands(NumBranches);
+  for (auto &List : Cands) {
+    size_t N = G.below(9); // empty lists included
+    for (size_t C = 0; C < N; ++C) {
+      if (!List.empty() && G.chance(1, 4)) {
+        List.push_back(List[G.below(List.size())]); // duplicate
+        continue;
+      }
+      if (!List.empty() && G.chance(1, 4)) {
+        // A proper suffix of an earlier candidate.
+        BranchPath P = List[G.below(List.size())];
+        if (P.Steps.size() > 1)
+          P.Steps.erase(P.Steps.begin(),
+                        P.Steps.begin() +
+                            static_cast<long>(1 + G.below(P.Steps.size() - 1)));
+        List.push_back(P);
+        continue;
+      }
+      // Lengths 0 and past MaxPathLen are ignored by the profiler.
+      List.push_back(randomPath(G, G.below(MaxPathLen + 3), IdRange));
+    }
+  }
+
+  std::vector<test::Event> Events;
+  size_t Len = G.below(600);
+  for (size_t I = 0; I < Len; ++I)
+    Events.emplace_back(static_cast<int32_t>(G.below(
+                            static_cast<uint64_t>(IdRange))),
+                        G.chance(1, 3));
+  // Plant candidate paths so the longest ones actually occur.
+  for (size_t Rep = 0; Rep < 20 && Len > 0; ++Rep) {
+    size_t B = G.below(NumBranches);
+    if (Cands[B].empty())
+      continue;
+    const BranchPath &P = Cands[B][G.below(Cands[B].size())];
+    for (const PathStep &S : P.Steps)
+      Events.emplace_back(S.BranchId, S.Taken);
+    Events.emplace_back(static_cast<int32_t>(B), G.chance(1, 2));
+  }
+
+  expectSameProfiles(profilePaths(Cands, test::makeTrace(Events), MaxPathLen),
+                     referencePathProfiles(Cands, Events, MaxPathLen));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PathProfilerDiff,
+                         ::testing::Range<uint64_t>(0, 64));
+
+TEST(PathProfiler, MatchesBruteForceOnManyDistinctContexts) {
+  // 300k random events over 300 branches meet more distinct (context,
+  // event) pairs than the profiler keeps transitions for, so its
+  // transition table starts over several times within the pass.
+  Rng G(4242);
+  const unsigned MaxPathLen = 4;
+  const int32_t NumBranches = 300;
+  std::vector<std::vector<BranchPath>> Cands(NumBranches);
+  for (auto &List : Cands)
+    for (int C = 0; C < 10; ++C)
+      List.push_back(randomPath(G, 1 + G.below(3), NumBranches));
+  std::vector<test::Event> Events;
+  for (int I = 0; I < 300000; ++I)
+    Events.emplace_back(static_cast<int32_t>(G.below(NumBranches)),
+                        G.chance(1, 2));
+  expectSameProfiles(profilePaths(Cands, test::makeTrace(Events), MaxPathLen),
+                     referencePathProfiles(Cands, Events, MaxPathLen));
+}
+
+TEST(PathProfiler, ShortWindowAtTraceStartFallsBackToShorterPaths) {
+  // Branch 1's candidates: [(0,T)] and [(2,T),(0,T)]. The first execution
+  // has only one decision behind it, so only the short path can match.
+  std::vector<std::vector<BranchPath>> Cands(2);
+  Cands[1] = {path({{2, true}, {0, true}}), path({{0, true}})};
+  ColumnarTrace T =
+      test::makeTrace({{0, true}, {1, true}, {2, true}, {0, true}, {1, false}});
+  auto Profiles = profilePaths(Cands, T, 3);
+  ASSERT_EQ(Profiles[1].PerPath.size(), 2u);
+  // Lexicographic key order: [(0,T)] sorts before [(2,T),(0,T)].
+  EXPECT_EQ(Profiles[1].PerPath[0].first, encodePathSteps(path({{0, true}})));
+  EXPECT_EQ(Profiles[1].PerPath[0].second.Taken, 1u);
+  EXPECT_EQ(Profiles[1].PerPath[1].second.NotTaken, 1u);
+  EXPECT_EQ(Profiles[1].Unmatched.total(), 0u);
+  // Branch 0 has no candidates: all its executions are unmatched.
+  EXPECT_EQ(Profiles[0].Unmatched.Taken, 2u);
 }
 
 TEST(CorrelatedMachine, SolvesCopyBranch) {

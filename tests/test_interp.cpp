@@ -11,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <limits>
+#include <string>
+#include <vector>
 
 using namespace bpcr;
 
@@ -355,6 +358,308 @@ TEST(Interp, SinkSeesAnnotations) {
   EXPECT_TRUE(Sink.SawPrediction);
   EXPECT_TRUE(Sink.SawTaken);
   EXPECT_EQ(Sink.SawId, 0);
+}
+
+// -- Stop paths ------------------------------------------------------------------
+//
+// Every way a run can stop, pinned exactly: the error text, the instruction
+// and branch-event counts at the stop, and the branch-limit flag.
+
+namespace {
+
+void expectStop(const ExecResult &Res, const std::string &Error,
+                uint64_t Instructions, uint64_t Events) {
+  EXPECT_FALSE(Res.Ok);
+  EXPECT_EQ(Res.Error, Error);
+  EXPECT_EQ(Res.InstructionsExecuted, Instructions);
+  EXPECT_EQ(Res.BranchEvents, Events);
+  EXPECT_FALSE(Res.HitBranchLimit);
+}
+
+/// main() { c = 1; loop: br c ? loop : exit; exit: ret 0 } — spins on one
+/// conditional branch forever.
+Module spinningBranch() {
+  Module M;
+  M.MemWords = 1;
+  uint32_t Main = M.addFunction("main", 0);
+  IRBuilder B(M, Main);
+  Reg C = B.newReg();
+  uint32_t Entry = B.newBlock("entry");
+  uint32_t Loop = B.newBlock("loop");
+  uint32_t Exit = B.newBlock("exit");
+  B.setInsertPoint(Entry);
+  B.movImm(C, 1);
+  B.jmp(Loop);
+  B.setInsertPoint(Loop);
+  B.br(R(C), Loop, Exit);
+  B.setInsertPoint(Exit);
+  B.ret(K(0));
+  M.assignBranchIds();
+  return M;
+}
+
+/// Records the (function, block, instruction) fetch stream.
+struct RecordingListener : InstrListener {
+  void onInstruction(uint32_t F, uint32_t B, uint32_t I) override {
+    Seen.push_back({F, B, I});
+  }
+  std::vector<std::array<uint32_t, 3>> Seen;
+};
+
+} // namespace
+
+TEST(InterpStop, FuelExhaustionStopsOnTheInstructionPastTheBudget) {
+  Module M = spinningBranch();
+  ExecOptions Opts;
+  Opts.MaxInstructions = 1000;
+  RecordingListener L;
+  Opts.Listener = &L;
+  ExecResult Res = execute(M, nullptr, Opts);
+  // mov + jmp, then 998 branches; the 1001st fetch exhausts the budget.
+  expectStop(Res, "instruction budget exhausted (1000)", 1001, 998);
+  EXPECT_EQ(L.Seen.size(), 1001u);
+}
+
+TEST(InterpStop, CallDepthLimitStopsAtTheFailingCall) {
+  Module M;
+  M.MemWords = 1;
+  uint32_t F = M.addFunction("inf", 0);
+  {
+    IRBuilder B(M, F);
+    Reg V = B.newReg(), C = B.newReg();
+    uint32_t E = B.newBlock("entry");
+    uint32_t Body = B.newBlock("body");
+    B.setInsertPoint(E);
+    B.movImm(C, 1);
+    B.br(R(C), Body, Body);
+    B.setInsertPoint(Body);
+    B.call(V, F, {});
+    B.ret(R(V));
+  }
+  M.EntryFunction = F;
+  M.assignBranchIds();
+  ExecOptions Opts;
+  Opts.MaxCallDepth = 50;
+  ExecResult Res = execute(M, nullptr, Opts);
+  // 50 frames each run mov, br and call; the 50th call fails.
+  expectStop(Res, "call depth limit exceeded (50)", 150, 50);
+}
+
+TEST(InterpStop, LoadOutOfBoundsKeepsEarlierStores) {
+  Module M;
+  M.MemWords = 4;
+  uint32_t Main = M.addFunction("main", 0);
+  IRBuilder B(M, Main);
+  Reg X = B.newReg(), C = B.newReg();
+  uint32_t E = B.newBlock("entry");
+  uint32_t T = B.newBlock("t");
+  B.setInsertPoint(E);
+  B.store(K(1), K(1), K(9));
+  B.movImm(C, 0);
+  B.br(R(C), T, T);
+  B.setInsertPoint(T);
+  B.movImm(X, 3);
+  B.load(X, R(X), K(1));
+  B.ret(R(X));
+  M.assignBranchIds();
+  ExecResult Res = execute(M);
+  expectStop(Res, "load from address 4 out of bounds", 5, 1);
+  ASSERT_EQ(Res.Memory.size(), 4u);
+  EXPECT_EQ(Res.Memory[2], 9);
+}
+
+TEST(InterpStop, StoreOutOfBounds) {
+  Module M;
+  M.MemWords = 4;
+  uint32_t Main = M.addFunction("main", 1);
+  IRBuilder B(M, Main);
+  uint32_t E = B.newBlock("entry");
+  B.setInsertPoint(E);
+  B.store(K(2), R(0), K(5));
+  B.ret(K(0));
+  ExecOptions Opts;
+  Opts.EntryArgs = {-7};
+  expectStop(execute(M, nullptr, Opts), "store to address -5 out of bounds", 1,
+             0);
+  Opts.EntryArgs = {2};
+  expectStop(execute(M, nullptr, Opts), "store to address 4 out of bounds", 1,
+             0);
+}
+
+TEST(InterpStop, EntryFunctionOutOfRange) {
+  Module M = spinningBranch();
+  M.EntryFunction = 1;
+  ExecResult Res = execute(M);
+  expectStop(Res, "entry function index out of range", 0, 0);
+  EXPECT_TRUE(Res.Memory.empty());
+}
+
+TEST(InterpStop, EmptyBlockFallsOff) {
+  // main calls f; f jumps into an empty block.
+  Module M;
+  M.MemWords = 1;
+  uint32_t Main = M.addFunction("main", 0);
+  uint32_t F = M.addFunction("f", 0);
+  {
+    IRBuilder B(M, F);
+    uint32_t E = B.newBlock("entry");
+    uint32_t Empty = B.newBlock("empty");
+    (void)Empty;
+    B.setInsertPoint(E);
+    B.jmp(Empty);
+  }
+  {
+    IRBuilder B(M, Main);
+    Reg V = B.newReg();
+    uint32_t E = B.newBlock("entry");
+    B.setInsertPoint(E);
+    B.call(V, F, {});
+    B.ret(R(V));
+  }
+  RecordingListener L;
+  ExecOptions Opts;
+  Opts.Listener = &L;
+  ExecResult Res = execute(M, nullptr, Opts);
+  expectStop(Res, "control fell off a block in function 1", 2, 0);
+  // The fall-off is detected before the fetch: no callback for it.
+  EXPECT_EQ(L.Seen.size(), 2u);
+}
+
+TEST(InterpStop, BlockWithoutTerminatorFallsOff) {
+  Module M = spinningBranch();
+  // Drop the exit block's `ret`, leave a lone mov, and make the branch
+  // leave the loop at once.
+  Function &Fn = M.Functions[0];
+  Fn.Blocks[0].Insts[0].A = K(0);
+  Instruction Mov;
+  Mov.Op = Opcode::Mov;
+  Mov.Dst = 0;
+  Mov.A = K(4);
+  Fn.Blocks[2].Insts = {Mov};
+  ExecResult Res = execute(M);
+  expectStop(Res, "control fell off a block in function 0", 4, 1);
+
+  // A budget that runs out exactly there still reports the fall-off: it
+  // is detected before the next fetch is counted.
+  ExecOptions Opts;
+  Opts.MaxInstructions = 4;
+  expectStop(execute(M, nullptr, Opts),
+             "control fell off a block in function 0", 4, 1);
+  Opts.MaxInstructions = 3;
+  expectStop(execute(M, nullptr, Opts), "instruction budget exhausted (3)", 4,
+             1);
+}
+
+TEST(InterpStop, CallAsLastInstructionFallsOffInTheCaller) {
+  Module M;
+  M.MemWords = 1;
+  uint32_t Main = M.addFunction("main", 0);
+  uint32_t F = M.addFunction("f", 0);
+  {
+    IRBuilder B(M, F);
+    uint32_t E = B.newBlock("entry");
+    B.setInsertPoint(E);
+    B.ret(K(3));
+  }
+  {
+    IRBuilder B(M, Main);
+    Reg V = B.newReg();
+    uint32_t E = B.newBlock("entry");
+    B.setInsertPoint(E);
+    B.call(V, F, {});
+  }
+  expectStop(execute(M), "control fell off a block in function 0", 2, 0);
+}
+
+TEST(InterpStop, BranchTargetOutOfRangeFallsOff) {
+  Module M = spinningBranch();
+  Instruction &Br = M.Functions[0].Blocks[1].Insts[0];
+  Br.TrueTarget = 7;
+  expectStop(execute(M), "control fell off a block in function 0", 3, 1);
+
+  // A jump past the last block falls off the same way.
+  Module J = spinningBranch();
+  J.Functions[0].Blocks[0].Insts[1].TrueTarget = 3;
+  expectStop(execute(J), "control fell off a block in function 0", 2, 0);
+
+  // When that branch also reaches the event cap, the cap wins: the run
+  // stops cleanly before control would fall off.
+  ExecOptions Opts;
+  Opts.MaxBranchEvents = 1;
+  ExecResult Capped = execute(M, nullptr, Opts);
+  EXPECT_TRUE(Capped.Ok) << Capped.Error;
+  EXPECT_TRUE(Capped.HitBranchLimit);
+  EXPECT_EQ(Capped.Error, "");
+  EXPECT_EQ(Capped.InstructionsExecuted, 3u);
+  EXPECT_EQ(Capped.BranchEvents, 1u);
+}
+
+TEST(InterpStop, BranchLimitCountsExactly) {
+  Module M = spinningBranch();
+  ExecOptions Opts;
+  Opts.MaxBranchEvents = 100;
+  ColumnarSink Sink;
+  ExecResult Res = execute(M, &Sink, Opts);
+  EXPECT_TRUE(Res.Ok);
+  EXPECT_EQ(Res.Error, "");
+  EXPECT_TRUE(Res.HitBranchLimit);
+  EXPECT_EQ(Res.InstructionsExecuted, 102u);
+  EXPECT_EQ(Res.BranchEvents, 100u);
+  EXPECT_EQ(Sink.trace().size(), 100u);
+}
+
+TEST(InterpStop, ListenerSeesCallReturnAndLoop) {
+  // inc(x) { return x + 1; }
+  // main() { r0 = 0; do r0 = inc(r0); while (r0 < 2); return r0; }
+  Module M;
+  M.MemWords = 1;
+  uint32_t Inc = M.addFunction("inc", 1);
+  {
+    IRBuilder B(M, Inc);
+    Reg S = B.newReg();
+    uint32_t E = B.newBlock("entry");
+    B.setInsertPoint(E);
+    B.add(S, R(0), K(1));
+    B.ret(R(S));
+  }
+  uint32_t Main = M.addFunction("main", 0);
+  M.EntryFunction = Main;
+  {
+    IRBuilder B(M, Main);
+    Reg X = B.newReg(), C = B.newReg();
+    uint32_t E = B.newBlock("entry");
+    uint32_t Loop = B.newBlock("loop");
+    uint32_t Exit = B.newBlock("exit");
+    B.setInsertPoint(E);
+    B.movImm(X, 0);
+    B.jmp(Loop);
+    B.setInsertPoint(Loop);
+    B.call(X, Inc, {R(X)});
+    B.cmpLt(C, R(X), K(2));
+    B.br(R(C), Loop, Exit);
+    B.setInsertPoint(Exit);
+    B.ret(R(X));
+  }
+  M.assignBranchIds();
+  RecordingListener L;
+  ExecOptions Opts;
+  Opts.Listener = &L;
+  ColumnarSink Sink;
+  ExecResult Res = execute(M, &Sink, Opts);
+  ASSERT_TRUE(Res.Ok) << Res.Error;
+  EXPECT_EQ(Res.ReturnValue, 2);
+  EXPECT_EQ(Res.InstructionsExecuted, 13u);
+  EXPECT_EQ(Res.BranchEvents, 2u);
+  const std::vector<std::array<uint32_t, 3>> Want = {
+      {1, 0, 0}, {1, 0, 1},                         // mov, jmp
+      {1, 1, 0}, {0, 0, 0}, {0, 0, 1}, {1, 1, 1}, {1, 1, 2}, // 1st trip
+      {1, 1, 0}, {0, 0, 0}, {0, 0, 1}, {1, 1, 1}, {1, 1, 2}, // 2nd trip
+      {1, 2, 0},                                    // ret
+  };
+  EXPECT_EQ(L.Seen, Want);
+  ASSERT_EQ(Sink.trace().size(), 2u);
+  EXPECT_TRUE(Sink.trace().taken(0));
+  EXPECT_FALSE(Sink.trace().taken(1));
 }
 
 // -- Differential fuzz --------------------------------------------------------
