@@ -21,6 +21,7 @@
 #include "ir/Verifier.h"
 #include "support/TablePrinter.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 
@@ -70,25 +71,18 @@ bool applySequential(Module &X, const std::vector<int32_t> &Members,
 /// Realized misprediction of the member branches in an annotated module.
 PredictionStats measureMembers(const Module &M,
                                const std::vector<int32_t> &Members) {
-  struct MemberSink : TraceSink {
-    explicit MemberSink(const std::vector<int32_t> &Members)
-        : Members(Members) {}
-    void onBranch(const Instruction &Br, bool Taken) override {
-      bool IsMember = false;
-      for (int32_t Id : Members)
-        IsMember |= (Br.OrigBranchId == Id);
-      if (!IsMember)
-        return;
-      bool Pred = Br.Predicted != Prediction::NotTaken;
-      Stats.record(Pred == Taken);
-    }
-    const std::vector<int32_t> &Members;
-    PredictionStats Stats;
-  } Sink(Members);
   ExecOptions EO;
   EO.MaxBranchEvents = 1'000'000;
-  execute(M, &Sink, EO);
-  return Sink.Stats;
+  std::vector<BranchScore> Scores;
+  executeScored(M, Scores, EO);
+  PredictionStats Stats;
+  for (const BranchScore &S : Scores)
+    if (std::find(Members.begin(), Members.end(), S.Br->OrigBranchId) !=
+        Members.end()) {
+      Stats.Predictions += S.Executions;
+      Stats.Mispredictions += S.Mispredictions;
+    }
+  return Stats;
 }
 
 } // namespace

@@ -22,7 +22,6 @@
 #include "ir/IRBuilder.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
-#include "trace/Sinks.h"
 
 #include <cstdio>
 
@@ -74,9 +73,8 @@ int main() {
 
   // Profile the loop: collect the trace into its id and direction columns,
   // then index it per branch.
-  ColumnarSink Sink;
-  ExecResult Orig = execute(M, &Sink);
-  ColumnarTrace T = Sink.takeTrace();
+  ColumnarTrace T;
+  ExecResult Orig = executeColumnar(M, T);
   T.finalize(2);
   ProfileSet Profiles(2);
   Profiles.addTrace(T);

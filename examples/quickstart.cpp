@@ -19,7 +19,6 @@
 #include "ir/Verifier.h"
 #include "predict/Evaluator.h"
 #include "predict/SemiStaticPredictors.h"
-#include "trace/Sinks.h"
 
 #include <cstdio>
 
@@ -84,14 +83,13 @@ int main() {
   // -- 2. Record its branch trace ------------------------------------------------
   // The trace is the (branch id, direction) event stream, kept as two
   // columns; finalize() indexes it per branch for the profile builders.
-  ColumnarSink Sink;
-  ExecResult Res = execute(M, &Sink);
+  ColumnarTrace T;
+  ExecResult Res = executeColumnar(M, T);
   std::printf("== Execution ==\nreturn=%lld, %llu instructions, %llu branch "
               "events\n\n",
               static_cast<long long>(Res.ReturnValue),
               static_cast<unsigned long long>(Res.InstructionsExecuted),
               static_cast<unsigned long long>(Res.BranchEvents));
-  ColumnarTrace T = Sink.takeTrace();
   T.finalize(static_cast<uint32_t>(M.conditionalBranchCount()));
 
   // -- 3. Train semi-static predictors --------------------------------------------

@@ -47,14 +47,13 @@ void ProfileSet::addTrace(const ColumnarTrace &CT) {
   // count array is reused across branches (2^(MaxBits+1) words, 8 KB at
   // the paper's 9 bits).
   std::vector<uint64_t> Counts;
+  KernelCallTally Tally;
   for (uint32_t Id = 0; Id < NumBranches; ++Id) {
     BranchColumn Col = CT.branch(Id);
     if (!Col.Executions)
       continue;
     BranchProfile &P = Profiles[Id];
-    size_t Old = P.Outcomes.size();
-    P.Outcomes.resize(Old + Col.Executions);
-    expandBitsToBytes(Col.Bits, P.Outcomes.data() + Old);
+    uint64_t Old = P.DirBits.size();
     P.DirBits.appendBits(Col.Bits);
 
     if (Old == 0) {
@@ -76,7 +75,7 @@ void ProfileSet::addTrace(const ColumnarTrace &CT) {
 uint32_t ProfileSet::executedBranches() const {
   uint32_t N = 0;
   for (const BranchProfile &P : Profiles)
-    if (!P.Outcomes.empty())
+    if (P.executions() != 0)
       ++N;
   return N;
 }
@@ -92,7 +91,7 @@ double ProfileSet::fillRatePercent(unsigned Bits) const {
   uint64_t Used = 0;
   uint64_t Capacity = 0;
   for (const BranchProfile &P : Profiles) {
-    if (P.Outcomes.empty())
+    if (P.executions() == 0)
       continue;
     Used += P.Table.distinctPatterns(Bits);
     Capacity += (1ULL << Bits);

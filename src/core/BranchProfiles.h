@@ -113,30 +113,19 @@ private:
 
 /// Everything the machine construction needs about one branch.
 struct BranchProfile {
-  /// Outcome stream in execution order (1 = taken).
-  std::vector<uint8_t> Outcomes;
-  /// The same stream bit-packed (64 outcomes per word). ProfileSet keeps
-  /// it in sync with Outcomes; machine simulation walks these words
-  /// instead of the byte vector, and takenCount() popcounts them.
+  /// Outcome stream in execution order, bit-packed (64 outcomes per word,
+  /// 1 = taken). Machine simulation walks these words and takenCount()
+  /// popcounts them.
   BitstreamBuilder DirBits;
-  /// Positions in Outcomes before which the history was reset (loop
+  /// Positions in DirBits before which the history was reset (loop
   /// re-entries); empty for plain whole-trace profiling.
   std::vector<uint64_t> ResetPositions;
   PatternTable Table;
 
   explicit BranchProfile(unsigned MaxBits = 9) : Table(MaxBits) {}
 
-  uint64_t executions() const { return Outcomes.size(); }
-  uint64_t takenCount() const {
-    // The packed copy is authoritative when in sync; code that builds
-    // Outcomes by hand (tests) still gets the byte-loop answer.
-    if (DirBits.size() == Outcomes.size())
-      return popcountBitsScalar(DirBits.view());
-    uint64_t N = 0;
-    for (uint8_t O : Outcomes)
-      N += O;
-    return N;
-  }
+  uint64_t executions() const { return DirBits.size(); }
+  uint64_t takenCount() const { return popcountBitsScalar(DirBits.view()); }
   bool majorityTaken() const { return 2 * takenCount() >= executions(); }
   /// Mispredictions of profile (majority) prediction.
   uint64_t profileMispredictions() const {

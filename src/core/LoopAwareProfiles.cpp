@@ -116,13 +116,12 @@ ProfileSet bpcr::buildLoopAwareProfiles(const ProgramAnalysis &PA,
   // reset (each segment starts from a zero history, like resetHistory).
   std::vector<uint64_t> Counts;
   uint64_t KernelEvents = 0;
+  KernelCallTally Tally;
   for (uint32_t Id = 0; Id < NumBranches; ++Id) {
     BranchColumn Col = CT.branch(Id);
     if (!Col.Executions)
       continue;
     BranchProfile &BP = P.branchMutable(static_cast<int32_t>(Id));
-    BP.Outcomes.resize(Col.Executions);
-    expandBitsToBytes(Col.Bits, BP.Outcomes.data());
     BP.DirBits.appendBits(Col.Bits);
     BP.ResetPositions = std::move(Resets[Id]);
     KernelEvents += Col.Executions;

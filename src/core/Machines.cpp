@@ -74,38 +74,31 @@ BranchMachine::simulateSegmented(const BranchProfile &P) const {
   if (denseEncode(*this, DM)) {
     // Each reset restarts the walk from the initial state, so the stream
     // decomposes into independent segments scored over the packed words.
-    BitstreamBuilder Scratch;
-    BitstreamView Bits;
-    if (P.DirBits.size() == P.Outcomes.size()) {
-      Bits = P.DirBits.view();
-    } else {
-      packOutcomes(P.Outcomes, Scratch);
-      Bits = Scratch.view();
-    }
+    const uint64_t N = P.DirBits.size();
     uint64_t Correct = 0;
     uint64_t Start = 0;
     for (size_t S = 0; S <= P.ResetPositions.size(); ++S) {
       uint64_t End = S < P.ResetPositions.size()
-                         ? std::min<uint64_t>(P.ResetPositions[S],
-                                              P.Outcomes.size())
-                         : P.Outcomes.size();
+                         ? std::min<uint64_t>(P.ResetPositions[S], N)
+                         : N;
       if (End > Start)
-        Correct += scoreMachineRange(DM, Bits.data(), Start, End - Start);
+        Correct += scoreMachineRange(DM, P.DirBits.view().data(), Start,
+                                     End - Start);
       Start = std::max(Start, End);
     }
-    Stats.Predictions = P.Outcomes.size();
-    Stats.Mispredictions = P.Outcomes.size() - Correct;
+    Stats.Predictions = N;
+    Stats.Mispredictions = N - Correct;
     return Stats;
   }
   unsigned S = initialState();
   size_t NextReset = 0;
-  for (size_t I = 0; I < P.Outcomes.size(); ++I) {
+  for (uint64_t I = 0; I < P.DirBits.size(); ++I) {
     while (NextReset < P.ResetPositions.size() &&
            P.ResetPositions[NextReset] == I) {
       S = initialState();
       ++NextReset;
     }
-    bool Taken = P.Outcomes[I] != 0;
+    bool Taken = P.DirBits.bit(I);
     Stats.record(predictTaken(S) == Taken);
     S = next(S, Taken);
   }

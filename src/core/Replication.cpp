@@ -7,7 +7,6 @@
 #include "core/Replication.h"
 
 #include "core/ProgramAnalysis.h"
-#include "trace/Sinks.h"
 
 #include <algorithm>
 #include <cassert>
@@ -390,70 +389,40 @@ void bpcr::annotateProfilePredictions(Module &M, const TraceStats &Stats) {
       }
 }
 
-namespace {
-
-/// Scores Predicted annotations against actual outcomes.
-class PredictionCheckSink : public TraceSink {
-public:
-  void onBranch(const Instruction &Br, bool Taken) override {
-    bool Pred = Br.Predicted != Prediction::NotTaken;
-    Stats.record(Pred == Taken);
-  }
-
-  PredictionStats Stats;
-};
-
-} // namespace
-
 PredictionStats bpcr::measureAnnotatedPredictions(const Module &M,
                                                   const ExecOptions &Opts) {
-  PredictionCheckSink Sink;
-  ExecResult R = execute(M, &Sink, Opts);
-  (void)R;
-  return Sink.Stats;
-}
-
-namespace {
-
-/// Scores Predicted annotations per branch copy, keyed by the copy's
-/// BranchId in the transformed module.
-class PerReplicaSink : public TraceSink {
-public:
-  void onBranch(const Instruction &Br, bool Taken) override {
-    if (Br.BranchId < 0)
-      return;
-    size_t Idx = static_cast<size_t>(Br.BranchId);
-    if (Idx >= Copies.size())
-      Copies.resize(Idx + 1);
-    ReplicaMeasurement &C = Copies[Idx];
-    C.OrigBranchId = Br.OrigBranchId;
-    C.ReplicaId = Br.BranchId;
-    ++C.Executions;
-    bool Pred = Br.Predicted != Prediction::NotTaken;
-    if (Pred != Taken)
-      ++C.Mispredictions;
+  std::vector<BranchScore> Scores;
+  executeScored(M, Scores, Opts);
+  PredictionStats Stats;
+  for (const BranchScore &S : Scores) {
+    Stats.Predictions += S.Executions;
+    Stats.Mispredictions += S.Mispredictions;
   }
-
-  std::vector<ReplicaMeasurement> Copies;
-};
-
-} // namespace
+  return Stats;
+}
 
 std::vector<ReplicaMeasurement>
 bpcr::measureAnnotatedPerReplica(const Module &M, const ExecOptions &Opts,
                                  TraceSink *Extra) {
-  PerReplicaSink Sink;
-  MultiSink Fan;
-  TraceSink *Target = &Sink;
-  if (Extra) {
-    Fan.add(&Sink);
-    Fan.add(Extra);
-    Target = &Fan;
+  std::vector<BranchScore> Scores;
+  executeScored(M, Scores, Opts, Extra);
+  // Fold the per-instruction counts onto branch ids (ids are unique after
+  // assignBranchIds; a repeated id sums its instructions).
+  std::vector<ReplicaMeasurement> Copies;
+  for (const BranchScore &S : Scores) {
+    if (S.Br->BranchId < 0 || S.Executions == 0)
+      continue;
+    size_t Idx = static_cast<size_t>(S.Br->BranchId);
+    if (Idx >= Copies.size())
+      Copies.resize(Idx + 1);
+    ReplicaMeasurement &C = Copies[Idx];
+    C.OrigBranchId = S.Br->OrigBranchId;
+    C.ReplicaId = S.Br->BranchId;
+    C.Executions += S.Executions;
+    C.Mispredictions += S.Mispredictions;
   }
-  ExecResult R = execute(M, Target, Opts);
-  (void)R;
   std::vector<ReplicaMeasurement> Out;
-  for (const ReplicaMeasurement &C : Sink.Copies)
+  for (const ReplicaMeasurement &C : Copies)
     if (C.Executions > 0)
       Out.push_back(C);
   std::sort(Out.begin(), Out.end(),

@@ -67,12 +67,18 @@ SimdTier currentTier() {
   return Resolved;
 }
 
+thread_local KernelCallTally *OpenTally = nullptr;
+
 void noteKernelCall(uint64_t Words) {
   Registry &Obs = Registry::global();
-  if (Obs.enabled()) {
-    Obs.counter("search.simd.kernel_calls").inc();
-    Obs.counter("search.simd.words").add(Words);
+  if (!Obs.enabled())
+    return;
+  if (OpenTally) {
+    OpenTally->note(Words);
+    return;
   }
+  Obs.counter("search.simd.kernel_calls").inc();
+  Obs.counter("search.simd.words").add(Words);
 }
 
 //===----------------------------------------------------------------------===//
@@ -221,6 +227,17 @@ uint64_t scoreRangeImpl(const DenseMachine &M, const uint64_t *Words,
 } // namespace
 
 SimdTier bpcr::activeSimdTier() { return currentTier(); }
+
+KernelCallTally::KernelCallTally() : Outer(OpenTally) { OpenTally = this; }
+
+KernelCallTally::~KernelCallTally() {
+  OpenTally = Outer;
+  if (Calls == 0)
+    return;
+  Registry &Obs = Registry::global();
+  Obs.counter("search.simd.kernel_calls").add(Calls);
+  Obs.counter("search.simd.words").add(Words);
+}
 
 const char *bpcr::simdTierName(SimdTier T) {
   switch (T) {

@@ -102,6 +102,31 @@ uint32_t fillPatternCounts(const uint64_t *Words, uint64_t StartBit,
                            uint64_t NumBits, unsigned MaxBits,
                            uint32_t StartHist, uint64_t *Counts);
 
+/// Every kernel call counts into `search.simd.kernel_calls` and
+/// `search.simd.words` when the registry is on. While a tally is open on a
+/// thread, that thread's calls add to the tally instead, and the registry
+/// sees one update per counter when the tally closes. A pass that makes
+/// many small kernel calls (the loop-aware profile fill makes one per
+/// reset segment) opens one, so it pays no registry lookup per call. The
+/// totals are the same either way.
+class KernelCallTally {
+public:
+  KernelCallTally();
+  ~KernelCallTally();
+  KernelCallTally(const KernelCallTally &) = delete;
+  KernelCallTally &operator=(const KernelCallTally &) = delete;
+
+  void note(uint64_t Words) {
+    ++Calls;
+    this->Words += Words;
+  }
+
+private:
+  KernelCallTally *Outer;
+  uint64_t Calls = 0;
+  uint64_t Words = 0;
+};
+
 } // namespace bpcr
 
 #endif // BPCR_CORE_SCOREKERNELS_H

@@ -11,7 +11,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <limits>
+
+#ifndef __GNUC__
+#error "the interpreter's threaded dispatch needs labels-as-values (GCC or Clang)"
+#endif
 
 using namespace bpcr;
 
@@ -114,6 +119,8 @@ enum class XOp : uint8_t {
   /// unknown callee: the run stops before this fetch.
   FellOff,
 };
+
+constexpr size_t NumXOps = static_cast<size_t>(XOp::FellOff) + 1;
 
 static_assert(static_cast<unsigned>(Opcode::CmpGe) -
                       static_cast<unsigned>(Opcode::Add) ==
@@ -370,12 +377,16 @@ Program lowerModule(const Module &M) {
 }
 
 /// Emitter policies for the templated execution loop. The interpreter is
-/// instantiated once per policy, so the no-sink run pays nothing per
-/// branch and the sink run pays one buffered store per event plus one
-/// virtual onBatch per flush — never a virtual call per event.
+/// instantiated once per policy: the no-sink run pays nothing per branch,
+/// the columnar and scoring runs pay one append or one counter bump per
+/// event, and a generic sink pays one buffered store per event plus one
+/// virtual onBatch per flush. bind() resolves each lowered branch's
+/// per-branch data once, before the run; emit() receives the branch's
+/// index in Program::Branches.
 struct NullEmitter {
   static constexpr bool HasSink = false;
-  void emit(const Instruction &, bool) {}
+  void bind(const std::vector<const Instruction *> &) {}
+  void emit(size_t, bool) {}
   void flush() {}
 };
 
@@ -385,8 +396,10 @@ struct BatchEmitter {
 
   explicit BatchEmitter(TraceSink *Sink) : Sink(Sink) {}
 
-  void emit(const Instruction &Br, bool Taken) {
-    Buf[N].Br = &Br;
+  void bind(const std::vector<const Instruction *> &B) { Branches = B.data(); }
+
+  void emit(size_t Idx, bool Taken) {
+    Buf[N].Br = Branches[Idx];
     Buf[N].Taken = Taken;
     if (++N == BatchSize)
       flush();
@@ -400,8 +413,80 @@ struct BatchEmitter {
   }
 
   TraceSink *Sink;
+  const Instruction *const *Branches = nullptr;
   BranchBatchEvent Buf[BatchSize];
   size_t N = 0;
+};
+
+/// Appends each event's id and direction straight into a ColumnarTrace.
+struct ColumnarEmitter {
+  static constexpr bool HasSink = true;
+
+  ColumnarEmitter(ColumnarTrace &Out, bool UseOrigIds)
+      : Out(Out), UseOrigIds(UseOrigIds) {}
+
+  void bind(const std::vector<const Instruction *> &Branches) {
+    Ids.reserve(Branches.size());
+    for (const Instruction *Br : Branches)
+      Ids.push_back(UseOrigIds ? Br->OrigBranchId : Br->BranchId);
+  }
+
+  void emit(size_t Idx, bool Taken) { Out.append(Ids[Idx], Taken); }
+  void flush() {}
+
+  ColumnarTrace &Out;
+  bool UseOrigIds;
+  std::vector<int32_t> Ids;
+};
+
+/// Bumps flat per-branch execution and misprediction counters, comparing
+/// each outcome with the branch's predicted direction (decoded once in
+/// bind()).
+struct ScoreEmitter {
+  static constexpr bool HasSink = true;
+
+  explicit ScoreEmitter(std::vector<BranchScore> &Scores) : Scores(Scores) {}
+
+  void bind(const std::vector<const Instruction *> &Branches) {
+    Scores.assign(Branches.size(), BranchScore());
+    PredictTaken.resize(Branches.size());
+    for (size_t I = 0; I < Branches.size(); ++I) {
+      Scores[I].Br = Branches[I];
+      PredictTaken[I] = Branches[I]->Predicted != Prediction::NotTaken;
+    }
+  }
+
+  void emit(size_t Idx, bool Taken) {
+    BranchScore &S = Scores[Idx];
+    ++S.Executions;
+    S.Mispredictions += PredictTaken[Idx] != Taken;
+  }
+  void flush() {}
+
+  std::vector<BranchScore> &Scores;
+  std::vector<uint8_t> PredictTaken;
+};
+
+/// Scoring with a generic sink riding along on the same run.
+struct ScoreBatchEmitter {
+  static constexpr bool HasSink = true;
+
+  ScoreBatchEmitter(std::vector<BranchScore> &Scores, TraceSink *Extra)
+      : Score(Scores), Batch(Extra) {}
+
+  void bind(const std::vector<const Instruction *> &Branches) {
+    Score.bind(Branches);
+    Batch.bind(Branches);
+  }
+
+  void emit(size_t Idx, bool Taken) {
+    Score.emit(Idx, Taken);
+    Batch.emit(Idx, Taken);
+  }
+  void flush() { Batch.flush(); }
+
+  ScoreEmitter Score;
+  BatchEmitter Batch;
 };
 
 /// A caller's state, saved across a call. Frames and registers live on
@@ -417,6 +502,13 @@ struct Frame {
 /// limit. All registers live on one contiguous stack; a frame is a base
 /// offset into it. \p Listen instantiates the per-instruction listener
 /// call, so runs without one test nothing for it.
+///
+/// Dispatch is direct-threaded (GCC/Clang labels-as-values): every handler
+/// ends in its own copy of DISPATCH(), an indirect jump through one table
+/// indexed by the lowered opcode, so each handler's exit is a separate
+/// branch site for the host's predictor instead of one shared `switch`
+/// jump. DISPATCH() also carries the listener call and the per-instruction
+/// fuel check.
 template <bool Listen, class Emitter>
 void run(const Program &P, uint32_t EntryFunc, uint32_t EntryRegs,
          Emitter &Emit, const ExecOptions &Opts, std::vector<int64_t> &Mem,
@@ -446,12 +538,6 @@ void run(const Program &P, uint32_t EntryFunc, uint32_t EntryRegs,
     R.Error = Buf;
     Errored = true;
   };
-  // A fall-off stops the run before its fetch is counted or reported to
-  // the listener.
-  auto FellOff = [&] {
-    Stop("control fell off a block in function %lld",
-         static_cast<long long>(PC->A));
-  };
   auto Load = [&](int64_t Addr) {
     if (static_cast<uint64_t>(Addr) >= MemSize) {
       Stop("load from address %lld out of bounds",
@@ -473,7 +559,7 @@ void run(const Program &P, uint32_t EntryFunc, uint32_t EntryRegs,
     return true;
   };
   auto Branch = [&](bool Taken) {
-    Emit.emit(*P.Branches[static_cast<size_t>(PC->Imm)], Taken);
+    Emit.emit(static_cast<size_t>(PC->Imm), Taken);
     PC = Code + (Taken ? PC->B : PC->C);
     if (++Events >= MaxBranchEvents) {
       R.HitBranchLimit = true;
@@ -496,148 +582,164 @@ void run(const Program &P, uint32_t EntryFunc, uint32_t EntryRegs,
     return true;
   };
 
-  for (;;) {
-    const XInst &X = *PC;
-    if constexpr (Listen) {
-      if (X.Op == XOp::FellOff) {
-        FellOff();
-        break;
-      }
-      const XLoc &L = P.Locs[static_cast<size_t>(PC - Code)];
-      Opts.Listener->onInstruction(L.Func, L.Block, L.Inst);
-    }
-    if (++Count > MaxInstructions) {
-      if (X.Op == XOp::FellOff) {
-        --Count;
-        FellOff();
-      } else {
-        Stop("instruction budget exhausted (%lld)",
-             static_cast<long long>(MaxInstructions));
-      }
-      break;
-    }
-
-    switch (X.Op) {
-#define BPCR_X(Name)                                                           \
-  case XOp::Name##RR:                                                          \
-    Regs[X.Dst] = apply<Opcode::Name>(Regs[X.A], Regs[X.B]);                   \
-    ++PC;                                                                      \
-    continue;                                                                  \
-  case XOp::Name##RI:                                                          \
-    Regs[X.Dst] = apply<Opcode::Name>(Regs[X.A], X.Imm);                       \
-    ++PC;                                                                      \
-    continue;                                                                  \
-  case XOp::Name##IR:                                                          \
-    Regs[X.Dst] = apply<Opcode::Name>(X.Imm, Regs[X.B]);                       \
-    ++PC;                                                                      \
-    continue;
+  // One entry per XOp, in declaration order.
+  static const void *const Dispatch[] = {
+#define BPCR_X(Name) &&Do##Name##RR, &&Do##Name##RI, &&Do##Name##IR,
       BPCR_BINARY_OPS(BPCR_X)
 #undef BPCR_X
+      &&DoMovR,     &&DoMovI,     &&DoLoadRR,  &&DoLoadRI,  &&DoLoadI,
+      &&DoStoreRR,  &&DoStoreRI,  &&DoStoreI,  &&DoStoreRRK, &&DoStoreRIK,
+      &&DoStoreIK,  &&DoCall,     &&DoBrR,     &&DoBrI,     &&DoJmp,
+      &&DoRetR,     &&DoRetI,     &&DoFellOff,
+  };
+  static_assert(std::size(Dispatch) == NumXOps,
+                "one dispatch entry per lowered opcode");
 
-    case XOp::MovR:
-      Regs[X.Dst] = Regs[X.A];
-      ++PC;
-      continue;
-    case XOp::MovI:
-      Regs[X.Dst] = X.Imm;
-      ++PC;
-      continue;
+  // A fall-off stops the run before its fetch is counted or reported to
+  // the listener.
+#define DISPATCH()                                                             \
+  do {                                                                         \
+    if constexpr (Listen) {                                                    \
+      if (PC->Op != XOp::FellOff) {                                            \
+        const XLoc &L = P.Locs[static_cast<size_t>(PC - Code)];                \
+        Opts.Listener->onInstruction(L.Func, L.Block, L.Inst);                 \
+      }                                                                        \
+    }                                                                          \
+    if (++Count > MaxInstructions)                                             \
+      goto OutOfFuel;                                                          \
+    goto *Dispatch[static_cast<size_t>(PC->Op)];                               \
+  } while (0)
+#define NEXT()                                                                 \
+  do {                                                                         \
+    ++PC;                                                                      \
+    DISPATCH();                                                                \
+  } while (0)
 
-    case XOp::LoadRR:
-      if (Load(wrapAdd(Regs[X.A], Regs[X.B])))
-        continue;
-      break;
-    case XOp::LoadRI:
-      if (Load(wrapAdd(Regs[X.A], X.Imm)))
-        continue;
-      break;
-    case XOp::LoadI:
-      if (Load(X.Imm))
-        continue;
-      break;
+  DISPATCH();
 
-    case XOp::StoreRR:
-      if (Store(wrapAdd(Regs[X.A], Regs[X.B]), Regs[X.C]))
-        continue;
-      break;
-    case XOp::StoreRI:
-      if (Store(wrapAdd(Regs[X.A], X.Imm), Regs[X.C]))
-        continue;
-      break;
-    case XOp::StoreI:
-      if (Store(X.Imm, Regs[X.C]))
-        continue;
-      break;
-    case XOp::StoreRRK:
-      if (Store(wrapAdd(Regs[X.A], Regs[X.B]), X.Imm2))
-        continue;
-      break;
-    case XOp::StoreRIK:
-      if (Store(wrapAdd(Regs[X.A], X.Imm), X.Imm2))
-        continue;
-      break;
-    case XOp::StoreIK:
-      if (Store(X.Imm, X.Imm2))
-        continue;
-      break;
+#define BPCR_X(Name)                                                           \
+  Do##Name##RR:                                                                \
+  Regs[PC->Dst] = apply<Opcode::Name>(Regs[PC->A], Regs[PC->B]);               \
+  NEXT();                                                                      \
+  Do##Name##RI:                                                                \
+  Regs[PC->Dst] = apply<Opcode::Name>(Regs[PC->A], PC->Imm);                   \
+  NEXT();                                                                      \
+  Do##Name##IR:                                                                \
+  Regs[PC->Dst] = apply<Opcode::Name>(PC->Imm, Regs[PC->B]);                   \
+  NEXT();
+  BPCR_BINARY_OPS(BPCR_X)
+#undef BPCR_X
 
-    case XOp::Call: {
-      if (Frames.size() + 1 >= Opts.MaxCallDepth) {
-        Stop("call depth limit exceeded (%lld)",
-             static_cast<long long>(Opts.MaxCallDepth));
-        break;
-      }
-      size_t Size = static_cast<size_t>(X.Imm);
-      if (Top + Size > Stack.size()) {
-        Stack.resize(std::max(2 * Stack.size(), Top + Size));
-        Regs = Stack.data() + Base;
-      }
-      // Arguments are read from the caller's frame into the fresh one
-      // just above it.
-      int64_t *Callee = Stack.data() + Top;
-      std::fill(Callee, Callee + Size, 0);
-      for (uint32_t I = 0; I < X.C; ++I) {
-        const XArg &Arg = Args[X.B + I];
-        Callee[I] = Arg.IsReg ? Regs[Arg.R] : Arg.Imm;
-      }
-      Frames.push_back({PC + 1, Base, X.Dst});
-      Base = Top;
-      Top += Size;
-      Regs = Callee;
-      PC = Code + X.A;
-      continue;
-    }
+DoMovR:
+  Regs[PC->Dst] = Regs[PC->A];
+  NEXT();
+DoMovI:
+  Regs[PC->Dst] = PC->Imm;
+  NEXT();
 
-    case XOp::BrR:
-      if (Branch(Regs[X.A] != 0))
-        continue;
-      break;
-    case XOp::BrI:
-      if (Branch(X.Imm2 != 0))
-        continue;
-      break;
+DoLoadRR:
+  if (Load(wrapAdd(Regs[PC->A], Regs[PC->B])))
+    DISPATCH();
+  goto Done;
+DoLoadRI:
+  if (Load(wrapAdd(Regs[PC->A], PC->Imm)))
+    DISPATCH();
+  goto Done;
+DoLoadI:
+  if (Load(PC->Imm))
+    DISPATCH();
+  goto Done;
 
-    case XOp::Jmp:
-      PC = Code + X.A;
-      continue;
+DoStoreRR:
+  if (Store(wrapAdd(Regs[PC->A], Regs[PC->B]), Regs[PC->C]))
+    DISPATCH();
+  goto Done;
+DoStoreRI:
+  if (Store(wrapAdd(Regs[PC->A], PC->Imm), Regs[PC->C]))
+    DISPATCH();
+  goto Done;
+DoStoreI:
+  if (Store(PC->Imm, Regs[PC->C]))
+    DISPATCH();
+  goto Done;
+DoStoreRRK:
+  if (Store(wrapAdd(Regs[PC->A], Regs[PC->B]), PC->Imm2))
+    DISPATCH();
+  goto Done;
+DoStoreRIK:
+  if (Store(wrapAdd(Regs[PC->A], PC->Imm), PC->Imm2))
+    DISPATCH();
+  goto Done;
+DoStoreIK:
+  if (Store(PC->Imm, PC->Imm2))
+    DISPATCH();
+  goto Done;
 
-    case XOp::RetR:
-      if (Return(Regs[X.A]))
-        continue;
-      break;
-    case XOp::RetI:
-      if (Return(X.Imm))
-        continue;
-      break;
-
-    case XOp::FellOff:
-      --Count;
-      FellOff();
-      break;
-    }
-    break;
+DoCall: {
+  const XInst &X = *PC;
+  if (Frames.size() + 1 >= Opts.MaxCallDepth) {
+    Stop("call depth limit exceeded (%lld)",
+         static_cast<long long>(Opts.MaxCallDepth));
+    goto Done;
   }
+  size_t Size = static_cast<size_t>(X.Imm);
+  if (Top + Size > Stack.size()) {
+    Stack.resize(std::max(2 * Stack.size(), Top + Size));
+    Regs = Stack.data() + Base;
+  }
+  // Arguments are read from the caller's frame into the fresh one just
+  // above it.
+  int64_t *Callee = Stack.data() + Top;
+  std::fill(Callee, Callee + Size, 0);
+  for (uint32_t I = 0; I < X.C; ++I) {
+    const XArg &Arg = Args[X.B + I];
+    Callee[I] = Arg.IsReg ? Regs[Arg.R] : Arg.Imm;
+  }
+  Frames.push_back({PC + 1, Base, X.Dst});
+  Base = Top;
+  Top += Size;
+  Regs = Callee;
+  PC = Code + X.A;
+  DISPATCH();
+}
 
+DoBrR:
+  if (Branch(Regs[PC->A] != 0))
+    DISPATCH();
+  goto Done;
+DoBrI:
+  if (Branch(PC->Imm2 != 0))
+    DISPATCH();
+  goto Done;
+
+DoJmp:
+  PC = Code + PC->A;
+  DISPATCH();
+
+DoRetR:
+  if (Return(Regs[PC->A]))
+    DISPATCH();
+  goto Done;
+DoRetI:
+  if (Return(PC->Imm))
+    DISPATCH();
+  goto Done;
+
+OutOfFuel:
+  if (PC->Op != XOp::FellOff) {
+    Stop("instruction budget exhausted (%lld)",
+         static_cast<long long>(MaxInstructions));
+    goto Done;
+  }
+  // Fuel that runs out exactly at a fall-off reports the fall-off.
+DoFellOff:
+  --Count;
+  Stop("control fell off a block in function %lld",
+       static_cast<long long>(PC->A));
+
+#undef NEXT
+#undef DISPATCH
+Done:
   R.Ok = !Errored;
   R.InstructionsExecuted = Count;
   R.BranchEvents = Events;
@@ -667,6 +769,7 @@ ExecResult executeImpl(const Module &M, Emitter &Emit,
 
   // Lowered once per call: the module may change between runs.
   const Program P = lowerModule(M);
+  Emit.bind(P.Branches);
   const uint32_t EntryRegs = M.Functions[M.EntryFunction].NumRegs;
   if (Opts.Listener)
     run<true>(P, M.EntryFunction, EntryRegs, Emit, Opts, Mem, R);
@@ -716,5 +819,22 @@ ExecResult bpcr::execute(const Module &M, TraceSink *Sink,
     return executeImpl(M, E, Opts);
   }
   BatchEmitter E(Sink);
+  return executeImpl(M, E, Opts);
+}
+
+ExecResult bpcr::executeColumnar(const Module &M, ColumnarTrace &Out,
+                                 bool UseOrigIds, const ExecOptions &Opts) {
+  ColumnarEmitter E(Out, UseOrigIds);
+  return executeImpl(M, E, Opts);
+}
+
+ExecResult bpcr::executeScored(const Module &M,
+                               std::vector<BranchScore> &Scores,
+                               const ExecOptions &Opts, TraceSink *Extra) {
+  if (!Extra) {
+    ScoreEmitter E(Scores);
+    return executeImpl(M, E, Opts);
+  }
+  ScoreBatchEmitter E(Scores, Extra);
   return executeImpl(M, E, Opts);
 }

@@ -5,10 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes a module and streams branch events to a TraceSink. This replaces
-/// the paper's assembly-level instrumentation of native binaries: the
-/// evaluation consumes only the branch event stream, which the interpreter
-/// produces exactly.
+/// Executes a module and streams its branch events to a consumer. This
+/// replaces the paper's assembly-level instrumentation of native binaries:
+/// the evaluation consumes only the branch event stream, which the
+/// interpreter produces exactly.
+///
+/// The two consumers on the pipeline's hot path, the columnar trace and
+/// prediction scoring, are compiled into the interpreter loop
+/// (executeColumnar, executeScored): each event is one append or one
+/// counter bump, with no staging copy and no virtual call. Any other
+/// consumer implements TraceSink and receives events in batches.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +24,7 @@
 #include "interp/InstrListener.h"
 #include "interp/TraceSink.h"
 #include "ir/Module.h"
+#include "trace/ColumnarTrace.h"
 
 #include <cstdint>
 #include <string>
@@ -61,6 +68,32 @@ struct ExecResult {
 ///          the partially executed state is still reported.
 ExecResult execute(const Module &M, TraceSink *Sink = nullptr,
                    const ExecOptions &Opts = ExecOptions());
+
+/// Runs \p M and appends every conditional branch event to \p Out: the
+/// branch's BranchId (its OrigBranchId with \p UseOrigIds, so a replicated
+/// program's trace compares with its source program's) and its direction.
+/// \p Out is not finalized.
+ExecResult executeColumnar(const Module &M, ColumnarTrace &Out,
+                           bool UseOrigIds = false,
+                           const ExecOptions &Opts = ExecOptions());
+
+/// Outcome counts of one conditional branch instruction in a scoring run.
+struct BranchScore {
+  const Instruction *Br = nullptr;
+  uint64_t Executions = 0;
+  /// Outcomes that disagree with Br's Predicted annotation; anything but
+  /// an explicit NotTaken predicts taken.
+  uint64_t Mispredictions = 0;
+};
+
+/// Runs \p M and scores every conditional branch's static prediction
+/// against its outcomes. \p Scores receives one entry per conditional
+/// branch instruction, in function, block and instruction order. \p Extra,
+/// when non-null, additionally receives every event through the batched
+/// TraceSink path.
+ExecResult executeScored(const Module &M, std::vector<BranchScore> &Scores,
+                         const ExecOptions &Opts = ExecOptions(),
+                         TraceSink *Extra = nullptr);
 
 } // namespace bpcr
 

@@ -6,13 +6,14 @@
 ///
 /// \file
 /// TraceSink adapter that streams the interpreter's branch events into a
-/// TimeSeries recorder: one window cell update per executed branch, keyed by
-/// the event's position in the trace and the branch's *original* id (so a
-/// replicated program's series lines up with attribution, which also folds
-/// replicas back onto their source branch).
+/// TimeSeries recorder, taking the recorder's lock once per batch: one
+/// window cell update per executed branch, keyed by the event's position
+/// in the trace and the branch's *original* id (so a replicated program's
+/// series lines up with attribution, which also folds replicas back onto
+/// their source branch).
 ///
-/// A static prediction is scored exactly like the measurement sinks in
-/// core/Replication.cpp (anything but an explicit NotTaken annotation
+/// A static prediction is scored exactly like the interpreter's scoring
+/// run (executeScored: anything but an explicit NotTaken annotation
 /// predicts taken), so per-window misprediction counts sum to the same
 /// totals attribution reports. When the span tracer is live, the sink
 /// stamps a wall-clock
@@ -28,6 +29,9 @@
 #include "obs/TimeSeries.h"
 #include "obs/TraceSpans.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace bpcr {
 
 /// Fills a TimeSeries from a single interpreter run. Not itself re-entrant
@@ -40,17 +44,38 @@ public:
       : TS(TS), Tracer(Tracer), WallOn(Tracer.enabled()) {}
 
   void onBranch(const Instruction &Br, bool Taken) override {
-    bool Predicted = Br.Predicted != Prediction::NotTaken;
-    uint64_t WallNs = 0;
-    if (WallOn && (Index & 255) == 0)
-      WallNs = Tracer.elapsedNs();
-    TS.record(Index, Br.OrigBranchId, Taken, Predicted != Taken, WallNs);
+    TimeSeriesEvent E = eventOf(Br, Taken, Index);
+    TS.record(Index, E.BranchId, E.Taken, E.Mispredicted, E.WallNs);
     ++Index;
+  }
+
+  /// Records a whole batch under one TimeSeries lock, in chunks of a fixed
+  /// stack buffer.
+  void onBatch(const BranchBatchEvent *Ev, size_t N) override {
+    TimeSeriesEvent Buf[256];
+    for (size_t Done = 0; Done < N;) {
+      size_t Chunk = std::min<size_t>(N - Done, std::size(Buf));
+      for (size_t I = 0; I < Chunk; ++I)
+        Buf[I] = eventOf(*Ev[Done + I].Br, Ev[Done + I].Taken, Index + I);
+      TS.recordBatch(Index, Buf, Chunk);
+      Index += Chunk;
+      Done += Chunk;
+    }
   }
 
   uint64_t eventCount() const { return Index; }
 
 private:
+  TimeSeriesEvent eventOf(const Instruction &Br, bool Taken, uint64_t At) {
+    TimeSeriesEvent E;
+    E.BranchId = Br.OrigBranchId;
+    E.Taken = Taken;
+    E.Mispredicted = (Br.Predicted != Prediction::NotTaken) != Taken;
+    if (WallOn && (At & 255) == 0)
+      E.WallNs = Tracer.elapsedNs();
+    return E;
+  }
+
   TimeSeries &TS;
   SpanTracer &Tracer;
   bool WallOn;

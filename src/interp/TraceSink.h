@@ -28,7 +28,10 @@ struct BranchBatchEvent {
 };
 
 /// Receives executed conditional branches, either one at a time or in
-/// batches.
+/// batches. This is the interpreter's generic consumer interface (the
+/// timeline recorder, tests' reference collectors); the columnar trace and
+/// prediction scoring are compiled into the interpreter instead
+/// (executeColumnar and executeScored in interp/Interpreter.h).
 class TraceSink {
 public:
   virtual ~TraceSink();

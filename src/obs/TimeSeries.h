@@ -91,6 +91,15 @@ struct TimeSeriesOptions {
   uint32_t MaxWindows = 1024;
 };
 
+/// One branch event for TimeSeries::recordBatch.
+struct TimeSeriesEvent {
+  int32_t BranchId = -1;
+  bool Taken = false;
+  bool Mispredicted = false;
+  /// Wall-clock sample, or 0 for none (see TimeSeries::record).
+  uint64_t WallNs = 0;
+};
+
 inline bool isPowerOfTwo(uint64_t N) { return N != 0 && (N & (N - 1)) == 0; }
 
 /// Thread-safe windowed accumulator. Writers call record() concurrently;
@@ -123,36 +132,18 @@ public:
   void record(uint64_t EventIndex, int32_t BranchId, bool Taken,
               bool Mispredicted, uint64_t WallNs = 0) {
     std::lock_guard<std::mutex> Lock(Mu);
-    uint64_t Idx = EventIndex >> Shift;
-    while (Idx >= MaxWindows) {
-      mergeAdjacentLocked();
-      Idx = EventIndex >> Shift;
-    }
-    if (Idx >= Windows.size())
-      Windows.resize(Idx + 1);
-    TimeSeriesWindow &W = Windows[Idx];
-    if (W.Branches.empty() && NumBranches > 0)
-      W.Branches.resize(NumBranches);
-    ++W.Events;
-    ++TotalEvents;
-    if (Taken) {
-      ++W.Taken;
-      ++TotalTaken;
-    }
-    if (Mispredicted) {
-      ++W.Mispredictions;
-      ++TotalMispredictions;
-    }
-    if (WallNs > W.WallNs)
-      W.WallNs = WallNs;
-    if (BranchId >= 0 && uint32_t(BranchId) < NumBranches) {
-      TimeSeriesCell &C = W.Branches[uint32_t(BranchId)];
-      ++C.Events;
-      if (Taken)
-        ++C.Taken;
-      if (Mispredicted)
-        ++C.Mispredictions;
-    }
+    recordLocked(EventIndex, BranchId, Taken, Mispredicted, WallNs);
+  }
+
+  /// Records \p N events at consecutive trace positions starting at
+  /// \p FirstIndex, taking the lock once: the same series as N record()
+  /// calls.
+  void recordBatch(uint64_t FirstIndex, const TimeSeriesEvent *Events,
+                   size_t N) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    for (size_t I = 0; I < N; ++I)
+      recordLocked(FirstIndex + I, Events[I].BranchId, Events[I].Taken,
+                   Events[I].Mispredicted, Events[I].WallNs);
   }
 
   /// Copies the current state out as plain data.
@@ -189,6 +180,40 @@ public:
   }
 
 private:
+  void recordLocked(uint64_t EventIndex, int32_t BranchId, bool Taken,
+                    bool Mispredicted, uint64_t WallNs) {
+    uint64_t Idx = EventIndex >> Shift;
+    while (Idx >= MaxWindows) {
+      mergeAdjacentLocked();
+      Idx = EventIndex >> Shift;
+    }
+    if (Idx >= Windows.size())
+      Windows.resize(Idx + 1);
+    TimeSeriesWindow &W = Windows[Idx];
+    if (W.Branches.empty() && NumBranches > 0)
+      W.Branches.resize(NumBranches);
+    ++W.Events;
+    ++TotalEvents;
+    if (Taken) {
+      ++W.Taken;
+      ++TotalTaken;
+    }
+    if (Mispredicted) {
+      ++W.Mispredictions;
+      ++TotalMispredictions;
+    }
+    if (WallNs > W.WallNs)
+      W.WallNs = WallNs;
+    if (BranchId >= 0 && uint32_t(BranchId) < NumBranches) {
+      TimeSeriesCell &C = W.Branches[uint32_t(BranchId)];
+      ++C.Events;
+      if (Taken)
+        ++C.Taken;
+      if (Mispredicted)
+        ++C.Mispredictions;
+    }
+  }
+
   /// Halves the window count by summing adjacent pairs and doubles the
   /// width. Addition is associative, so overflow handling preserves
   /// order-independence.

@@ -134,21 +134,6 @@ inline uint64_t popcountBitsScalar(BitstreamView V) {
   return N;
 }
 
-/// Expands \p V into one byte per bit (0/1), the shape of
-/// BranchProfile::Outcomes. \p Out must hold V.size() bytes.
-inline void expandBitsToBytes(BitstreamView V, uint8_t *Out) {
-  uint64_t I = 0;
-  const uint64_t N = V.size();
-  for (size_t W = 0; I < N; ++W) {
-    uint64_t Word = V.word(W);
-    uint64_t End = N - I < 64 ? N - I : 64;
-    for (uint64_t K = 0; K < End; ++K) {
-      Out[I++] = static_cast<uint8_t>(Word & 1);
-      Word >>= 1;
-    }
-  }
-}
-
 } // namespace bpcr
 
 #endif // BPCR_TRACE_BITSTREAM_H

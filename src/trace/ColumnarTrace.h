@@ -20,7 +20,7 @@
 ///
 /// The per-branch bitstream of branch b is the subsequence of direction
 /// bits at positions where Ids[i] == b, in global order — the same stream a
-/// BranchProfile's Outcomes vector holds.
+/// BranchProfile's DirBits holds.
 ///
 //===----------------------------------------------------------------------===//
 

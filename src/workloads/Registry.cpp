@@ -8,7 +8,6 @@
 
 #include "interp/Interpreter.h"
 #include "obs/TraceSpans.h"
-#include "trace/Sinks.h"
 
 #include <algorithm>
 #include <cassert>
@@ -45,19 +44,18 @@ ColumnarTrace bpcr::traceWorkloadColumnar(const Workload &W, uint64_t Seed,
   S.arg("seed", Seed);
   OutModule = W.Build(Seed);
   uint32_t NumBranches = OutModule.assignBranchIds();
-  ColumnarSink Sink;
+  ColumnarTrace CT;
   // The cap is an upper bound on the trace length; short workloads leave
   // slack, but one oversized reservation beats ~20 growth copies of a
   // million-event column.
-  Sink.reserve(static_cast<size_t>(
+  CT.reserve(static_cast<size_t>(
       std::min<uint64_t>(MaxBranchEvents, 1u << 21)));
   ExecOptions Opts;
   Opts.MaxBranchEvents = MaxBranchEvents;
-  ExecResult R = execute(OutModule, &Sink, Opts);
+  ExecResult R = executeColumnar(OutModule, CT, /*UseOrigIds=*/false, Opts);
   assert(R.Ok && "workload execution failed");
   S.arg("branch_events", R.BranchEvents);
   (void)R;
-  ColumnarTrace CT = Sink.takeTrace();
   CT.finalize(NumBranches);
   return CT;
 }

@@ -6,8 +6,10 @@
 ///
 /// \file
 /// Small helpers that let tests spell a trace as a list of (branch id,
-/// direction) events, read one back the same way, trace a module, and fit
-/// one branch's correlated machine to a trace.
+/// direction) events, read one back the same way, trace a module, collect
+/// a run's events one virtual call at a time (the reference the
+/// interpreter's compiled-in consumers are checked against), and fit one
+/// branch's correlated machine to a trace.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +21,6 @@
 #include "ir/Module.h"
 #include "support/Rng.h"
 #include "trace/ColumnarTrace.h"
-#include "trace/Sinks.h"
 
 #include <cstdint>
 #include <utility>
@@ -67,6 +68,20 @@ inline ColumnarTrace randomTrace(uint64_t Seed, size_t N, int32_t MaxId) {
   return CT;
 }
 
+/// Records every event it receives through the per-event onBranch path:
+/// the branch's BranchId (OrigBranchId with \p UseOrigIds) and direction.
+class PerEventSink : public TraceSink {
+public:
+  explicit PerEventSink(bool UseOrigIds = false) : UseOrigIds(UseOrigIds) {}
+  void onBranch(const Instruction &Br, bool Taken) override {
+    Events.emplace_back(UseOrigIds ? Br.OrigBranchId : Br.BranchId, Taken);
+  }
+  std::vector<Event> Events;
+
+private:
+  bool UseOrigIds;
+};
+
 /// One execution of a module together with the trace it produced.
 struct TracedRun {
   ExecResult Result;
@@ -80,10 +95,8 @@ struct TracedRun {
 inline TracedRun traceModule(const Module &M,
                              const ExecOptions &Opts = ExecOptions(),
                              bool UseOrigIds = false) {
-  ColumnarSink Sink(UseOrigIds);
   TracedRun Run;
-  Run.Result = execute(M, &Sink, Opts);
-  Run.Trace = Sink.takeTrace();
+  Run.Result = executeColumnar(M, Run.Trace, UseOrigIds, Opts);
   Run.Trace.finalize(static_cast<uint32_t>(M.conditionalBranchCount()));
   return Run;
 }

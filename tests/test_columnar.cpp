@@ -24,7 +24,6 @@
 #include "sa/ProfileVerify.h"
 #include "trace/Bitstream.h"
 #include "trace/ColumnarTrace.h"
-#include "trace/Sinks.h"
 #include "trace/TraceFile.h"
 #include "workloads/Workload.h"
 
@@ -77,13 +76,22 @@ struct TierGuard {
   ~TierGuard() { setSimdTierForTest(SimdTier::AVX2); }
 };
 
+bool sameBits(BitstreamView A, BitstreamView B) {
+  if (A.size() != B.size())
+    return false;
+  for (uint64_t I = 0; I < A.size(); ++I)
+    if (A.bit(I) != B.bit(I))
+      return false;
+  return true;
+}
+
 bool sameProfiles(const ProfileSet &A, const ProfileSet &B) {
   if (A.numBranches() != B.numBranches())
     return false;
   for (uint32_t Id = 0; Id < A.numBranches(); ++Id) {
     const BranchProfile &PA = A.branch(Id);
     const BranchProfile &PB = B.branch(Id);
-    if (PA.Outcomes != PB.Outcomes ||
+    if (!sameBits(PA.DirBits.view(), PB.DirBits.view()) ||
         PA.ResetPositions != PB.ResetPositions ||
         PA.Table.executions() != PB.Table.executions())
       return false;
@@ -100,16 +108,6 @@ bool sameProfiles(const ProfileSet &A, const ProfileSet &B) {
   }
   return true;
 }
-
-/// Records every event one onBranch call at a time: the interpreter's
-/// batches reach it through TraceSink's default per-event expansion.
-class PerEventSink : public TraceSink {
-public:
-  void onBranch(const Instruction &Br, bool Taken) override {
-    Events.emplace_back(Br.BranchId, Taken);
-  }
-  std::vector<Event> Events;
-};
 
 const Workload &workloadNamed(const std::string &Name) {
   for (const Workload &W : allWorkloads())
@@ -163,10 +161,10 @@ ProfileSet referenceLoopAwareProfiles(const ProgramAnalysis &PA,
     const int32_t LI = LoopOfBranch[static_cast<uint32_t>(Id)];
     if (LI >= 0 && Loops[static_cast<size_t>(LI)].LastOutside >
                        LastExec[static_cast<uint32_t>(Id)]) {
-      BP.ResetPositions.push_back(BP.Outcomes.size());
+      BP.ResetPositions.push_back(BP.DirBits.size());
       BP.Table.resetHistory();
     }
-    BP.Outcomes.push_back(Taken ? 1 : 0);
+    BP.DirBits.push(Taken);
     // Proven branches keep their outcome stream but no pattern table.
     if (!Proofs || !Proofs->proven(Id))
       BP.Table.record(Taken);
@@ -188,7 +186,7 @@ TEST(ColumnarTrace, BatchedEmissionMatchesPerEventDeliveryOnAllWorkloads) {
     EXPECT_TRUE(CT.indexed()) << W.Name;
     EXPECT_EQ(CT.numBranches(), M.conditionalBranchCount()) << W.Name;
 
-    PerEventSink Reference;
+    test::PerEventSink Reference;
     ExecOptions Opts;
     Opts.MaxBranchEvents = 20000;
     ASSERT_TRUE(execute(M, &Reference, Opts).Ok) << W.Name;

@@ -4,14 +4,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TraceTestUtil.h"
+
 #include "interp/Interpreter.h"
 #include "ir/IRBuilder.h"
 #include "support/Rng.h"
-#include "trace/Sinks.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -171,14 +173,14 @@ TEST(Interp, LoopCountsAndEmitsBranchEvents) {
   B.ret(R(X));
   M.assignBranchIds();
 
-  ColumnarSink Sink;
-  ExecResult Res = execute(M, &Sink);
+  ColumnarTrace T;
+  ExecResult Res = executeColumnar(M, T);
   ASSERT_TRUE(Res.Ok);
   EXPECT_EQ(Res.ReturnValue, 5);
-  ASSERT_EQ(Sink.trace().size(), 5u);
+  ASSERT_EQ(T.size(), 5u);
   for (int I = 0; I < 4; ++I)
-    EXPECT_TRUE(Sink.trace().taken(I));
-  EXPECT_FALSE(Sink.trace().taken(4));
+    EXPECT_TRUE(T.taken(I));
+  EXPECT_FALSE(T.taken(4));
   EXPECT_EQ(Res.BranchEvents, 5u);
 }
 
@@ -598,14 +600,14 @@ TEST(InterpStop, BranchLimitCountsExactly) {
   Module M = spinningBranch();
   ExecOptions Opts;
   Opts.MaxBranchEvents = 100;
-  ColumnarSink Sink;
-  ExecResult Res = execute(M, &Sink, Opts);
+  ColumnarTrace T;
+  ExecResult Res = executeColumnar(M, T, /*UseOrigIds=*/false, Opts);
   EXPECT_TRUE(Res.Ok);
   EXPECT_EQ(Res.Error, "");
   EXPECT_TRUE(Res.HitBranchLimit);
   EXPECT_EQ(Res.InstructionsExecuted, 102u);
   EXPECT_EQ(Res.BranchEvents, 100u);
-  EXPECT_EQ(Sink.trace().size(), 100u);
+  EXPECT_EQ(T.size(), 100u);
 }
 
 TEST(InterpStop, ListenerSeesCallReturnAndLoop) {
@@ -644,8 +646,8 @@ TEST(InterpStop, ListenerSeesCallReturnAndLoop) {
   RecordingListener L;
   ExecOptions Opts;
   Opts.Listener = &L;
-  ColumnarSink Sink;
-  ExecResult Res = execute(M, &Sink, Opts);
+  ColumnarTrace T;
+  ExecResult Res = executeColumnar(M, T, /*UseOrigIds=*/false, Opts);
   ASSERT_TRUE(Res.Ok) << Res.Error;
   EXPECT_EQ(Res.ReturnValue, 2);
   EXPECT_EQ(Res.InstructionsExecuted, 13u);
@@ -657,9 +659,93 @@ TEST(InterpStop, ListenerSeesCallReturnAndLoop) {
       {1, 2, 0},                                    // ret
   };
   EXPECT_EQ(L.Seen, Want);
-  ASSERT_EQ(Sink.trace().size(), 2u);
-  EXPECT_TRUE(Sink.trace().taken(0));
-  EXPECT_FALSE(Sink.trace().taken(1));
+  ASSERT_EQ(T.size(), 2u);
+  EXPECT_TRUE(T.taken(0));
+  EXPECT_FALSE(T.taken(1));
+}
+
+TEST(InterpStop, ExactBudgetStopsOnEveryOpcodeFamily) {
+  // main: mov, mov, add (RR), sub (RI), sub (IR), store, load, call f,
+  // br, jmp, ret; f: ret. Fetch k + 1 is the first over a budget of k, so
+  // budgets 0..11 stop the run on each family in turn.
+  Module M;
+  M.MemWords = 16;
+  uint32_t Main = M.addFunction("main", 0);
+  uint32_t F = M.addFunction("f", 1);
+  {
+    IRBuilder B(M, F);
+    B.setInsertPoint(B.newBlock("entry"));
+    B.ret(R(0));
+  }
+  IRBuilder B(M, Main);
+  Reg A = B.newReg(), Bv = B.newReg(), C = B.newReg(), D = B.newReg(),
+      E = B.newReg(), V = B.newReg();
+  uint32_t Entry = B.newBlock("entry");
+  uint32_t T = B.newBlock("t");
+  uint32_t X = B.newBlock("x");
+  B.setInsertPoint(Entry);
+  B.movImm(A, 5);
+  B.movReg(Bv, A);
+  B.add(C, R(A), R(Bv));
+  B.sub(C, R(C), K(1));
+  B.sub(D, K(10), R(C));
+  B.store(K(0), R(A), R(D));
+  B.load(E, K(0), R(A));
+  B.call(V, F, {R(E)});
+  B.br(R(V), T, T);
+  B.setInsertPoint(T);
+  B.jmp(X);
+  B.setInsertPoint(X);
+  B.ret(R(V));
+  M.assignBranchIds();
+
+  const char *Family[] = {"mov imm", "mov reg", "binary RR", "binary RI",
+                          "binary IR", "store", "load", "call",
+                          "ret (callee)", "br", "jmp", "ret"};
+  // Every entry point, with and without a listener, stops the same way.
+  for (bool Listen : {false, true})
+    for (uint64_t Budget = 0; Budget < std::size(Family); ++Budget) {
+      SCOPED_TRACE(std::string(Family[Budget]) +
+                   (Listen ? ", listener" : ""));
+      RecordingListener L;
+      ExecOptions Opts;
+      Opts.MaxInstructions = Budget;
+      Opts.Listener = Listen ? &L : nullptr;
+      // Branch events happen only once the br (fetch 10) has run.
+      const uint64_t Events = Budget >= 10 ? 1 : 0;
+      const uint64_t Fetches = Budget + 1;
+      const std::string Error =
+          "instruction budget exhausted (" + std::to_string(Budget) + ")";
+      expectStop(execute(M, nullptr, Opts), Error, Fetches, Events);
+      test::PerEventSink Sink;
+      expectStop(execute(M, &Sink, Opts), Error, Fetches, Events);
+      EXPECT_EQ(Sink.Events.size(), Events);
+      ColumnarTrace CT;
+      expectStop(executeColumnar(M, CT, false, Opts), Error, Fetches,
+                 Events);
+      EXPECT_EQ(CT.size(), Events);
+      std::vector<BranchScore> Scores;
+      expectStop(executeScored(M, Scores, Opts), Error, Fetches, Events);
+      ASSERT_EQ(Scores.size(), 1u);
+      EXPECT_EQ(Scores[0].Executions, Events);
+      test::PerEventSink Extra;
+      expectStop(executeScored(M, Scores, Opts, &Extra), Error, Fetches,
+                 Events);
+      EXPECT_EQ(Extra.Events.size(), Events);
+      // Five runs, each listened to up to and including the stopping fetch.
+      EXPECT_EQ(L.Seen.size(), Listen ? 5 * Fetches : 0);
+    }
+
+  // The whole run fits a budget of 12: d = 10 - (5 + 5 - 1) = 1 is stored
+  // at 5, loaded back and returned through f.
+  ExecOptions Opts;
+  Opts.MaxInstructions = 12;
+  ExecResult Res = execute(M, nullptr, Opts);
+  ASSERT_TRUE(Res.Ok) << Res.Error;
+  EXPECT_EQ(Res.InstructionsExecuted, 12u);
+  EXPECT_EQ(Res.BranchEvents, 1u);
+  EXPECT_EQ(Res.ReturnValue, 1);
+  EXPECT_EQ(Res.Memory[5], 1);
 }
 
 // -- Differential fuzz --------------------------------------------------------

@@ -16,7 +16,6 @@
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
 #include "core/Pipeline.h"
-#include "trace/Sinks.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -90,10 +89,10 @@ Module twoAlternating(int64_t Iters) {
 
 TEST(JointProfile, CollectsPerMemberCounts) {
   Module M = twoAlternating(100);
-  ColumnarSink Sink;
-  ASSERT_TRUE(execute(M, &Sink).Ok);
+  ColumnarTrace T;
+  ASSERT_TRUE(executeColumnar(M, T).Ok);
   ProgramAnalysis PA(M);
-  JointProfile P = profileJointLoop(PA, {1, 2}, Sink.trace(), 3);
+  JointProfile P = profileJointLoop(PA, {1, 2}, T, 3);
   EXPECT_EQ(P.Executions, 200u);
   uint64_t Sum = 0;
   for (const auto &[Syms, PerMember] : P.PerPattern)
@@ -104,10 +103,10 @@ TEST(JointProfile, CollectsPerMemberCounts) {
 
 TEST(JointMachine, TwoStatesSolveBothAlternations) {
   Module M = twoAlternating(400);
-  ColumnarSink Sink;
-  ASSERT_TRUE(execute(M, &Sink).Ok);
+  ColumnarTrace T;
+  ASSERT_TRUE(executeColumnar(M, T).Ok);
   ProgramAnalysis PA(M);
-  JointProfile P = profileJointLoop(PA, {1, 2}, Sink.trace(), 2);
+  JointProfile P = profileJointLoop(PA, {1, 2}, T, 2);
 
   JointOptions Opts;
   // The joint alphabet has four symbols (two members x two directions);
@@ -117,7 +116,7 @@ TEST(JointMachine, TwoStatesSolveBothAlternations) {
   JointLoopMachine JM = buildJointLoopMachine({1, 2}, P, Opts);
   EXPECT_LE(JM.numStates(), 5u);
 
-  PredictionStats S = evaluateJointMachine(JM, PA, Sink.trace());
+  PredictionStats S = evaluateJointMachine(JM, PA, T);
   EXPECT_EQ(S.Predictions, 800u);
   // The last joint decision determines the next outcome of either member;
   // only the first execution after loop entry is uncertain.
@@ -126,15 +125,15 @@ TEST(JointMachine, TwoStatesSolveBothAlternations) {
 
 TEST(JointMachine, AssignmentScoreMatchesEvaluation) {
   Module M = twoAlternating(300);
-  ColumnarSink Sink;
-  ASSERT_TRUE(execute(M, &Sink).Ok);
+  ColumnarTrace T;
+  ASSERT_TRUE(executeColumnar(M, T).Ok);
   ProgramAnalysis PA(M);
-  JointProfile P = profileJointLoop(PA, {1, 2}, Sink.trace(), 3);
+  JointProfile P = profileJointLoop(PA, {1, 2}, T, 3);
   JointOptions Opts;
   Opts.MaxStates = 4;
   Opts.MaxLen = 3;
   JointLoopMachine JM = buildJointLoopMachine({1, 2}, P, Opts);
-  PredictionStats S = evaluateJointMachine(JM, PA, Sink.trace());
+  PredictionStats S = evaluateJointMachine(JM, PA, T);
   EXPECT_EQ(S.Predictions, JM.Total);
   EXPECT_EQ(S.Mispredictions, JM.Total - JM.Correct);
 }
@@ -172,9 +171,8 @@ TEST(JointMachine, ReachableStatesSkipUnreachedSuffixes) {
 
 TEST(JointReplication, TwoStatesInsteadOfFour) {
   Module M = twoAlternating(400);
-  ColumnarSink Sink;
-  ASSERT_TRUE(execute(M, &Sink).Ok);
-  ColumnarTrace T = Sink.takeTrace();
+  ColumnarTrace T;
+  ASSERT_TRUE(executeColumnar(M, T).Ok);
   T.finalize(static_cast<uint32_t>(M.conditionalBranchCount()));
   ProgramAnalysis PA(M);
 
@@ -203,13 +201,13 @@ TEST(JointReplication, TwoStatesInsteadOfFour) {
             M.Functions[0].instructionCount() + 4 * LoopSize);
 
   // Behaviour preserved.
-  ColumnarSink SA(/*UseOrigIds=*/true), SB(/*UseOrigIds=*/true);
-  ExecResult RA = execute(M, &SA);
-  ExecResult RB = execute(X, &SB);
+  ColumnarTrace TA, TB;
+  ExecResult RA = executeColumnar(M, TA, /*UseOrigIds=*/true);
+  ExecResult RB = executeColumnar(X, TB, /*UseOrigIds=*/true);
   ASSERT_TRUE(RA.Ok);
   ASSERT_TRUE(RB.Ok);
   EXPECT_EQ(RA.ReturnValue, RB.ReturnValue);
-  EXPECT_EQ(test::eventsOf(SA.trace()), test::eventsOf(SB.trace()));
+  EXPECT_EQ(test::eventsOf(TA), test::eventsOf(TB));
 
   // Realized predictions: both alternating branches near-perfect.
   TraceStats Stats(3);
@@ -275,13 +273,13 @@ TEST(JointPipeline, FiresWhenLoopBranchesShareAMachine) {
   // Behaviour preserved.
   ExecOptions EO;
   EO.MaxBranchEvents = 200'000;
-  ColumnarSink SA(/*UseOrigIds=*/true), SB(/*UseOrigIds=*/true);
-  ExecResult RA = execute(M, &SA, EO);
-  ExecResult RB = execute(PR.Transformed, &SB, EO);
+  ColumnarTrace TA, TB;
+  ExecResult RA = executeColumnar(M, TA, /*UseOrigIds=*/true, EO);
+  ExecResult RB = executeColumnar(PR.Transformed, TB, /*UseOrigIds=*/true, EO);
   ASSERT_TRUE(RA.Ok);
   ASSERT_TRUE(RB.Ok);
   EXPECT_EQ(RA.Memory, RB.Memory);
-  EXPECT_EQ(test::eventsOf(SA.trace()), test::eventsOf(SB.trace()));
+  EXPECT_EQ(test::eventsOf(TA), test::eventsOf(TB));
 
   // And the joint machine must not be worse than profile.
   TraceStats Stats(static_cast<uint32_t>(M.conditionalBranchCount()));

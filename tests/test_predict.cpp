@@ -12,7 +12,6 @@
 #include "interp/Interpreter.h"
 #include "ir/IRBuilder.h"
 #include "support/Rng.h"
-#include "trace/Sinks.h"
 
 #include <gtest/gtest.h>
 
@@ -333,9 +332,8 @@ TEST(StaticHeuristics, BallLarusLoopHeuristicKeepsLoop) {
 
 TEST(StaticHeuristics, EvaluationAgainstRealExecution) {
   Module M = heuristicModule();
-  ColumnarSink Sink;
-  ASSERT_TRUE(execute(M, &Sink).Ok);
-  const ColumnarTrace &T = Sink.trace();
+  ColumnarTrace T;
+  ASSERT_TRUE(executeColumnar(M, T).Ok);
   PredictionStats BL =
       evaluateStaticPredictions(predictBallLarus(M), T);
   PredictionStats AT =

@@ -18,7 +18,6 @@
 #include "interp/Interpreter.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
-#include "trace/Sinks.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -392,14 +391,14 @@ TEST_P(PipelineOnWorkload, PreservesBehaviourAndImprovesPrediction) {
   // Behavioural equivalence under the same branch-event budget.
   ExecOptions EO;
   EO.MaxBranchEvents = 300'000;
-  ColumnarSink SA(/*UseOrigIds=*/true), SB(/*UseOrigIds=*/true);
-  ExecResult RA = execute(M, &SA, EO);
-  ExecResult RB = execute(PR.Transformed, &SB, EO);
+  ColumnarTrace TA, TB;
+  ExecResult RA = executeColumnar(M, TA, /*UseOrigIds=*/true, EO);
+  ExecResult RB = executeColumnar(PR.Transformed, TB, /*UseOrigIds=*/true, EO);
   ASSERT_TRUE(RA.Ok) << RA.Error;
   ASSERT_TRUE(RB.Ok) << RB.Error;
   EXPECT_EQ(RA.ReturnValue, RB.ReturnValue) << W.Name;
   EXPECT_EQ(RA.Memory, RB.Memory) << W.Name;
-  EXPECT_EQ(test::eventsOf(SA.trace()), test::eventsOf(SB.trace()))
+  EXPECT_EQ(test::eventsOf(TA), test::eventsOf(TB))
       << W.Name;
 
   // Prediction quality: the replicated program must not be worse than the

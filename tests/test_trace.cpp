@@ -8,7 +8,6 @@
 
 #include "interp/Interpreter.h"
 #include "support/Rng.h"
-#include "trace/Sinks.h"
 #include "trace/TraceFile.h"
 #include "trace/TraceStats.h"
 #include "workloads/Workload.h"
@@ -326,89 +325,4 @@ TEST(TraceFileErrors, CorruptedFileNamesThePath) {
   EXPECT_FALSE(readTraceFileColumnar(Path, Out, Error));
   EXPECT_NE(Error.find(Path), std::string::npos) << Error;
   EXPECT_NE(Error.find("truncat"), std::string::npos) << Error;
-}
-
-// -- MultiSink ---------------------------------------------------------------
-
-namespace {
-
-/// Appends "<tag>:<branch>:<taken>" to a shared log, to observe fan-out order.
-class LoggingSink : public TraceSink {
-public:
-  LoggingSink(char Tag, std::vector<std::string> &Log) : Tag(Tag), Log(Log) {}
-
-  void onBranch(const Instruction &Br, bool Taken) override {
-    Log.push_back(std::string(1, Tag) + ":" + std::to_string(Br.BranchId) +
-                  ":" + (Taken ? "1" : "0"));
-  }
-
-private:
-  char Tag;
-  std::vector<std::string> &Log;
-};
-
-} // namespace
-
-TEST(MultiSink, FanOutPreservesRegistrationOrder) {
-  std::vector<std::string> Log;
-  LoggingSink A('a', Log), B('b', Log);
-  MultiSink Multi;
-  Multi.add(&A);
-  Multi.add(&B);
-
-  Instruction Br;
-  Br.BranchId = 3;
-  Multi.onBranch(Br, true);
-  Br.BranchId = 7;
-  Multi.onBranch(Br, false);
-
-  ASSERT_EQ(Log.size(), 4u);
-  EXPECT_EQ(Log[0], "a:3:1");
-  EXPECT_EQ(Log[1], "b:3:1");
-  EXPECT_EQ(Log[2], "a:7:0");
-  EXPECT_EQ(Log[3], "b:7:0");
-}
-
-TEST(MultiSink, MillionEventStressAgreesAcrossSinks) {
-  // Drive over a million branch events from real workload runs through one
-  // MultiSink and check the counting and collecting views never diverge.
-  CountingSink Counting;
-  ColumnarSink Collecting;
-  MultiSink Multi;
-  Multi.add(&Counting);
-  Multi.add(&Collecting);
-
-  uint64_t FromRuns = 0;
-  for (uint64_t Seed = 1; Counting.total() < 1'000'000u; ++Seed) {
-    Module Run = buildWorkload("ghostview", Seed);
-    Run.assignBranchIds();
-    ExecOptions Opts;
-    Opts.MaxBranchEvents = 1'000'000;
-    FromRuns += execute(Run, &Multi, Opts).BranchEvents;
-  }
-
-  EXPECT_GE(Counting.total(), 1'000'000u);
-  EXPECT_EQ(Counting.total(), FromRuns);
-  EXPECT_EQ(Counting.total(), Collecting.trace().size());
-
-  const ColumnarTrace &CT = Collecting.trace();
-  uint64_t Taken = 0;
-  for (size_t I = 0; I < CT.size(); ++I)
-    Taken += CT.taken(I) ? 1 : 0;
-  EXPECT_EQ(Taken, Counting.taken());
-}
-
-TEST(MultiSink, EmptyAndSingleSinkDegenerateCases) {
-  MultiSink Empty;
-  Instruction Br;
-  Br.BranchId = 0;
-  Empty.onBranch(Br, true); // no sinks: must be a no-op, not a crash
-
-  CountingSink Counting;
-  MultiSink Single;
-  Single.add(&Counting);
-  Single.onBranch(Br, true);
-  Single.onBranch(Br, false);
-  EXPECT_EQ(Counting.total(), 2u);
-  EXPECT_EQ(Counting.taken(), 1u);
 }

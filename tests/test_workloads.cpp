@@ -8,7 +8,6 @@
 
 #include "interp/Interpreter.h"
 #include "ir/Verifier.h"
-#include "trace/Sinks.h"
 #include "trace/TraceStats.h"
 #include "workloads/Workload.h"
 
