@@ -100,6 +100,8 @@ public:
 
   const FullMap &full() const { return Full; }
   unsigned maxBits() const { return MaxBits; }
+  /// The rolling history the next record() extends.
+  uint32_t history() const { return Hist; }
   uint64_t executions() const { return Executions; }
 
 private:

@@ -7,6 +7,7 @@
 #include "core/CorrelatedMachine.h"
 
 #include "obs/TraceSpans.h"
+#include "support/ThreadPool.h"
 #include "trace/ColumnarTrace.h"
 
 #include <algorithm>
@@ -87,19 +88,22 @@ findKey(std::vector<SymbolString>::const_iterator First,
 /// branch's candidate keys (oldest decision first). A state is a prefix of
 /// some key: the longest one the decisions so far end with. Every key
 /// that matches the recent decisions ends that prefix, so a state and the
-/// next event's branch fix the event's count slot. Transitions, keyed by
-/// (state, event symbol), carry both that slot and the next state; they
-/// are built on first use into a flat open-addressing table, so a trace
-/// pass costs one table probe per event. The states are bounded by the
-/// candidates and the table by MaxTransitions (it starts over when full),
-/// whatever the trace.
-class PathAutomaton {
+/// next event's branch fix the event's count slot.
+///
+/// PathKeys holds the keys and states, read-only once built and shared by
+/// every range of a pass. Each range's PathAutomaton builds transitions,
+/// keyed by (state, event symbol), on first use into its own flat
+/// open-addressing table; a transition carries both the event's slot and
+/// the next state, so a pass costs one table probe per event. The states
+/// are bounded by the candidates and the table by MaxTransitions (it
+/// starts over when full), whatever the trace.
+class PathKeys {
 public:
   /// Count slots: one per distinct candidate key, numbered in each
   /// branch's sorted key order, then one unmatched slot per branch, then
   /// one for events whose id has no branch.
-  PathAutomaton(const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
-                unsigned MaxPathLen) {
+  PathKeys(const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
+           unsigned MaxPathLen) {
     FirstSlot.reserve(CandidatesByBranch.size() + 1);
     for (const std::vector<BranchPath> &Cands : CandidatesByBranch) {
       FirstSlot.push_back(static_cast<uint32_t>(Keys.size()));
@@ -116,7 +120,6 @@ public:
       for (size_t L = 1; L <= K.size(); ++L)
         States.emplace_back(K.begin(), K.begin() + static_cast<long>(L));
     sortUnique(States, 0);
-    resize(256);
   }
 
   size_t numBranches() const { return FirstSlot.size() - 1; }
@@ -129,6 +132,56 @@ public:
 
   /// The state before the first event.
   static constexpr uint32_t Start = 0;
+
+  /// Longest candidate of branch \p Id that \p State's prefix ends with.
+  uint32_t slotFor(uint32_t State, int32_t Id) const {
+    const SymbolString &Prefix = States[State];
+    size_t B = static_cast<size_t>(Id);
+    if (B >= numBranches())
+      return static_cast<uint32_t>(numSlots() - 1);
+    auto First = Keys.begin() + FirstSlot[B];
+    auto Last = Keys.begin() + FirstSlot[B + 1];
+    for (size_t L = Prefix.size(); L >= 1; --L) {
+      auto It = findKey(First, Last,
+                        std::span(Prefix).subspan(Prefix.size() - L));
+      if (It != Last)
+        return static_cast<uint32_t>(It - Keys.begin());
+    }
+    return unmatchedSlot(B);
+  }
+
+  /// The longest state that \p State's prefix followed by \p Sym ends
+  /// with. \p Scratch is the caller's buffer.
+  uint32_t nextState(uint32_t State, uint32_t Sym,
+                     SymbolString &Scratch) const {
+    Scratch.assign(States[State].begin(), States[State].end());
+    Scratch.push_back(Sym);
+    for (size_t Drop = 0; Drop < Scratch.size(); ++Drop) {
+      auto It = findKey(States.begin(), States.end(),
+                        std::span(Scratch).subspan(Drop));
+      if (It != States.end())
+        return static_cast<uint32_t>(It - States.begin());
+    }
+    return Start;
+  }
+
+private:
+  static void sortUnique(std::vector<SymbolString> &V, size_t First) {
+    std::sort(V.begin() + static_cast<long>(First), V.end());
+    V.erase(std::unique(V.begin() + static_cast<long>(First), V.end()),
+            V.end());
+  }
+
+  std::vector<SymbolString> Keys;
+  std::vector<uint32_t> FirstSlot;
+  /// Every distinct prefix of a key, sorted; a state is an index here.
+  std::vector<SymbolString> States;
+};
+
+/// One range's transition cache over shared PathKeys.
+class PathAutomaton {
+public:
+  explicit PathAutomaton(const PathKeys &Keys) : Keys(Keys) { resize(256); }
 
   /// Advances \p State over the event (\p Id, \p Taken); \returns the
   /// event's count slot.
@@ -156,12 +209,6 @@ private:
   static constexpr uint64_t Empty = UINT64_MAX;
   static constexpr size_t MaxTransitions = size_t{1} << 16;
 
-  static void sortUnique(std::vector<SymbolString> &V, size_t First) {
-    std::sort(V.begin() + static_cast<long>(First), V.end());
-    V.erase(std::unique(V.begin() + static_cast<long>(First), V.end()),
-            V.end());
-  }
-
   static uint64_t keyOf(uint32_t State, uint32_t Sym) {
     return (uint64_t{State} << 32) | Sym;
   }
@@ -185,39 +232,10 @@ private:
     }
     const uint64_t Key = keyOf(State, Sym);
     size_t H = place(Key);
-    Table[H] = {Key, nextState(State, Sym), slotFor(States[State], Id)};
+    Table[H] = {Key, Keys.nextState(State, Sym, Extended),
+                Keys.slotFor(State, Id)};
     ++Used;
     return H;
-  }
-
-  /// Longest candidate of branch \p Id that \p Prefix ends with.
-  uint32_t slotFor(const SymbolString &Prefix, int32_t Id) const {
-    size_t B = static_cast<size_t>(Id);
-    if (B >= numBranches())
-      return static_cast<uint32_t>(numSlots() - 1);
-    auto First = Keys.begin() + FirstSlot[B];
-    auto Last = Keys.begin() + FirstSlot[B + 1];
-    for (size_t L = Prefix.size(); L >= 1; --L) {
-      auto It = findKey(First, Last,
-                        std::span(Prefix).subspan(Prefix.size() - L));
-      if (It != Last)
-        return static_cast<uint32_t>(It - Keys.begin());
-    }
-    return unmatchedSlot(B);
-  }
-
-  /// The longest state that \p State's prefix followed by \p Sym ends
-  /// with.
-  uint32_t nextState(uint32_t State, uint32_t Sym) {
-    Extended.assign(States[State].begin(), States[State].end());
-    Extended.push_back(Sym);
-    for (size_t Drop = 0; Drop < Extended.size(); ++Drop) {
-      auto It = findKey(States.begin(), States.end(),
-                        std::span(Extended).subspan(Drop));
-      if (It != States.end())
-        return static_cast<uint32_t>(It - States.begin());
-    }
-    return Start;
   }
 
   /// First free table index on \p Key's probe sequence.
@@ -233,10 +251,7 @@ private:
     Shift = 64 - static_cast<unsigned>(std::countr_zero(Size));
   }
 
-  std::vector<SymbolString> Keys;
-  std::vector<uint32_t> FirstSlot;
-  /// Every distinct prefix of a key, sorted; a state is an index here.
-  std::vector<SymbolString> States;
+  const PathKeys &Keys;
   std::vector<Transition> Table;
   unsigned Shift = 0;
   size_t Used = 0;
@@ -249,32 +264,51 @@ private:
 
 std::vector<PathProfile> bpcr::profilePaths(
     const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
-    const ColumnarTrace &CT, unsigned MaxPathLen) {
+    const ColumnarTrace &CT, unsigned MaxPathLen, unsigned Jobs) {
   Span S("profiles.paths", "kernel");
   S.arg("events", static_cast<uint64_t>(CT.size()));
-  PathAutomaton Paths(CandidatesByBranch, MaxPathLen);
-  std::vector<DirCounts> Counts(Paths.numSlots());
+  const PathKeys Keys(CandidatesByBranch, MaxPathLen);
 
-  // One global-order pass over the id column and the packed direction
+  // One pass per event range over the id column and the packed direction
   // words: one table probe and one counter bump per event, no allocation
   // and no map lookup (those happen only when a context is first seen).
+  // The automaton's state depends only on the last MaxPathLen events (no
+  // state is longer), so a range starts from the state it reaches over
+  // those events from Start; it is the one a whole-trace pass would be in.
   const int32_t *Ids = CT.ids().data();
   const BitstreamView Dirs = CT.directions();
-  uint32_t State = PathAutomaton::Start;
-  for (size_t I = 0, N = CT.size(); I < N; ++I) {
-    const bool Taken = Dirs.bit(I);
-    Counts[Paths.step(State, Ids[I], Taken)].record(Taken);
-  }
+  const std::vector<EventRange> Ranges = eventRanges(CT.size(), Jobs);
+  std::vector<std::vector<DirCounts>> RangeCounts(Ranges.size());
+  parallelForJobs(Jobs, Ranges.size(), [&](size_t R) {
+    std::vector<DirCounts> &Counts = RangeCounts[R];
+    Counts.resize(Keys.numSlots());
+    PathAutomaton Paths(Keys);
+    uint32_t State = PathKeys::Start;
+    const size_t Begin = Ranges[R].Begin;
+    for (size_t I = Begin - std::min<size_t>(Begin, MaxPathLen); I < Begin;
+         ++I)
+      Paths.step(State, Ids[I], Dirs.bit(I));
+    for (size_t I = Begin; I < Ranges[R].End; ++I) {
+      const bool Taken = Dirs.bit(I);
+      Counts[Paths.step(State, Ids[I], Taken)].record(Taken);
+    }
+  });
+  std::vector<DirCounts> &Counts = RangeCounts.front();
+  for (size_t R = 1; R < RangeCounts.size(); ++R)
+    for (size_t Slot = 0; Slot < Counts.size(); ++Slot) {
+      Counts[Slot].Taken += RangeCounts[R][Slot].Taken;
+      Counts[Slot].NotTaken += RangeCounts[R][Slot].NotTaken;
+    }
 
   // Slots run in sorted key order within each branch; report the keys that
   // were hit.
   std::vector<PathProfile> Out(CandidatesByBranch.size());
   for (size_t B = 0; B < Out.size(); ++B) {
-    for (uint32_t Slot = Paths.firstSlot(B); Slot < Paths.firstSlot(B + 1);
+    for (uint32_t Slot = Keys.firstSlot(B); Slot < Keys.firstSlot(B + 1);
          ++Slot)
       if (Counts[Slot].total() > 0)
-        Out[B].PerPath.emplace_back(Paths.key(Slot), Counts[Slot]);
-    Out[B].Unmatched = Counts[Paths.unmatchedSlot(B)];
+        Out[B].PerPath.emplace_back(Keys.key(Slot), Counts[Slot]);
+    Out[B].Unmatched = Counts[Keys.unmatchedSlot(B)];
   }
   return Out;
 }

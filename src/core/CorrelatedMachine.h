@@ -90,9 +90,13 @@ SymbolString encodePathSteps(const BranchPath &P);
 /// \param CandidatesByBranch candidate paths per branch id (empty entries
 ///        are skipped).
 /// \param MaxPathLen window length (must cover the longest candidate).
+/// \param Jobs event ranges the pass runs over (see eventRanges in
+///        trace/ColumnarTrace.h); the profiles are the same for every
+///        value.
 std::vector<PathProfile>
 profilePaths(const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
-             const ColumnarTrace &CT, unsigned MaxPathLen);
+             const ColumnarTrace &CT, unsigned MaxPathLen,
+             unsigned Jobs = 1);
 
 /// Fits a correlated machine from a precomputed profile.
 CorrelatedMachine buildCorrelatedMachineFromProfile(

@@ -40,7 +40,12 @@ struct BranchProofs;
 /// the events since its last execution were not all inside. The pattern
 /// tables come from the flat-count fill kernel over the per-branch
 /// bitstreams, one segment per reset. \p CT must be finalized for
-/// PA.numBranches().
+/// PA.numBranches(). Events whose id is outside [0, PA.numBranches()) lie
+/// outside every loop.
+///
+/// The scan runs over \p Jobs event ranges (see eventRanges in
+/// trace/ColumnarTrace.h) and the fill over tasks of whole reset
+/// segments; the profiles are the same for every value.
 ///
 /// When \p Proofs is non-null, branches proven unidirectional record their
 /// outcome stream but skip the pattern-table fill — the machine search is
@@ -48,7 +53,8 @@ struct BranchProofs;
 ProfileSet buildLoopAwareProfiles(const ProgramAnalysis &PA,
                                   const ColumnarTrace &CT,
                                   unsigned MaxBits = 9,
-                                  const sa::BranchProofs *Proofs = nullptr);
+                                  const sa::BranchProofs *Proofs = nullptr,
+                                  unsigned Jobs = 1);
 
 } // namespace bpcr
 

@@ -141,7 +141,7 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
 
   Span SProfile("pipeline.phase.profiling");
   ProfileSet Profiles = buildLoopAwareProfiles(PA, T, /*MaxBits=*/9,
-                                               ProofsPtr);
+                                               ProofsPtr, Opts.Strategy.Jobs);
   TraceStats Stats(PA.numBranches());
   Stats.addTrace(T);
   SProfile.end();

@@ -76,7 +76,7 @@ bpcr::searchBranchLadders(const ProgramAnalysis &PA, const ProfileSet &Profiles,
     Candidates[Id] = PA.backwardPaths(B, PathLen, /*ThroughJumps=*/true);
     L.PathCandidates = Candidates[Id].size();
   }
-  std::vector<PathProfile> PathProfiles = profilePaths(Candidates, CT, PathLen);
+  std::vector<PathProfile> PathProfiles = profilePaths(Candidates, CT, PathLen, Spec.Jobs);
 
   // One independent task per branch; results land in slots indexed by
   // branch id, so the outcome is identical for any worker count. Each

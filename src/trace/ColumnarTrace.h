@@ -18,6 +18,11 @@
 /// path (profile fill, machine scoring, predictor evaluation) walks these
 /// flat buffers; see docs/PERFORMANCE.md.
 ///
+/// The passes that read the whole trace (the index below, the loop-aware
+/// profiles, the path profiles) split it into contiguous event ranges, one
+/// per job, and stitch the per-range results back in trace order; the
+/// result is the same for every job count.
+///
 /// The per-branch bitstream of branch b is the subsequence of direction
 /// bits at positions where Ids[i] == b, in global order — the same stream a
 /// BranchProfile's DirBits holds.
@@ -34,6 +39,18 @@
 #include <vector>
 
 namespace bpcr {
+
+/// Event positions [Begin, End) of one shard of a trace pass.
+struct EventRange {
+  size_t Begin = 0;
+  size_t End = 0;
+};
+
+/// Splits [0, \p NumEvents) into contiguous ranges of near-equal length, in
+/// trace order: one per job, with \p Jobs resolved like every `--jobs`
+/// knob (0 = one per hardware core). Ranges are empty when there are more
+/// jobs than events.
+std::vector<EventRange> eventRanges(size_t NumEvents, unsigned Jobs);
 
 /// Per-branch slice of the columnar index.
 struct BranchColumn {
@@ -98,9 +115,11 @@ public:
   /// Builds the per-branch index for ids in [0, NumBranches): execution
   /// and taken counts plus the word-aligned per-branch bitstreams. Events
   /// with out-of-range ids are counted in outOfRange() and left out of the
-  /// index (mirrors sa::BranchProfileCounts::fromColumnar). Records
+  /// index (mirrors sa::BranchProfileCounts::fromColumnar). The two
+  /// passes over the columns run over \p Jobs event ranges (see
+  /// eventRanges); the index is the same for every value. Records
   /// `trace.columnar.*` metrics when the observability registry is on.
-  void finalize(uint32_t NumBranches);
+  void finalize(uint32_t NumBranches, unsigned Jobs = 1);
 
   bool indexed() const { return Indexed; }
   uint32_t numBranches() const {

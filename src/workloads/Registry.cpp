@@ -38,7 +38,8 @@ Module bpcr::buildWorkload(const std::string &Name, uint64_t Seed) {
 
 ColumnarTrace bpcr::traceWorkloadColumnar(const Workload &W, uint64_t Seed,
                                           Module &OutModule,
-                                          uint64_t MaxBranchEvents) {
+                                          uint64_t MaxBranchEvents,
+                                          unsigned Jobs) {
   Span S("workload.trace", "interp");
   S.arg("workload", W.Name);
   S.arg("seed", Seed);
@@ -56,6 +57,6 @@ ColumnarTrace bpcr::traceWorkloadColumnar(const Workload &W, uint64_t Seed,
   assert(R.Ok && "workload execution failed");
   S.arg("branch_events", R.BranchEvents);
   (void)R;
-  CT.finalize(NumBranches);
+  CT.finalize(NumBranches, Jobs);
   return CT;
 }

@@ -52,11 +52,13 @@ Module buildWorkload(const std::string &Name, uint64_t Seed);
 
 /// Builds the workload, executes it (capped at \p MaxBranchEvents like the
 /// paper's 1M-branch traces) and returns its trace, collected through
-/// batched emission with the per-branch index finalized for \p OutModule.
-/// Branch ids are assigned on \p OutModule.
+/// batched emission with the per-branch index finalized for \p OutModule
+/// over \p Jobs event ranges (ColumnarTrace::finalize). Branch ids are
+/// assigned on \p OutModule.
 ColumnarTrace traceWorkloadColumnar(const Workload &W, uint64_t Seed,
                                     Module &OutModule,
-                                    uint64_t MaxBranchEvents = 1'000'000);
+                                    uint64_t MaxBranchEvents = 1'000'000,
+                                    unsigned Jobs = 1);
 
 // Individual builders (exposed for unit tests).
 Module buildAbalone(uint64_t Seed);

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ProfileTestUtil.h"
 #include "TraceTestUtil.h"
 
 #include "core/LoopAwareProfiles.h"
@@ -38,6 +39,8 @@ using namespace bpcr;
 using bpcr::test::Event;
 using bpcr::test::eventsOf;
 using bpcr::test::makeTrace;
+using bpcr::test::referenceLoopAwareProfiles;
+using bpcr::test::sameProfiles;
 
 namespace {
 
@@ -76,101 +79,12 @@ struct TierGuard {
   ~TierGuard() { setSimdTierForTest(SimdTier::AVX2); }
 };
 
-bool sameBits(BitstreamView A, BitstreamView B) {
-  if (A.size() != B.size())
-    return false;
-  for (uint64_t I = 0; I < A.size(); ++I)
-    if (A.bit(I) != B.bit(I))
-      return false;
-  return true;
-}
-
-bool sameProfiles(const ProfileSet &A, const ProfileSet &B) {
-  if (A.numBranches() != B.numBranches())
-    return false;
-  for (uint32_t Id = 0; Id < A.numBranches(); ++Id) {
-    const BranchProfile &PA = A.branch(Id);
-    const BranchProfile &PB = B.branch(Id);
-    if (!sameBits(PA.DirBits.view(), PB.DirBits.view()) ||
-        PA.ResetPositions != PB.ResetPositions ||
-        PA.Table.executions() != PB.Table.executions())
-      return false;
-    const auto &FA = PA.Table.full();
-    const auto &FB = PB.Table.full();
-    if (FA.size() != FB.size())
-      return false;
-    for (const auto &[Pattern, Counts] : FA) {
-      auto It = FB.find(Pattern);
-      if (It == FB.end() || It->second.Taken != Counts.Taken ||
-          It->second.NotTaken != Counts.NotTaken)
-        return false;
-    }
-  }
-  return true;
-}
-
 const Workload &workloadNamed(const std::string &Name) {
   for (const Workload &W : allWorkloads())
     if (Name == W.Name)
       return W;
   ADD_FAILURE() << "unknown workload " << Name;
   return allWorkloads().front();
-}
-
-/// Per-event reference of buildLoopAwareProfiles: before each event of a
-/// loop branch b, b's history resets iff some event since b's previous
-/// execution (or since the trace start) lay outside b's innermost loop.
-/// Each tracked loop keeps the time of the last event outside it, and the
-/// scan touches every tracked loop on every event.
-ProfileSet referenceLoopAwareProfiles(const ProgramAnalysis &PA,
-                                      const ColumnarTrace &CT,
-                                      const sa::BranchProofs *Proofs) {
-  struct TrackedLoop {
-    uint32_t FuncIdx;
-    const Loop *L;
-    uint64_t LastOutside = 0;
-  };
-  std::vector<TrackedLoop> Loops;
-  std::vector<int32_t> LoopOfBranch(PA.numBranches(), -1);
-  std::map<std::pair<uint32_t, int32_t>, size_t> LoopIndex;
-  for (uint32_t Id = 0; Id < PA.numBranches(); ++Id) {
-    const BranchClass &C = PA.classOf(static_cast<int32_t>(Id));
-    if (C.Kind == BranchKind::NonLoop)
-      continue;
-    std::pair<uint32_t, int32_t> Key{PA.ref(static_cast<int32_t>(Id)).FuncIdx,
-                                     C.LoopIdx};
-    auto [It, Inserted] = LoopIndex.emplace(Key, Loops.size());
-    if (Inserted)
-      Loops.push_back({Key.first,
-                       &PA.loopInfoFor(static_cast<int32_t>(Id))
-                            .loops()[static_cast<size_t>(C.LoopIdx)]});
-    LoopOfBranch[Id] = static_cast<int32_t>(It->second);
-  }
-
-  ProfileSet P(PA.numBranches());
-  std::vector<uint64_t> LastExec(PA.numBranches(), 0);
-  for (size_t I = 0; I < CT.size(); ++I) {
-    const uint64_t Time = I + 1;
-    const int32_t Id = CT.branchId(I);
-    const bool Taken = CT.taken(I);
-    const BranchRef &R = PA.ref(Id);
-    for (TrackedLoop &TL : Loops)
-      if (TL.FuncIdx != R.FuncIdx || !TL.L->contains(R.BlockIdx))
-        TL.LastOutside = Time;
-    BranchProfile &BP = P.branchMutable(Id);
-    const int32_t LI = LoopOfBranch[static_cast<uint32_t>(Id)];
-    if (LI >= 0 && Loops[static_cast<size_t>(LI)].LastOutside >
-                       LastExec[static_cast<uint32_t>(Id)]) {
-      BP.ResetPositions.push_back(BP.DirBits.size());
-      BP.Table.resetHistory();
-    }
-    BP.DirBits.push(Taken);
-    // Proven branches keep their outcome stream but no pattern table.
-    if (!Proofs || !Proofs->proven(Id))
-      BP.Table.record(Taken);
-    LastExec[static_cast<uint32_t>(Id)] = Time;
-  }
-  return P;
 }
 
 } // namespace

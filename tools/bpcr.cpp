@@ -852,7 +852,7 @@ PipelineOptions pipelineOptions(const Args &A) {
 /// Shared by replicate and report: trace + pipeline + verification.
 bool runPipeline(const Args &A, const Workload &W, Module &M,
                  ColumnarTrace &T, PipelineResult &PR) {
-  T = traceWorkloadColumnar(W, A.Seed, M, A.Events);
+  T = traceWorkloadColumnar(W, A.Seed, M, A.Events, A.Jobs);
   PR = replicateModule(M, T, pipelineOptions(A));
   if (!verifyModule(PR.Transformed).empty()) {
     std::fprintf(stderr,
@@ -1011,9 +1011,10 @@ int cmdSweep(const Args &A) {
   if (!W)
     return 1;
   Module M;
-  ColumnarTrace T = traceWorkloadColumnar(*W, A.Seed, M, A.Events);
+  ColumnarTrace T = traceWorkloadColumnar(*W, A.Seed, M, A.Events, A.Jobs);
   ProgramAnalysis PA(M);
-  ProfileSet Profiles = buildLoopAwareProfiles(PA, T);
+  ProfileSet Profiles = buildLoopAwareProfiles(PA, T, /*MaxBits=*/9,
+                                               /*Proofs=*/nullptr, A.Jobs);
 
   SweepOptions Opts;
   Opts.MaxStates = A.States;
