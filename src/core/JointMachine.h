@@ -103,8 +103,10 @@ struct JointProfile {
 
 /// Profiles the joint decision history of the loop containing the member
 /// branches. The history resets when control leaves the loop (same
-/// convention as buildLoopAwareProfiles). All members must share one
-/// innermost loop.
+/// convention as buildLoopAwareProfiles; an event whose id has no branch
+/// is outside it). All members must share one innermost loop. One table
+/// probe per member event: histories are interned and their transitions
+/// cached, so the pass does no map lookup per event.
 JointProfile profileJointLoop(const ProgramAnalysis &PA,
                               const std::vector<int32_t> &Members,
                               const ColumnarTrace &CT, unsigned MaxLen);

@@ -12,9 +12,10 @@
 /// regardless of which worker finishes first.
 ///
 /// parallelFor() is the primary entry point: it dispatches loop indices
-/// 0..N-1 over the workers through a shared atomic cursor. Every index runs
-/// exactly once; exceptions are captured and the first one (by index order)
-/// is rethrown on the calling thread after all work drains.
+/// 0..N-1 over the workers and the calling thread through a shared atomic
+/// cursor. Every index runs exactly once; exceptions are captured and the
+/// first one (by index order) is rethrown on the calling thread after all
+/// work drains.
 ///
 /// The pool deliberately has no work stealing, priorities, or dynamic
 /// sizing: per-branch machine searches are coarse, independent tasks and a
@@ -76,9 +77,9 @@ public:
   /// Enqueues one task. Tasks are started in submission order.
   std::future<void> submit(std::function<void()> Task);
 
-  /// Runs Body(0..N-1), each index exactly once, across the workers. The
-  /// calling thread blocks until every index completed. The first exception
-  /// (lowest index) is rethrown here.
+  /// Runs Body(0..N-1), each index exactly once, across the workers and
+  /// the calling thread, which returns once every index completed. The
+  /// first exception (lowest index) is rethrown here.
   void parallelFor(size_t N, const std::function<void(size_t)> &Body);
 
   /// Utilization telemetry so far; see PoolStats for when it is exact.
@@ -126,9 +127,11 @@ private:
   std::unique_ptr<WorkerTelemetry[]> WorkerTel;
 };
 
-/// Runs Body(0..N-1) on \p Jobs resolved workers. Jobs <= 1 (or N <= 1)
-/// runs inline on the calling thread — the serial path, bit-for-bit what a
-/// plain loop does — so `--jobs 1` never constructs a pool.
+/// Runs Body(0..N-1) on \p Jobs resolved threads: the calling thread and a
+/// pool of Jobs - 1 workers (fewer when N is smaller). Jobs <= 1 (or
+/// N <= 1) runs inline on the calling thread — the serial path,
+/// bit-for-bit what a plain loop does — so `--jobs 1` never constructs a
+/// pool.
 void parallelForJobs(unsigned Jobs, size_t N,
                      const std::function<void(size_t)> &Body);
 
