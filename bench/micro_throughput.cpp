@@ -18,6 +18,7 @@
 #include "core/ScoreKernels.h"
 #include "core/SearchCache.h"
 #include "core/SizeSweep.h"
+#include "core/TraceProfiles.h"
 #include "interp/Interpreter.h"
 #include "obs/Metrics.h"
 #include "obs/Profiler.h"
@@ -286,10 +287,10 @@ int runSweepBench(BenchRunOptions RunOpts) {
       PathMs = Ms;
   }
   // Trace + loop-aware profiles at one and four jobs (the index and the
-  // reset scan shard over event ranges), with the registry off so the
-  // gated counters cover the runs above only. Each stage of trace,
-  // profiles and sweep must finish before the next starts, so at four
-  // jobs their sum is the chain's critical path.
+  // reset scan walk the trace's chunks on that many threads), with the
+  // registry off so the gated counters cover the runs above only. Each
+  // stage of trace, profiles and sweep must finish before the next
+  // starts, so at four jobs their sum is the chain's critical path.
   auto ProfilesAt = [&](unsigned Jobs) {
     double Best = 0.0;
     for (unsigned I = 0; I < Reps; ++I) {
@@ -304,9 +305,33 @@ int runSweepBench(BenchRunOptions RunOpts) {
     }
     return Best;
   };
+  // The same trace and profiles streamed (core/TraceProfiles.h): the walks
+  // run while the interpreter writes the trace, and the figure also covers
+  // the path profiles the sweep would otherwise take itself.
+  double StreamedOverlap = 0.0;
+  auto StreamedAt = [&](unsigned Jobs) {
+    double Best = 0.0;
+    for (unsigned I = 0; I < Reps; ++I) {
+      TraceProfileOptions TO;
+      TO.MaxBranchEvents = Events;
+      TO.Jobs = Jobs;
+      TO.MaxStates = Opts.MaxStates;
+      double Ms = wallMs([&] {
+        Module PM;
+        TraceProfiles TP;
+        traceProfiles(*Largest, 1, PM, TO, TP);
+        StreamedOverlap = TP.OverlapShare;
+        benchmark::DoNotOptimize(TP.Profiles);
+      });
+      if (I == 0 || Ms < Best)
+        Best = Ms;
+    }
+    return Best;
+  };
   Obs.setEnabled(false);
   const double Profiles1Ms = ProfilesAt(1);
   const double Profiles4Ms = ProfilesAt(4);
+  const double Streamed4Ms = StreamedAt(4);
   Obs.setEnabled(true);
   const double CriticalMs = Profiles4Ms + Jobs4Ms;
 
@@ -325,6 +350,8 @@ int runSweepBench(BenchRunOptions RunOpts) {
       .set(Jobs4Ms > 0 ? Jobs1Ms / Jobs4Ms : 0.0);
   Obs.gauge("sweep.wall_ms.profiles_jobs1").set(Profiles1Ms);
   Obs.gauge("sweep.wall_ms.profiles_jobs4").set(Profiles4Ms);
+  Obs.gauge("sweep.wall_ms.trace_profiles_streamed_jobs4").set(Streamed4Ms);
+  Obs.gauge("sweep.stream.overlap_share").set(StreamedOverlap);
   Obs.gauge("sweep.critical_path_wall_ms").set(CriticalMs);
   Obs.gauge("sweep.cache.hit_rate_percent").set(HitRate);
   Obs.gauge("sweep.events_per_sec.jobs4")
@@ -350,6 +377,9 @@ int runSweepBench(BenchRunOptions RunOpts) {
               PathMs, PathEps, BytesPerEvent);
   std::printf("  trace + profiles -j 1  : %8.1f ms\n", Profiles1Ms);
   std::printf("  trace + profiles -j 4  : %8.1f ms\n", Profiles4Ms);
+  std::printf("  streamed + paths -j 4  : %8.1f ms  (%.0f%% of the events "
+              "walked during the run)\n",
+              Streamed4Ms, 100.0 * StreamedOverlap);
   std::printf("  critical path  -j 4    : %8.1f ms  (trace + profiles + "
               "sweep)\n",
               CriticalMs);

@@ -9,6 +9,7 @@
 #include "obs/TraceSpans.h"
 #include "support/ThreadPool.h"
 #include "trace/ColumnarTrace.h"
+#include "trace/TraceStream.h"
 
 #include <algorithm>
 #include <bit>
@@ -91,7 +92,7 @@ findKey(std::vector<SymbolString>::const_iterator First,
 /// next event's branch fix the event's count slot.
 ///
 /// PathKeys holds the keys and states, read-only once built and shared by
-/// every range of a pass. Each range's PathAutomaton builds transitions,
+/// every worker of a pass. Each worker's PathAutomaton builds transitions,
 /// keyed by (state, event symbol), on first use into its own flat
 /// open-addressing table; a transition carries both the event's slot and
 /// the next state, so a pass costs one table probe per event. The states
@@ -178,7 +179,7 @@ private:
   std::vector<SymbolString> States;
 };
 
-/// One range's transition cache over shared PathKeys.
+/// One worker's transition cache over shared PathKeys.
 class PathAutomaton {
 public:
   explicit PathAutomaton(const PathKeys &Keys) : Keys(Keys) { resize(256); }
@@ -262,47 +263,70 @@ private:
 
 } // namespace
 
-std::vector<PathProfile> bpcr::profilePaths(
-    const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
-    const ColumnarTrace &CT, unsigned MaxPathLen, unsigned Jobs) {
-  Span S("profiles.paths", "kernel");
-  S.arg("events", static_cast<uint64_t>(CT.size()));
-  const PathKeys Keys(CandidatesByBranch, MaxPathLen);
+struct PathWalk::State {
+  State(const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
+        unsigned MaxPathLen)
+      : Keys(CandidatesByBranch, MaxPathLen), MaxPathLen(MaxPathLen) {}
 
-  // One pass per event range over the id column and the packed direction
-  // words: one table probe and one counter bump per event, no allocation
-  // and no map lookup (those happen only when a context is first seen).
-  // The automaton's state depends only on the last MaxPathLen events (no
-  // state is longer), so a range starts from the state it reaches over
+  /// One worker's transition cache and per-slot counts, kept across the
+  /// chunks it walks.
+  struct Worker {
+    explicit Worker(const PathKeys &Keys)
+        : Paths(Keys), Counts(Keys.numSlots()) {}
+    PathAutomaton Paths;
+    std::vector<DirCounts> Counts;
+  };
+
+  const PathKeys Keys;
+  const unsigned MaxPathLen;
+  std::vector<std::unique_ptr<Worker>> Workers;
+};
+
+PathWalk::PathWalk(
+    const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
+    unsigned MaxPathLen, unsigned Workers)
+    : S(std::make_unique<State>(CandidatesByBranch, MaxPathLen)) {
+  S->Workers.resize(std::max(Workers, 1u));
+}
+
+PathWalk::~PathWalk() = default;
+
+void PathWalk::walkChunk(size_t, EventRange R, TraceColumns Cols,
+                         unsigned WorkerIdx) {
+  // One table probe and one counter bump per event, no allocation and no
+  // map lookup (those happen only when a context is first seen). The
+  // automaton's state depends only on the last MaxPathLen events (no
+  // state is longer), so a chunk starts from the state it reaches over
   // those events from Start; it is the one a whole-trace pass would be in.
-  const int32_t *Ids = CT.ids().data();
-  const BitstreamView Dirs = CT.directions();
-  const std::vector<EventRange> Ranges = eventRanges(CT.size(), Jobs);
-  std::vector<std::vector<DirCounts>> RangeCounts(Ranges.size());
-  parallelForJobs(Jobs, Ranges.size(), [&](size_t R) {
-    std::vector<DirCounts> &Counts = RangeCounts[R];
-    Counts.resize(Keys.numSlots());
-    PathAutomaton Paths(Keys);
-    uint32_t State = PathKeys::Start;
-    const size_t Begin = Ranges[R].Begin;
-    for (size_t I = Begin - std::min<size_t>(Begin, MaxPathLen); I < Begin;
-         ++I)
-      Paths.step(State, Ids[I], Dirs.bit(I));
-    for (size_t I = Begin; I < Ranges[R].End; ++I) {
-      const bool Taken = Dirs.bit(I);
-      Counts[Paths.step(State, Ids[I], Taken)].record(Taken);
-    }
-  });
-  std::vector<DirCounts> &Counts = RangeCounts.front();
-  for (size_t R = 1; R < RangeCounts.size(); ++R)
-    for (size_t Slot = 0; Slot < Counts.size(); ++Slot) {
-      Counts[Slot].Taken += RangeCounts[R][Slot].Taken;
-      Counts[Slot].NotTaken += RangeCounts[R][Slot].NotTaken;
-    }
+  std::unique_ptr<State::Worker> &W = S->Workers[WorkerIdx];
+  if (!W)
+    W = std::make_unique<State::Worker>(S->Keys);
+  PathAutomaton &Paths = W->Paths;
+  DirCounts *Counts = W->Counts.data();
+  const int32_t *Ids = Cols.Ids;
+  uint32_t At = PathKeys::Start;
+  for (size_t I = R.Begin - std::min<size_t>(R.Begin, S->MaxPathLen);
+       I < R.Begin; ++I)
+    Paths.step(At, Ids[I], Cols.taken(I));
+  for (size_t I = R.Begin; I < R.End; ++I) {
+    const bool Taken = Cols.taken(I);
+    Counts[Paths.step(At, Ids[I], Taken)].record(Taken);
+  }
+}
+
+std::vector<PathProfile> PathWalk::profiles() const {
+  const PathKeys &Keys = S->Keys;
+  std::vector<DirCounts> Counts(Keys.numSlots());
+  for (const std::unique_ptr<State::Worker> &W : S->Workers)
+    if (W)
+      for (size_t Slot = 0; Slot < Counts.size(); ++Slot) {
+        Counts[Slot].Taken += W->Counts[Slot].Taken;
+        Counts[Slot].NotTaken += W->Counts[Slot].NotTaken;
+      }
 
   // Slots run in sorted key order within each branch; report the keys that
   // were hit.
-  std::vector<PathProfile> Out(CandidatesByBranch.size());
+  std::vector<PathProfile> Out(Keys.numBranches());
   for (size_t B = 0; B < Out.size(); ++B) {
     for (uint32_t Slot = Keys.firstSlot(B); Slot < Keys.firstSlot(B + 1);
          ++Slot)
@@ -311,6 +335,21 @@ std::vector<PathProfile> bpcr::profilePaths(
     Out[B].Unmatched = Counts[Keys.unmatchedSlot(B)];
   }
   return Out;
+}
+
+std::vector<PathProfile> bpcr::profilePaths(
+    const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
+    const ColumnarTrace &CT, unsigned MaxPathLen, unsigned Jobs,
+    size_t ChunkEvents) {
+  Span S("profiles.paths", "kernel");
+  S.arg("events", static_cast<uint64_t>(CT.size()));
+  PathWalk Walk(CandidatesByBranch, MaxPathLen, ThreadPool::threadsFor(Jobs));
+  walkChunks(CT.columns(), CT.size(), ChunkEvents, Jobs,
+             [&Walk](size_t Chunk, EventRange R, TraceColumns Cols,
+                     unsigned Worker) {
+               Walk.walkChunk(Chunk, R, Cols, Worker);
+             });
+  return Walk.profiles();
 }
 
 CorrelatedMachine

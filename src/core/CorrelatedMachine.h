@@ -23,13 +23,13 @@
 #include "analysis/PathEnum.h"
 #include "core/SuffixSelect.h"
 #include "support/Statistics.h"
+#include "trace/ColumnarTrace.h"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace bpcr {
-
-class ColumnarTrace;
 
 /// A fitted correlated-branch machine for one branch.
 struct CorrelatedMachine {
@@ -90,13 +90,38 @@ SymbolString encodePathSteps(const BranchPath &P);
 /// \param CandidatesByBranch candidate paths per branch id (empty entries
 ///        are skipped).
 /// \param MaxPathLen window length (must cover the longest candidate).
-/// \param Jobs event ranges the pass runs over (see eventRanges in
-///        trace/ColumnarTrace.h); the profiles are the same for every
-///        value.
+/// \param Jobs threads the pass walks the trace's chunks on (PathWalk);
+///        the profiles are the same for every value and chunk size (\p
+///        ChunkEvents is for tests).
 std::vector<PathProfile>
 profilePaths(const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
-             const ColumnarTrace &CT, unsigned MaxPathLen,
-             unsigned Jobs = 1);
+             const ColumnarTrace &CT, unsigned MaxPathLen, unsigned Jobs = 1,
+             size_t ChunkEvents = TraceChunkEvents);
+
+/// The pass behind profilePaths, one trace chunk at a time. A branch's
+/// counts depend only on its own candidates, never on which other
+/// branches have candidates.
+class PathWalk {
+public:
+  /// Walks run on worker indices [0, \p Workers).
+  PathWalk(const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
+           unsigned MaxPathLen, unsigned Workers);
+  ~PathWalk();
+  PathWalk(const PathWalk &) = delete;
+  PathWalk &operator=(const PathWalk &) = delete;
+
+  /// Counts the paths into one chunk's events (a ChunkWalk,
+  /// trace/TraceStream.h). Reads up to MaxPathLen events before the chunk.
+  void walkChunk(size_t Chunk, EventRange R, TraceColumns Cols,
+                 unsigned Worker);
+
+  /// Once every chunk of the trace is walked: the profile of every branch.
+  std::vector<PathProfile> profiles() const;
+
+private:
+  struct State;
+  std::unique_ptr<State> S;
+};
 
 /// Fits a correlated machine from a precomputed profile.
 CorrelatedMachine buildCorrelatedMachineFromProfile(

@@ -9,6 +9,7 @@
 #include "core/BranchProfiles.h"
 #include "core/JointMachine.h"
 #include "core/LoopAwareProfiles.h"
+#include "core/TraceProfiles.h"
 #include "interp/TimelineSink.h"
 #include "obs/Metrics.h"
 #include "obs/Profiler.h"
@@ -19,7 +20,9 @@
 #include "trace/ColumnarTrace.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
+#include <memory>
 
 using namespace bpcr;
 
@@ -72,10 +75,13 @@ bool findInstance(const Module &M, int32_t OrigId, uint32_t &FuncIdx,
   return false;
 }
 
-} // namespace
-
-PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
-                                     const PipelineOptions &Opts) {
+/// replicateModule, analyzing and profiling \p T itself or reading the
+/// analysis, proofs and profiles of a streamed trace run from \p Pre.
+PipelineResult replicate(const Module &M, const ColumnarTrace &T,
+                         const PipelineOptions &Opts,
+                         const TraceProfiles *Pre) {
+  assert((!Pre || Pre->HasProofs == Opts.UseProofPruning) &&
+         "the trace run and the pipeline disagree on proof pruning");
   PipelineResult R;
   R.Transformed = M;
   R.OrigInstructions = M.instructionCount();
@@ -116,7 +122,10 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
   Profiler::global().sampleRss("pipeline.start");
 
   Span SLoops("pipeline.phase.loop_analysis");
-  ProgramAnalysis PA(M);
+  std::unique_ptr<ProgramAnalysis> OwnPA;
+  if (!Pre)
+    OwnPA = std::make_unique<ProgramAnalysis>(M);
+  const ProgramAnalysis &PA = Pre ? *Pre->PA : *OwnPA;
   SLoops.arg("branches", static_cast<uint64_t>(PA.numBranches()));
   SLoops.end();
   Profiler::global().sampleRss("loop_analysis");
@@ -126,9 +135,10 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
   // proofs prune the pattern-table fill and the machine search below and
   // fold the static prediction after annotation.
   Span SProof("pipeline.phase.proof_analysis");
-  sa::BranchProofs Proofs;
-  if (Opts.UseProofPruning)
-    Proofs = sa::computeBranchProofs(M);
+  sa::BranchProofs OwnProofs;
+  if (Opts.UseProofPruning && !Pre)
+    OwnProofs = sa::computeBranchProofs(M);
+  const sa::BranchProofs &Proofs = Pre ? Pre->Proofs : OwnProofs;
   const sa::BranchProofs *ProofsPtr =
       Opts.UseProofPruning ? &Proofs : nullptr;
   SProof.arg("proven", static_cast<uint64_t>(Proofs.provenCount()));
@@ -140,8 +150,11 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
   Profiler::global().sampleRss("proof_analysis");
 
   Span SProfile("pipeline.phase.profiling");
-  ProfileSet Profiles = buildLoopAwareProfiles(PA, T, /*MaxBits=*/9,
-                                               ProofsPtr, Opts.Strategy.Jobs);
+  ProfileSet OwnProfiles(0);
+  if (!Pre)
+    OwnProfiles = buildLoopAwareProfiles(PA, T, /*MaxBits=*/9, ProofsPtr,
+                                         Opts.Strategy.Jobs);
+  const ProfileSet &Profiles = Pre ? Pre->Profiles : OwnProfiles;
   TraceStats Stats(PA.numBranches());
   Stats.addTrace(T);
   SProfile.end();
@@ -152,7 +165,8 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
   StrategyOptions StratOpts = Opts.Strategy;
   StratOpts.Proofs = ProofsPtr;
   R.Strategies = selectStrategies(PA, Profiles, T, StratOpts,
-                                  ObsOn ? &SelTrace : nullptr);
+                                  ObsOn ? &SelTrace : nullptr,
+                                  Pre ? &Pre->Paths : nullptr);
   SSearch.arg("strategies", static_cast<uint64_t>(R.Strategies.size()));
   SSearch.end();
   Profiler::global().sampleRss("machine_search");
@@ -629,4 +643,17 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
   PipeSpan.arg("new_instructions", R.NewInstructions);
   PipeSpan.arg("size_factor", R.sizeFactor());
   return R;
+}
+
+} // namespace
+
+PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &CT,
+                                     const PipelineOptions &Opts) {
+  return replicate(M, CT, Opts, nullptr);
+}
+
+PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &CT,
+                                     const PipelineOptions &Opts,
+                                     const TraceProfiles &Pre) {
+  return replicate(M, CT, Opts, &Pre);
 }

@@ -28,6 +28,9 @@
 
 namespace bpcr {
 
+class ColumnarTrace;
+struct TraceProfiles;
+
 /// Pipeline parameters.
 struct PipelineOptions {
   StrategyOptions Strategy;
@@ -111,6 +114,15 @@ struct PipelineResult {
 /// module's branch count.
 PipelineResult replicateModule(const Module &M, const ColumnarTrace &CT,
                                const PipelineOptions &Opts);
+
+/// The same pipeline reading the program analysis, the branch proofs, the
+/// loop-aware profiles and the path profiles from a streamed trace run of
+/// \p M (core/TraceProfiles.h) instead of computing them from \p CT; \p
+/// Pre must have been taken with the proofs iff Opts.UseProofPruning, and
+/// with Opts.Strategy.MaxStates.
+PipelineResult replicateModule(const Module &M, const ColumnarTrace &CT,
+                               const PipelineOptions &Opts,
+                               const TraceProfiles &Pre);
 
 } // namespace bpcr
 

@@ -33,12 +33,10 @@ struct Ladder {
   unsigned CurStates = 1;
 };
 
-} // namespace
-
-std::vector<SweepPoint> bpcr::computeSizeSweep(const ProgramAnalysis &PA,
-                                               const ProfileSet &Profiles,
-                                               const ColumnarTrace &CT,
-                                               const SweepOptions &Opts) {
+std::vector<SweepPoint> sweep(const ProgramAnalysis &PA,
+                              const ProfileSet &Profiles,
+                              const ColumnarTrace &CT, const SweepOptions &Opts,
+                              const BranchPathProfiles *Paths) {
   Span SweepSpan("sweep.compute", "sweep");
   const Module &Mod = PA.module();
   const uint64_t OrigSize = Mod.instructionCount();
@@ -53,7 +51,8 @@ std::vector<SweepPoint> bpcr::computeSizeSweep(const ProgramAnalysis &PA,
   Spec.Jobs = Opts.Jobs;
   Spec.Proofs = Opts.Proofs;
   std::vector<BranchLadders> Searched =
-      searchBranchLadders(PA, Profiles, CT, Spec);
+      Paths ? searchBranchLadders(PA, Profiles, CT, Spec, *Paths)
+            : searchBranchLadders(PA, Profiles, CT, Spec);
 
   // Each branch's chosen-family ladder, made monotone: a deeper machine
   // that scores lower is never worth growing into.
@@ -175,4 +174,21 @@ std::vector<SweepPoint> bpcr::computeSizeSweep(const ProgramAnalysis &PA,
   }
   SweepSpan.arg("points", static_cast<uint64_t>(Points.size()));
   return Points;
+}
+
+} // namespace
+
+std::vector<SweepPoint> bpcr::computeSizeSweep(const ProgramAnalysis &PA,
+                                               const ProfileSet &Profiles,
+                                               const ColumnarTrace &CT,
+                                               const SweepOptions &Opts) {
+  return sweep(PA, Profiles, CT, Opts, nullptr);
+}
+
+std::vector<SweepPoint> bpcr::computeSizeSweep(const ProgramAnalysis &PA,
+                                               const ProfileSet &Profiles,
+                                               const ColumnarTrace &CT,
+                                               const SweepOptions &Opts,
+                                               const BranchPathProfiles &Paths) {
+  return sweep(PA, Profiles, CT, Opts, &Paths);
 }

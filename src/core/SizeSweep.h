@@ -71,6 +71,14 @@ std::vector<SweepPoint> computeSizeSweep(const ProgramAnalysis &PA,
                                          const ColumnarTrace &CT,
                                          const SweepOptions &Opts);
 
+/// The same curve, with the search reading the path profiles from \p
+/// Paths (searchBranchLadders).
+std::vector<SweepPoint> computeSizeSweep(const ProgramAnalysis &PA,
+                                         const ProfileSet &Profiles,
+                                         const ColumnarTrace &CT,
+                                         const SweepOptions &Opts,
+                                         const BranchPathProfiles &Paths);
+
 } // namespace bpcr
 
 #endif // BPCR_CORE_SIZESWEEP_H

@@ -44,17 +44,42 @@ uint64_t BranchLadders::correctAt(unsigned N) const {
   return ProfileCorrect;
 }
 
-std::vector<BranchLadders>
-bpcr::searchBranchLadders(const ProgramAnalysis &PA, const ProfileSet &Profiles,
-                          const ColumnarTrace &CT,
-                          const LadderSearchSpec &Spec) {
+BranchPathProfiles
+BranchPathProfiles::candidates(const ProgramAnalysis &PA, unsigned MaxStates,
+                               const sa::BranchProofs *Proofs) {
+  BranchPathProfiles Out;
+  Out.PathLen = std::min<unsigned>(MaxStates, 4);
+  Out.Profiled.assign(PA.numBranches(), 0);
+  Out.Candidates.resize(PA.numBranches());
+  for (uint32_t Id = 0; Id < PA.numBranches(); ++Id) {
+    const int32_t B = static_cast<int32_t>(Id);
+    if (Proofs && Proofs->proven(B))
+      continue;
+    Out.Profiled[Id] = 1;
+    Out.Candidates[Id] = PA.backwardPaths(B, Out.PathLen,
+                                          /*ThroughJumps=*/true);
+  }
+  return Out;
+}
+
+namespace {
+
+/// searchBranchLadders, profiling the eligible branches' paths over \p CT
+/// or reading them from \p Pre.
+std::vector<BranchLadders> searchLadders(const ProgramAnalysis &PA,
+                                         const ProfileSet &Profiles,
+                                         const ColumnarTrace &CT,
+                                         const LadderSearchSpec &Spec,
+                                         const BranchPathProfiles *Pre) {
   assert(Spec.MaxStates >= 2 && "the machine search needs a state budget");
   const unsigned PathLen = std::min<unsigned>(Spec.MaxStates, 4);
+  assert((!Pre || Pre->PathLen == PathLen) &&
+         "path profiles taken for another state budget");
   std::vector<BranchLadders> Out(PA.numBranches());
   Registry &Obs = Registry::global();
 
   // Eligibility, then every correlated-path candidate profiled in a single
-  // trace pass.
+  // trace pass (unless they already were).
   std::vector<std::vector<BranchPath>> Candidates(PA.numBranches());
   for (uint32_t Id = 0; Id < PA.numBranches(); ++Id) {
     const int32_t B = static_cast<int32_t>(Id);
@@ -73,10 +98,19 @@ bpcr::searchBranchLadders(const ProgramAnalysis &PA, const ProfileSet &Profiles,
       continue;
     }
     L.Recursive = PA.isRecursive(PA.ref(B).FuncIdx);
+    if (Pre) {
+      assert(Pre->Profiled[Id] && "an eligible branch was not profiled");
+      L.PathCandidates = Pre->Candidates[Id].size();
+      continue;
+    }
     Candidates[Id] = PA.backwardPaths(B, PathLen, /*ThroughJumps=*/true);
     L.PathCandidates = Candidates[Id].size();
   }
-  std::vector<PathProfile> PathProfiles = profilePaths(Candidates, CT, PathLen, Spec.Jobs);
+  std::vector<PathProfile> Profiled;
+  if (!Pre)
+    Profiled = profilePaths(Candidates, CT, PathLen, Spec.Jobs);
+  const std::vector<PathProfile> &PathProfiles =
+      Pre ? Pre->Profiles : Profiled;
 
   // One independent task per branch; results land in slots indexed by
   // branch id, so the outcome is identical for any worker count. Each
@@ -101,7 +135,7 @@ bpcr::searchBranchLadders(const ProgramAnalysis &PA, const ProfileSet &Profiles,
     } else if (!L.Recursive && C.Kind == BranchKind::LoopExit) {
       L.Exit = Cache.exitLadder(Table, Spec.MaxStates, !C.TakenExits);
     }
-    if (!Candidates[Idx].empty()) {
+    if (L.PathCandidates) {
       CorrelatedOptions CO;
       CO.MaxStates = Spec.MaxStates;
       CO.MaxPathLen = PathLen;
@@ -131,10 +165,28 @@ bpcr::searchBranchLadders(const ProgramAnalysis &PA, const ProfileSet &Profiles,
   return Out;
 }
 
+} // namespace
+
+std::vector<BranchLadders>
+bpcr::searchBranchLadders(const ProgramAnalysis &PA, const ProfileSet &Profiles,
+                          const ColumnarTrace &CT,
+                          const LadderSearchSpec &Spec) {
+  return searchLadders(PA, Profiles, CT, Spec, nullptr);
+}
+
+std::vector<BranchLadders>
+bpcr::searchBranchLadders(const ProgramAnalysis &PA, const ProfileSet &Profiles,
+                          const ColumnarTrace &CT,
+                          const LadderSearchSpec &Spec,
+                          const BranchPathProfiles &Paths) {
+  return searchLadders(PA, Profiles, CT, Spec, &Paths);
+}
+
 std::vector<BranchStrategy>
 bpcr::selectStrategies(const ProgramAnalysis &PA, const ProfileSet &Profiles,
                        const ColumnarTrace &CT, const StrategyOptions &Opts,
-                       SelectionTrace *TraceOut) {
+                       SelectionTrace *TraceOut,
+                       const BranchPathProfiles *Paths) {
   LadderSearchSpec Spec;
   Spec.MaxStates = Opts.MaxStates;
   Spec.MinBudget = Opts.MaxStates; // one search per family on a cold cache
@@ -144,7 +196,7 @@ bpcr::selectStrategies(const ProgramAnalysis &PA, const ProfileSet &Profiles,
   Spec.Jobs = Opts.Jobs;
   Spec.Proofs = Opts.Proofs;
   std::vector<BranchLadders> Ladders =
-      searchBranchLadders(PA, Profiles, CT, Spec);
+      searchLadders(PA, Profiles, CT, Spec, Paths);
 
   if (TraceOut) {
     TraceOut->PerBranch.clear();

@@ -115,6 +115,30 @@ struct BranchLadders {
   uint64_t correctAt(unsigned N) const;
 };
 
+/// Correlated-path profiles taken before the search knows which branches
+/// are warm: every branch that no proof excludes gets its candidates
+/// profiled (the streamed trace walk, core/TraceProfiles.h, has no
+/// execution counts yet when it starts). A branch's profile does not
+/// depend on the other branches' candidates, so the search reads the same
+/// profile for a warm branch as if it had profiled the warm ones alone.
+struct BranchPathProfiles {
+  /// Longest candidate: min(MaxStates, 4) of the search it serves.
+  unsigned PathLen = 0;
+  /// Per branch id: 1 when its candidates were profiled.
+  std::vector<uint8_t> Profiled;
+  /// Per branch id: its candidate paths (empty when not profiled).
+  std::vector<std::vector<BranchPath>> Candidates;
+  /// Per branch id: its profile over the candidates.
+  std::vector<PathProfile> Profiles;
+
+  /// The candidates a search with state budget \p MaxStates considers,
+  /// for every branch not proven in \p Proofs (may be null); Profiles
+  /// is left empty.
+  static BranchPathProfiles candidates(const ProgramAnalysis &PA,
+                                       unsigned MaxStates,
+                                       const sa::BranchProofs *Proofs);
+};
+
 /// Searches every branch once: eligibility (warm, unproven, loop families
 /// only outside recursive functions), one correlated-path profiling pass
 /// over \p CT, the memoized ladder lookups (SearchCache) in parallel, and
@@ -123,6 +147,15 @@ std::vector<BranchLadders> searchBranchLadders(const ProgramAnalysis &PA,
                                                const ProfileSet &Profiles,
                                                const ColumnarTrace &CT,
                                                const LadderSearchSpec &Spec);
+
+/// The same search reading the eligible branches' path profiles from \p
+/// Paths instead of profiling \p CT; \p Paths must cover every branch the
+/// search considers, at its path length.
+std::vector<BranchLadders> searchBranchLadders(const ProgramAnalysis &PA,
+                                               const ProfileSet &Profiles,
+                                               const ColumnarTrace &CT,
+                                               const LadderSearchSpec &Spec,
+                                               const BranchPathProfiles &Paths);
 
 /// Selection parameters.
 struct StrategyOptions {
@@ -151,12 +184,13 @@ struct SelectionTrace {
 
 /// Chooses the best strategy for every branch: the top rung of
 /// searchBranchLadders. When \p TraceOut is non-null every candidate score
-/// (winner and losers) is recorded into it.
-std::vector<BranchStrategy> selectStrategies(const ProgramAnalysis &PA,
-                                             const ProfileSet &Profiles,
-                                             const ColumnarTrace &CT,
-                                             const StrategyOptions &Opts,
-                                             SelectionTrace *TraceOut = nullptr);
+/// (winner and losers) is recorded into it. With \p Paths the search
+/// reads the path profiles from it instead of profiling \p CT.
+std::vector<BranchStrategy>
+selectStrategies(const ProgramAnalysis &PA, const ProfileSet &Profiles,
+                 const ColumnarTrace &CT, const StrategyOptions &Opts,
+                 SelectionTrace *TraceOut = nullptr,
+                 const BranchPathProfiles *Paths = nullptr);
 
 /// Aggregated accuracy of a strategy assignment (Table 5 entries).
 PredictionStats totalStrategyStats(const std::vector<BranchStrategy> &S);

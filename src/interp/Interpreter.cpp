@@ -8,8 +8,10 @@
 
 #include "obs/Metrics.h"
 #include "obs/TraceSpans.h"
+#include "trace/TraceStream.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <iterator>
 #include <limits>
@@ -418,24 +420,59 @@ struct BatchEmitter {
   size_t N = 0;
 };
 
-/// Appends each event's id and direction straight into a ColumnarTrace.
+/// Appends each event's id and direction straight into a ColumnarTrace,
+/// and with a stream publishes each completed chunk. The boundary check
+/// compares the id column's end, which the append has just computed, with
+/// the next boundary's address: one compare per event, unreachable (null)
+/// without a stream or once the stream has closed.
 struct ColumnarEmitter {
   static constexpr bool HasSink = true;
 
-  ColumnarEmitter(ColumnarTrace &Out, bool UseOrigIds)
-      : Out(Out), UseOrigIds(UseOrigIds) {}
+  ColumnarEmitter(ColumnarTrace &Out, bool UseOrigIds, ChunkStream *Stream)
+      : Out(Out), UseOrigIds(UseOrigIds), Stream(Stream) {}
 
   void bind(const std::vector<const Instruction *> &Branches) {
     Ids.reserve(Branches.size());
     for (const Instruction *Br : Branches)
       Ids.push_back(UseOrigIds ? Br->OrigBranchId : Br->BranchId);
+    if (Stream) {
+      assert(Out.empty() && "a streamed trace starts empty");
+      openChunk();
+    }
   }
 
-  void emit(size_t Idx, bool Taken) { Out.append(Ids[Idx], Taken); }
-  void flush() {}
+  void emit(size_t Idx, bool Taken) {
+    Out.append(Ids[Idx], Taken);
+    if (Out.idsEnd() == Boundary)
+      publish();
+  }
+  void flush() {
+    if (Stream)
+      Stream->close();
+  }
+
+  /// The chunk ending at Boundary is complete.
+  [[gnu::noinline]] void publish() {
+    Stream->publish(Out.size());
+    openChunk();
+  }
+
+  /// Arms the boundary of the chunk after the events so far, or closes
+  /// the stream when that chunk would move the columns.
+  void openChunk() {
+    const size_t End = Out.size() + Stream->chunkEvents();
+    if (End <= Out.reservedEvents()) {
+      Boundary = Out.columns().Ids + End;
+      return;
+    }
+    Boundary = nullptr;
+    Stream->close();
+  }
 
   ColumnarTrace &Out;
   bool UseOrigIds;
+  ChunkStream *Stream;
+  const int32_t *Boundary = nullptr;
   std::vector<int32_t> Ids;
 };
 
@@ -823,8 +860,9 @@ ExecResult bpcr::execute(const Module &M, TraceSink *Sink,
 }
 
 ExecResult bpcr::executeColumnar(const Module &M, ColumnarTrace &Out,
-                                 bool UseOrigIds, const ExecOptions &Opts) {
-  ColumnarEmitter E(Out, UseOrigIds);
+                                 bool UseOrigIds, const ExecOptions &Opts,
+                                 ChunkStream *Stream) {
+  ColumnarEmitter E(Out, UseOrigIds, Stream);
   return executeImpl(M, E, Opts);
 }
 

@@ -32,6 +32,8 @@
 
 namespace bpcr {
 
+class ChunkStream;
+
 /// Execution limits. The branch-event cap mirrors the paper: "We traced the
 /// whole program up to a maximum of [1] million branch instructions."
 struct ExecOptions {
@@ -73,9 +75,16 @@ ExecResult execute(const Module &M, TraceSink *Sink = nullptr,
 /// branch's BranchId (its OrigBranchId with \p UseOrigIds, so a replicated
 /// program's trace compares with its source program's) and its direction.
 /// \p Out is not finalized.
+///
+/// With a \p Stream (trace/TraceStream.h), \p Out must start empty; each
+/// completed chunk of events is published to it while it fits in \p Out's
+/// reservation. A chunk that would not fit closes the stream before its
+/// first event is appended, and the stream is closed when the run stops,
+/// however it stops.
 ExecResult executeColumnar(const Module &M, ColumnarTrace &Out,
                            bool UseOrigIds = false,
-                           const ExecOptions &Opts = ExecOptions());
+                           const ExecOptions &Opts = ExecOptions(),
+                           ChunkStream *Stream = nullptr);
 
 /// Outcome counts of one conditional branch instruction in a scoring run.
 struct BranchScore {

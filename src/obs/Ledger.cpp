@@ -27,7 +27,7 @@ const char *const WallClockPatterns[] = {
     "*per_sec*",      "*wall_ms*",
     "*speedup*",      "counters.obs.trace.*",
     "counters.pool.*", "gauges.pool.*",
-    "histograms.pool.*",
+    "histograms.pool.*", "*overlap_share*",
 };
 
 /// Flattened numbers serialize as integers when they are integral and

@@ -187,14 +187,14 @@ void ThreadPool::parallelFor(size_t N,
 
 void bpcr::parallelForJobs(unsigned Jobs, size_t N,
                            const std::function<void(size_t)> &Body) {
-  unsigned Resolved = ThreadPool::resolveJobs(Jobs);
-  if (Resolved <= 1 || N <= 1) {
+  const unsigned Threads = ThreadPool::threadsFor(Jobs);
+  if (Threads <= 1 || N <= 1) {
     for (size_t I = 0; I < N; ++I)
       Body(I);
     return;
   }
   // The calling thread is one of the threads.
-  ThreadPool Pool(static_cast<unsigned>(std::min<size_t>(Resolved, N)) - 1);
+  ThreadPool Pool(static_cast<unsigned>(std::min<size_t>(Threads, N)) - 1);
   Registry &Obs = Registry::global();
   if (Obs.enabled())
     Obs.gauge("pool.threads").set(static_cast<double>(Pool.size() + 1));

@@ -29,6 +29,7 @@
 #ifndef BPCR_SUPPORT_THREADPOOL_H
 #define BPCR_SUPPORT_THREADPOOL_H
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -94,6 +95,13 @@ public:
     return Jobs == 0 ? hardwareThreads() : Jobs;
   }
 
+  /// Threads a parallel pass on \p Jobs may run, the calling thread
+  /// included: the resolved knob, capped at the hardware thread count (a
+  /// larger `--jobs` would only oversubscribe the cores).
+  static unsigned threadsFor(unsigned Jobs) {
+    return std::min(resolveJobs(Jobs), hardwareThreads());
+  }
+
 private:
   /// Queued task plus its enqueue timestamp, for submit-to-start latency.
   struct QueueItem {
@@ -127,9 +135,9 @@ private:
   std::unique_ptr<WorkerTelemetry[]> WorkerTel;
 };
 
-/// Runs Body(0..N-1) on \p Jobs resolved threads: the calling thread and a
-/// pool of Jobs - 1 workers (fewer when N is smaller). Jobs <= 1 (or
-/// N <= 1) runs inline on the calling thread — the serial path,
+/// Runs Body(0..N-1) on ThreadPool::threadsFor(Jobs) threads: the calling
+/// thread and a pool of the others (fewer when N is smaller). One thread
+/// (or N <= 1) runs inline on the calling thread — the serial path,
 /// bit-for-bit what a plain loop does — so `--jobs 1` never constructs a
 /// pool.
 void parallelForJobs(unsigned Jobs, size_t N,

@@ -118,6 +118,8 @@ public:
   bool bit(uint64_t I) const { return view().bit(I); }
   BitstreamView view() const { return {Words.data(), NumBits}; }
   size_t capacityBytes() const { return Words.capacity() * sizeof(uint64_t); }
+  /// Bits the builder holds without moving its words.
+  size_t capacityBits() const { return Words.capacity() * 64; }
 
 private:
   WordVector Words;

@@ -7,110 +7,108 @@
 #include "trace/ColumnarTrace.h"
 
 #include "obs/Metrics.h"
-#include "support/ThreadPool.h"
+#include "trace/TraceStream.h"
 
-#include <utility>
+#include <cassert>
 
 using namespace bpcr;
 
-std::vector<EventRange> bpcr::eventRanges(size_t NumEvents, unsigned Jobs) {
-  const size_t Parts = ThreadPool::resolveJobs(Jobs);
-  std::vector<EventRange> Out(Parts);
-  for (size_t R = 0; R < Parts; ++R)
-    Out[R] = {NumEvents * R / Parts, NumEvents * (R + 1) / Parts};
+std::vector<EventRange> bpcr::traceChunks(size_t NumEvents,
+                                          size_t ChunkEvents) {
+  assert(ChunkEvents > 0 && "a chunk holds at least one event");
+  std::vector<EventRange> Out;
+  Out.reserve((NumEvents + ChunkEvents - 1) / ChunkEvents);
+  for (size_t Begin = 0; Begin < NumEvents; Begin += ChunkEvents)
+    Out.push_back({Begin, std::min(NumEvents, Begin + ChunkEvents)});
   return Out;
 }
 
-void ColumnarTrace::finalize(uint32_t NumBranches, unsigned Jobs) {
+void ColumnarTrace::indexChunk(TraceColumns Cols, EventRange Chunk,
+                               uint32_t NumBranches, ChunkIndex &Out) {
+  Out.Counts.assign(NumBranches, 0);
+  Out.OutOfRange = 0;
+  for (size_t I = Chunk.Begin; I < Chunk.End; ++I) {
+    const uint32_t Id = static_cast<uint32_t>(Cols.Ids[I]);
+    if (Id >= NumBranches)
+      ++Out.OutOfRange;
+    else
+      ++Out.Counts[Id];
+  }
+  Out.FirstWord.resize(NumBranches);
+  size_t Words = 0;
+  for (uint32_t B = 0; B < NumBranches; ++B) {
+    Out.FirstWord[B] = Words;
+    Words += static_cast<size_t>((Out.Counts[B] + 63) / 64);
+  }
+  Out.Words.assign(Words, 0);
+  // Each branch's next bit, as an absolute bit position in Words.
+  std::vector<uint64_t> Next(NumBranches);
+  for (uint32_t B = 0; B < NumBranches; ++B)
+    Next[B] = uint64_t{Out.FirstWord[B]} * 64;
+  uint64_t *W = Out.Words.data();
+  for (size_t I = Chunk.Begin; I < Chunk.End; ++I) {
+    const uint32_t Id = static_cast<uint32_t>(Cols.Ids[I]);
+    if (Id >= NumBranches)
+      continue;
+    const uint64_t P = Next[Id]++;
+    W[P >> 6] |= uint64_t{Cols.taken(I)} << (P & 63);
+  }
+}
+
+void ColumnarTrace::finalize(uint32_t NumBranches, unsigned Jobs,
+                             size_t ChunkEvents) {
+  std::vector<ChunkIndex> Slices(traceChunks(Ids.size(), ChunkEvents).size());
+  walkChunks(columns(), Ids.size(), ChunkEvents, Jobs,
+             [&Slices, NumBranches](size_t K, EventRange R, TraceColumns Cols,
+                                    unsigned) {
+               indexChunk(Cols, R, NumBranches, Slices[K]);
+             });
+  finalizeChunks(NumBranches, Slices);
+}
+
+void ColumnarTrace::finalizeChunks(uint32_t NumBranches,
+                                   const std::vector<ChunkIndex> &Chunks) {
   const size_t N = Ids.size();
-  const std::vector<EventRange> Ranges = eventRanges(N, Jobs);
-  const size_t NumRanges = Ranges.size();
-
-  // Count pass: per-range execution counts of every branch.
-  std::vector<std::vector<uint64_t>> RangeCounts(NumRanges);
-  std::vector<uint64_t> RangeOutOfRange(NumRanges, 0);
-  parallelForJobs(Jobs, NumRanges, [&](size_t R) {
-    std::vector<uint64_t> &C = RangeCounts[R];
-    C.assign(NumBranches, 0);
-    uint64_t Out = 0;
-    for (size_t I = Ranges[R].Begin; I < Ranges[R].End; ++I) {
-      const uint32_t Id = static_cast<uint32_t>(Ids[I]);
-      if (Id >= NumBranches)
-        ++Out;
-      else
-        ++C[Id];
-    }
-    RangeOutOfRange[R] = Out;
-  });
-
   // Word-aligned per-branch bitstream layout: branch b owns
-  // ceil(Counts[b]/64) words starting at WordOffsets[b]. A prefix sum over
-  // the ranges turns each range's counts into the bit position its first
-  // event of each branch lands on.
+  // ceil(Counts[b]/64) words starting at WordOffsets[b].
   Counts.assign(NumBranches, 0);
   WordOffsets.assign(NumBranches, 0);
   OutOfRangeEvents = 0;
-  for (size_t R = 0; R < NumRanges; ++R)
-    OutOfRangeEvents += RangeOutOfRange[R];
+  for (const ChunkIndex &C : Chunks) {
+    OutOfRangeEvents += C.OutOfRange;
+    for (uint32_t B = 0; B < NumBranches; ++B)
+      Counts[B] += C.Counts[B];
+  }
   size_t TotalWords = 0;
   for (uint32_t B = 0; B < NumBranches; ++B) {
-    uint64_t Pos = 0;
-    for (size_t R = 0; R < NumRanges; ++R)
-      Pos += std::exchange(RangeCounts[R][B], Pos);
-    Counts[B] = Pos;
     WordOffsets[B] = TotalWords;
-    TotalWords += static_cast<size_t>((Pos + 63) / 64);
+    TotalWords += static_cast<size_t>((Counts[B] + 63) / 64);
   }
   BranchWords.assign(TotalWords, 0);
 
-  // Scatter pass: each range walks its events once, collecting each
-  // branch's direction bits in a one-word accumulator that is stored when
-  // full. A range owns every word it fills except the first one of a
-  // branch whose start bit is unaligned, which an earlier range also
-  // writes; that word and the partial last word go to a side buffer that
-  // is OR-ed in after the join.
-  struct EdgeWord {
-    size_t Index;
-    uint64_t Bits;
-  };
-  std::vector<std::vector<EdgeWord>> Edges(NumRanges);
-  const BitstreamView Dir = Dirs.view();
-  parallelForJobs(Jobs, NumRanges, [&](size_t R) {
-    std::vector<uint64_t> &Pos = RangeCounts[R];
-    std::vector<uint64_t> Acc(NumBranches, 0);
-    std::vector<size_t> SharedWord(NumBranches, SIZE_MAX);
-    for (uint32_t B = 0; B < NumBranches; ++B)
-      if (Pos[B] & 63)
-        SharedWord[B] = WordOffsets[B] + static_cast<size_t>(Pos[B] >> 6);
-    std::vector<EdgeWord> &Edge = Edges[R];
-    for (size_t I = Ranges[R].Begin; I < Ranges[R].End; ++I) {
-      const uint32_t B = static_cast<uint32_t>(Ids[I]);
-      if (B >= NumBranches)
-        continue;
-      const uint64_t P = Pos[B]++;
-      Acc[B] |= uint64_t{Dir.bit(I)} << (P & 63);
-      if ((P & 63) != 63)
-        continue;
-      const size_t W = WordOffsets[B] + static_cast<size_t>(P >> 6);
-      if (W == SharedWord[B])
-        Edge.push_back({W, Acc[B]});
-      else
-        BranchWords[W] = Acc[B];
-      Acc[B] = 0;
-    }
-    for (uint32_t B = 0; B < NumBranches; ++B)
-      if (Acc[B])
-        Edge.push_back(
-            {WordOffsets[B] + static_cast<size_t>(Pos[B] >> 6), Acc[B]});
-  });
-  for (const std::vector<EdgeWord> &Edge : Edges)
-    for (const EdgeWord &E : Edge)
-      BranchWords[E.Index] |= E.Bits;
-
+  // Each branch's slices, laid end to end: a slice that starts mid-word
+  // is shifted into place, one word at a time. Bits past a slice's end
+  // are zero, so OR-ing whole words never disturbs a neighbour.
   TakenCounts.assign(NumBranches, 0);
-  for (uint32_t B = 0; B < NumBranches; ++B)
-    TakenCounts[B] = popcountBitsScalar(
-        BitstreamView(BranchWords.data() + WordOffsets[B], Counts[B]));
+  for (uint32_t B = 0; B < NumBranches; ++B) {
+    uint64_t *Dst = BranchWords.data() + WordOffsets[B];
+    const size_t DstWords = static_cast<size_t>((Counts[B] + 63) / 64);
+    uint64_t Pos = 0;
+    for (const ChunkIndex &C : Chunks) {
+      const uint64_t Bits = C.Counts[B];
+      const uint64_t *Src = C.Words.data() + C.FirstWord[B];
+      const size_t At = static_cast<size_t>(Pos >> 6);
+      const unsigned Shift = static_cast<unsigned>(Pos & 63);
+      for (size_t W = 0, E = static_cast<size_t>((Bits + 63) / 64); W < E;
+           ++W) {
+        Dst[At + W] |= Src[W] << Shift;
+        if (Shift && At + W + 1 < DstWords)
+          Dst[At + W + 1] |= Src[W] >> (64 - Shift);
+      }
+      Pos += Bits;
+    }
+    TakenCounts[B] = popcountBitsScalar(BitstreamView(Dst, Counts[B]));
+  }
   Indexed = true;
 
   Registry &Obs = Registry::global();

@@ -19,9 +19,11 @@
 /// flat buffers; see docs/PERFORMANCE.md.
 ///
 /// The passes that read the whole trace (the index below, the loop-aware
-/// profiles, the path profiles) split it into contiguous event ranges, one
-/// per job, and stitch the per-range results back in trace order; the
-/// result is the same for every job count.
+/// profiles, the path profiles) walk it in fixed-size chunks
+/// (traceChunks) and stitch the per-chunk results back in trace order; the
+/// result is the same for every chunk size and job count. A trace being
+/// written by the interpreter can be walked chunk by chunk while it grows
+/// (trace/TraceStream.h).
 ///
 /// The per-branch bitstream of branch b is the subsequence of direction
 /// bits at positions where Ids[i] == b, in global order — the same stream a
@@ -35,22 +37,41 @@
 #include "support/CountingAlloc.h"
 #include "trace/Bitstream.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 namespace bpcr {
 
-/// Event positions [Begin, End) of one shard of a trace pass.
+/// Event positions [Begin, End) of one chunk of a trace pass.
 struct EventRange {
   size_t Begin = 0;
   size_t End = 0;
 };
 
-/// Splits [0, \p NumEvents) into contiguous ranges of near-equal length, in
-/// trace order: one per job, with \p Jobs resolved like every `--jobs`
-/// knob (0 = one per hardware core). Ranges are empty when there are more
-/// jobs than events.
-std::vector<EventRange> eventRanges(size_t NumEvents, unsigned Jobs);
+/// Events per chunk of the trace-side passes. A multiple of 64, so a
+/// finished chunk ends on a word of the direction column and a streamed
+/// walk never reads a word the interpreter still writes; chosen by
+/// measurement (docs/PERFORMANCE.md, "Streaming the trace-side walks").
+/// The passes take a different value only from tests.
+inline constexpr size_t TraceChunkEvents = size_t{1} << 14;
+
+/// Splits [0, \p NumEvents) into consecutive chunks of \p ChunkEvents
+/// events, in trace order; the last one holds the remainder. No chunk is
+/// empty, so an empty trace has none.
+std::vector<EventRange> traceChunks(size_t NumEvents,
+                                    size_t ChunkEvents = TraceChunkEvents);
+
+/// Raw pointers to the two event columns. A chunk walk reads the trace
+/// through them, so it can run while the interpreter appends beyond the
+/// chunk (the columns do not move while they stay within their
+/// reservation).
+struct TraceColumns {
+  const int32_t *Ids = nullptr;
+  const uint64_t *Dirs = nullptr;
+
+  bool taken(size_t I) const { return (Dirs[I >> 6] >> (I & 63)) & 1; }
+};
 
 /// Per-branch slice of the columnar index.
 struct BranchColumn {
@@ -75,6 +96,17 @@ public:
     Ids.reserve(N);
     Dirs.reserveBits(N);
   }
+
+  /// Events the columns hold without moving.
+  size_t reservedEvents() const {
+    return std::min(Ids.capacity(), Dirs.capacityBits());
+  }
+
+  TraceColumns columns() const { return {Ids.data(), Dirs.view().data()}; }
+
+  /// One past the last id: the end the interpreter's emitter checks for a
+  /// chunk boundary.
+  const int32_t *idsEnd() const { return Ids.data() + Ids.size(); }
 
   /// Appends one event. Invalidates the index.
   void append(int32_t BranchId, bool Taken) {
@@ -115,11 +147,32 @@ public:
   /// Builds the per-branch index for ids in [0, NumBranches): execution
   /// and taken counts plus the word-aligned per-branch bitstreams. Events
   /// with out-of-range ids are counted in outOfRange() and left out of the
-  /// index (mirrors sa::BranchProfileCounts::fromColumnar). The two
-  /// passes over the columns run over \p Jobs event ranges (see
-  /// eventRanges); the index is the same for every value. Records
-  /// `trace.columnar.*` metrics when the observability registry is on.
-  void finalize(uint32_t NumBranches, unsigned Jobs = 1);
+  /// index (mirrors sa::BranchProfileCounts::fromColumnar). The chunks
+  /// (traceChunks) are indexed on \p Jobs threads and then joined; the
+  /// index is the same for every value. Records `trace.columnar.*`
+  /// metrics when the observability registry is on.
+  void finalize(uint32_t NumBranches, unsigned Jobs = 1,
+                size_t ChunkEvents = TraceChunkEvents);
+
+  /// One chunk's slice of the index: for each branch id in [0,
+  /// NumBranches), its events in the chunk and their direction bits,
+  /// packed from the word FirstWord[b] of Words.
+  struct ChunkIndex {
+    std::vector<uint64_t> Counts;
+    std::vector<size_t> FirstWord;
+    std::vector<uint64_t> Words;
+    /// Events whose id is outside [0, NumBranches).
+    uint64_t OutOfRange = 0;
+  };
+
+  /// Indexes the events \p Chunk of \p Cols into \p Out.
+  static void indexChunk(TraceColumns Cols, EventRange Chunk,
+                         uint32_t NumBranches, ChunkIndex &Out);
+
+  /// finalize() from the slices of every chunk of the trace, in trace
+  /// order: each branch's bitstream is its slices laid end to end.
+  void finalizeChunks(uint32_t NumBranches,
+                      const std::vector<ChunkIndex> &Chunks);
 
   bool indexed() const { return Indexed; }
   uint32_t numBranches() const {

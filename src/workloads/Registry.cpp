@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 using namespace bpcr;
 
@@ -36,27 +38,36 @@ Module bpcr::buildWorkload(const std::string &Name, uint64_t Seed) {
   return Module();
 }
 
+size_t bpcr::traceReservation(uint64_t MaxBranchEvents) {
+  return static_cast<size_t>(std::min<uint64_t>(MaxBranchEvents, 1u << 21));
+}
+
 ColumnarTrace bpcr::traceWorkloadColumnar(const Workload &W, uint64_t Seed,
                                           Module &OutModule,
                                           uint64_t MaxBranchEvents,
-                                          unsigned Jobs) {
+                                          unsigned Jobs, ExecResult *Run) {
   Span S("workload.trace", "interp");
   S.arg("workload", W.Name);
   S.arg("seed", Seed);
   OutModule = W.Build(Seed);
   uint32_t NumBranches = OutModule.assignBranchIds();
   ColumnarTrace CT;
-  // The cap is an upper bound on the trace length; short workloads leave
-  // slack, but one oversized reservation beats ~20 growth copies of a
-  // million-event column.
-  CT.reserve(static_cast<size_t>(
-      std::min<uint64_t>(MaxBranchEvents, 1u << 21)));
+  CT.reserve(traceReservation(MaxBranchEvents));
   ExecOptions Opts;
   Opts.MaxBranchEvents = MaxBranchEvents;
   ExecResult R = executeColumnar(OutModule, CT, /*UseOrigIds=*/false, Opts);
-  assert(R.Ok && "workload execution failed");
+  if (!R.Ok && !Run) {
+    // A caller that cannot hear about a failure must not get a truncated
+    // trace that passes for a whole one.
+    std::fprintf(stderr, "bpcr: fatal: the %s run failed: %s\n", W.Name,
+                 R.Error.c_str());
+    std::abort();
+  }
   S.arg("branch_events", R.BranchEvents);
-  (void)R;
+  if (!R.Ok)
+    S.arg("error", R.Error);
   CT.finalize(NumBranches, Jobs);
+  if (Run)
+    *Run = std::move(R);
   return CT;
 }

@@ -28,6 +28,7 @@
 #ifndef BPCR_WORKLOADS_WORKLOAD_H
 #define BPCR_WORKLOADS_WORKLOAD_H
 
+#include "interp/Interpreter.h"
 #include "ir/Module.h"
 #include "trace/ColumnarTrace.h"
 
@@ -53,12 +54,20 @@ Module buildWorkload(const std::string &Name, uint64_t Seed);
 /// Builds the workload, executes it (capped at \p MaxBranchEvents like the
 /// paper's 1M-branch traces) and returns its trace, collected through
 /// batched emission with the per-branch index finalized for \p OutModule
-/// over \p Jobs event ranges (ColumnarTrace::finalize). Branch ids are
-/// assigned on \p OutModule.
+/// on \p Jobs threads (ColumnarTrace::finalize). Branch ids are assigned
+/// on \p OutModule. When \p Run is non-null it receives the run's outcome;
+/// a failed run's trace holds the events before the failure. Without it,
+/// a failed run is fatal (a diagnostic, then abort).
 ColumnarTrace traceWorkloadColumnar(const Workload &W, uint64_t Seed,
                                     Module &OutModule,
                                     uint64_t MaxBranchEvents = 1'000'000,
-                                    unsigned Jobs = 1);
+                                    unsigned Jobs = 1,
+                                    ExecResult *Run = nullptr);
+
+/// Events reserved for a workload trace capped at \p MaxBranchEvents: the
+/// cap, up to 2^21. Short workloads leave slack, but one oversized
+/// reservation beats ~20 growth copies of a million-event column.
+size_t traceReservation(uint64_t MaxBranchEvents);
 
 // Individual builders (exposed for unit tests).
 Module buildAbalone(uint64_t Seed);

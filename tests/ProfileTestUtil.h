@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Profile comparisons and a per-event reference of buildLoopAwareProfiles,
-/// shared by the tests that hold the profile builders (and their sharded
-/// passes) against references.
+/// Profile and index comparisons, a per-event reference of
+/// buildLoopAwareProfiles and a small nested-loop module, shared by the
+/// tests that hold the profile builders (offline, chunked and streamed)
+/// against references.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,7 @@
 #include "core/BranchProfiles.h"
 #include "core/CorrelatedMachine.h"
 #include "core/ProgramAnalysis.h"
+#include "ir/IRBuilder.h"
 #include "sa/Dataflow.h"
 #include "trace/ColumnarTrace.h"
 
@@ -86,6 +88,16 @@ inline void expectSamePathProfiles(const std::vector<PathProfile> &Got,
   }
 }
 
+/// Every branch's backward paths up to \p MaxPathLen: the candidates a
+/// path-profile test profiles.
+inline std::vector<std::vector<BranchPath>>
+pathCandidates(const ProgramAnalysis &PA, unsigned MaxPathLen) {
+  std::vector<std::vector<BranchPath>> Cands(PA.numBranches());
+  for (uint32_t Id = 0; Id < PA.numBranches(); ++Id)
+    Cands[Id] = PA.backwardPaths(static_cast<int32_t>(Id), MaxPathLen);
+  return Cands;
+}
+
 /// Per-event reference of buildLoopAwareProfiles: before each event of a
 /// loop branch b, b's history resets iff some event since b's previous
 /// execution (or since the trace start) lay outside b's innermost loop.
@@ -146,6 +158,88 @@ inline ProfileSet referenceLoopAwareProfiles(const ProgramAnalysis &PA,
     LastExec[static_cast<uint32_t>(Id)] = Time;
   }
   return P;
+}
+
+/// A non-loop branch, then an outer loop around an inner one. Branch 0 is
+/// the preamble (outside every loop), 1 the inner header (inside both
+/// loops), 2 the outer latch (inside the outer loop only).
+inline Module preambleAndNestedLoops() {
+  Module M;
+  M.MemWords = 4;
+  uint32_t Main = M.addFunction("main", 0);
+  IRBuilder B(M, Main);
+  Reg I = B.newReg(), J = B.newReg(), C = B.newReg();
+  uint32_t Entry = B.newBlock("entry");
+  uint32_t Skip = B.newBlock("skip");
+  uint32_t Outer = B.newBlock("outer");
+  uint32_t InnerH = B.newBlock("inner");
+  uint32_t InnerBody = B.newBlock("inner_body");
+  uint32_t Latch = B.newBlock("latch");
+  uint32_t Exit = B.newBlock("exit");
+  B.setInsertPoint(Entry);
+  B.movImm(I, 0);
+  B.cmpLt(C, Operand::reg(I), Operand::imm(1));
+  B.br(Operand::reg(C), Skip, Outer);
+  B.setInsertPoint(Skip);
+  B.jmp(Outer);
+  B.setInsertPoint(Outer);
+  B.movImm(J, 0);
+  B.jmp(InnerH);
+  B.setInsertPoint(InnerH);
+  B.cmpLt(C, Operand::reg(J), Operand::imm(3));
+  B.br(Operand::reg(C), InnerBody, Latch);
+  B.setInsertPoint(InnerBody);
+  B.add(J, Operand::reg(J), Operand::imm(1));
+  B.jmp(InnerH);
+  B.setInsertPoint(Latch);
+  B.add(I, Operand::reg(I), Operand::imm(1));
+  B.cmpLt(C, Operand::reg(I), Operand::imm(4));
+  B.br(Operand::reg(C), Outer, Exit);
+  B.setInsertPoint(Exit);
+  B.ret(Operand::reg(I));
+  M.assignBranchIds();
+  return M;
+}
+
+/// The branches of preambleAndNestedLoops.
+inline constexpr int32_t Pre = 0, Inner = 1, Latch = 2;
+
+/// Two indexes agree: counts, taken counts and per-branch bits.
+inline void expectSameIndex(const ColumnarTrace &Got,
+                            const ColumnarTrace &Want) {
+  ASSERT_EQ(Got.numBranches(), Want.numBranches());
+  EXPECT_EQ(Got.outOfRange(), Want.outOfRange());
+  for (uint32_t B = 0; B < Want.numBranches(); ++B) {
+    const BranchColumn G = Got.branch(B), W = Want.branch(B);
+    ASSERT_EQ(G.Executions, W.Executions) << "branch " << B;
+    EXPECT_EQ(G.TakenCount, W.TakenCount) << "branch " << B;
+    EXPECT_TRUE(sameBits(G.Bits, W.Bits)) << "branch " << B;
+  }
+}
+
+/// The index built event by event: each branch's count, taken count and
+/// direction subsequence.
+inline void expectIndexOfEvents(const ColumnarTrace &CT) {
+  std::vector<std::vector<bool>> Bits(CT.numBranches());
+  uint64_t OutOfRange = 0;
+  for (size_t I = 0; I < CT.size(); ++I) {
+    const int32_t Id = CT.branchId(I);
+    if (Id < 0 || static_cast<uint32_t>(Id) >= CT.numBranches())
+      ++OutOfRange;
+    else
+      Bits[static_cast<uint32_t>(Id)].push_back(CT.taken(I));
+  }
+  EXPECT_EQ(CT.outOfRange(), OutOfRange);
+  for (uint32_t B = 0; B < CT.numBranches(); ++B) {
+    const BranchColumn C = CT.branch(B);
+    ASSERT_EQ(C.Executions, Bits[B].size()) << "branch " << B;
+    uint64_t Taken = 0;
+    for (uint64_t I = 0; I < C.Executions; ++I) {
+      ASSERT_EQ(C.Bits.bit(I), Bits[B][I]) << "branch " << B << " bit " << I;
+      Taken += Bits[B][I];
+    }
+    EXPECT_EQ(C.TakenCount, Taken) << "branch " << B;
+  }
 }
 
 } // namespace bpcr::test

@@ -182,16 +182,18 @@ TEST_P(PathProfilerDiff, MatchesBruteForceLongestSuffix) {
     Events.emplace_back(static_cast<int32_t>(B), G.chance(1, 2));
   }
 
-  // Sharded over event ranges (some shorter than MaxPathLen, some empty)
-  // the profile is the same.
+  // Walked in chunks (some shorter than MaxPathLen) on any number of
+  // threads, the profile is the same.
   const std::vector<PathProfile> Want =
       referencePathProfiles(Cands, Events, MaxPathLen);
   const ColumnarTrace CT = test::makeTrace(Events);
-  for (unsigned Jobs : {1u, 2u, 3u, 7u}) {
-    SCOPED_TRACE("jobs " + std::to_string(Jobs));
-    test::expectSamePathProfiles(profilePaths(Cands, CT, MaxPathLen, Jobs),
-                                 Want);
-  }
+  for (size_t Chunk : {size_t{1}, size_t{3}, size_t{64}, TraceChunkEvents})
+    for (unsigned Jobs : {1u, 2u, 3u, 7u}) {
+      SCOPED_TRACE("chunk " + std::to_string(Chunk) + " jobs " +
+                   std::to_string(Jobs));
+      test::expectSamePathProfiles(
+          profilePaths(Cands, CT, MaxPathLen, Jobs, Chunk), Want);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PathProfilerDiff,

@@ -1,16 +1,16 @@
-//===- tests/test_sharded.cpp - Event-range sharding of trace passes ------===//
+//===- tests/test_sharded.cpp - Chunked trace passes ---------------------===//
 //
 // Part of the bpcr project (Krall, PLDI 1994 reproduction).
 //
 // The passes that read the whole trace — the per-branch index, the
 // loop-aware reset scan and pattern-table fill, and the path profiles —
-// split it into one contiguous event range per job and stitch the
-// per-range results back in trace order. Every job count must give the
+// walk it in fixed-size chunks and stitch the per-chunk results back in
+// trace order. Every chunk size and job count must give the one-chunk,
 // one-job result exactly: on every workload, and on generated traces
-// whose shard boundaries fall where the stitch has to carry state across
-// (a branch's only execution opening a range, a loop left for a whole
-// range, a reset right at a boundary, ranges shorter than a path window,
-// more jobs than events).
+// whose chunk boundaries fall where the stitch has to carry state across
+// (a branch's only execution opening a chunk, a loop left for a whole
+// chunk, a reset right at a boundary, chunks shorter than a path window,
+// more jobs than chunks).
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +20,6 @@
 #include "core/CorrelatedMachine.h"
 #include "core/LoopAwareProfiles.h"
 #include "core/ProgramAnalysis.h"
-#include "ir/IRBuilder.h"
 #include "sa/Dataflow.h"
 #include "support/Rng.h"
 #include "trace/ColumnarTrace.h"
@@ -28,64 +27,28 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
 using namespace bpcr;
 using bpcr::test::Event;
+using bpcr::test::expectIndexOfEvents;
+using bpcr::test::expectSameIndex;
+using bpcr::test::Inner;
+using bpcr::test::Latch;
 using bpcr::test::makeTrace;
+using bpcr::test::Pre;
+using bpcr::test::preambleAndNestedLoops;
 using bpcr::test::referenceLoopAwareProfiles;
 using bpcr::test::sameProfiles;
 
 namespace {
 
 const unsigned JobCounts[] = {1, 2, 3, 4, 7};
-
-Operand R(Reg X) { return Operand::reg(X); }
-Operand K(int64_t V) { return Operand::imm(V); }
-
-/// A non-loop branch, then an outer loop around an inner one. Branch 0 is
-/// the preamble (outside every loop), 1 the inner header (inside both
-/// loops), 2 the outer latch (inside the outer loop only).
-Module preambleAndNestedLoops() {
-  Module M;
-  M.MemWords = 4;
-  uint32_t Main = M.addFunction("main", 0);
-  IRBuilder B(M, Main);
-  Reg I = B.newReg(), J = B.newReg(), C = B.newReg();
-  uint32_t Entry = B.newBlock("entry");
-  uint32_t Skip = B.newBlock("skip");
-  uint32_t Outer = B.newBlock("outer");
-  uint32_t InnerH = B.newBlock("inner");
-  uint32_t InnerBody = B.newBlock("inner_body");
-  uint32_t Latch = B.newBlock("latch");
-  uint32_t Exit = B.newBlock("exit");
-  B.setInsertPoint(Entry);
-  B.movImm(I, 0);
-  B.cmpLt(C, R(I), K(1));
-  B.br(R(C), Skip, Outer);
-  B.setInsertPoint(Skip);
-  B.jmp(Outer);
-  B.setInsertPoint(Outer);
-  B.movImm(J, 0);
-  B.jmp(InnerH);
-  B.setInsertPoint(InnerH);
-  B.cmpLt(C, R(J), K(3));
-  B.br(R(C), InnerBody, Latch);
-  B.setInsertPoint(InnerBody);
-  B.add(J, R(J), K(1));
-  B.jmp(InnerH);
-  B.setInsertPoint(Latch);
-  B.add(I, R(I), K(1));
-  B.cmpLt(C, R(I), K(4));
-  B.br(R(C), Outer, Exit);
-  B.setInsertPoint(Exit);
-  B.ret(R(I));
-  M.assignBranchIds();
-  return M;
-}
-
-constexpr int32_t Pre = 0, Inner = 1, Latch = 2;
+/// Chunk sizes down to one event, so generated traces put a boundary
+/// everywhere; the production size makes most of them one chunk.
+const size_t ChunkSizes[] = {1, 3, 4, 64, TraceChunkEvents};
 
 /// Events with the given ids, alternating in direction.
 ColumnarTrace traceOf(const std::vector<int32_t> &Ids, uint32_t NumBranches) {
@@ -95,68 +58,29 @@ ColumnarTrace traceOf(const std::vector<int32_t> &Ids, uint32_t NumBranches) {
   return makeTrace(Events, NumBranches);
 }
 
-void expectSameIndex(const ColumnarTrace &Got, const ColumnarTrace &Want) {
-  ASSERT_EQ(Got.numBranches(), Want.numBranches());
-  EXPECT_EQ(Got.outOfRange(), Want.outOfRange());
-  for (uint32_t B = 0; B < Want.numBranches(); ++B) {
-    const BranchColumn G = Got.branch(B), W = Want.branch(B);
-    ASSERT_EQ(G.Executions, W.Executions) << "branch " << B;
-    EXPECT_EQ(G.TakenCount, W.TakenCount) << "branch " << B;
-    EXPECT_TRUE(test::sameBits(G.Bits, W.Bits)) << "branch " << B;
-  }
-}
-
-/// The index built event by event: each branch's count, taken count and
-/// direction subsequence.
-void expectIndexOfEvents(const ColumnarTrace &CT) {
-  std::vector<std::vector<bool>> Bits(CT.numBranches());
-  uint64_t OutOfRange = 0;
-  for (size_t I = 0; I < CT.size(); ++I) {
-    const int32_t Id = CT.branchId(I);
-    if (Id < 0 || static_cast<uint32_t>(Id) >= CT.numBranches())
-      ++OutOfRange;
-    else
-      Bits[static_cast<uint32_t>(Id)].push_back(CT.taken(I));
-  }
-  EXPECT_EQ(CT.outOfRange(), OutOfRange);
-  for (uint32_t B = 0; B < CT.numBranches(); ++B) {
-    const BranchColumn C = CT.branch(B);
-    ASSERT_EQ(C.Executions, Bits[B].size()) << "branch " << B;
-    uint64_t Taken = 0;
-    for (uint64_t I = 0; I < C.Executions; ++I) {
-      ASSERT_EQ(C.Bits.bit(I), Bits[B][I]) << "branch " << B << " bit " << I;
-      Taken += Bits[B][I];
-    }
-    EXPECT_EQ(C.TakenCount, Taken) << "branch " << B;
-  }
-}
-
-std::vector<std::vector<BranchPath>> pathCandidates(const ProgramAnalysis &PA,
-                                                    unsigned MaxPathLen) {
-  std::vector<std::vector<BranchPath>> Cands(PA.numBranches());
-  for (uint32_t Id = 0; Id < PA.numBranches(); ++Id)
-    Cands[Id] = PA.backwardPaths(static_cast<int32_t>(Id), MaxPathLen);
-  return Cands;
-}
-
-/// Every sharded pass over \p CT (finalized for PA's branches) at every
-/// job count against the one-job result, and the profiles against the
-/// per-event reference.
+/// Every chunked pass over \p CT (finalized for PA's branches) at every
+/// job count and chunk size of \p Sizes against the default, and the
+/// profiles against the per-event reference.
 void expectShardingExact(const ProgramAnalysis &PA, const ColumnarTrace &CT,
-                         const sa::BranchProofs *Proofs = nullptr) {
+                         const sa::BranchProofs *Proofs = nullptr,
+                         std::initializer_list<size_t> Sizes = {
+                             1, 3, 4, 64, TraceChunkEvents}) {
   const ProfileSet Want = buildLoopAwareProfiles(PA, CT, 9, Proofs);
   EXPECT_TRUE(sameProfiles(Want, referenceLoopAwareProfiles(PA, CT, Proofs)));
-  const auto Cands = pathCandidates(PA, 4);
+  const auto Cands = test::pathCandidates(PA, 4);
   const std::vector<PathProfile> WantPaths = profilePaths(Cands, CT, 4);
-  for (unsigned Jobs : JobCounts) {
-    SCOPED_TRACE("jobs " + std::to_string(Jobs));
-    ColumnarTrace Sharded = CT;
-    Sharded.finalize(PA.numBranches(), Jobs);
-    expectSameIndex(Sharded, CT);
-    EXPECT_TRUE(
-        sameProfiles(buildLoopAwareProfiles(PA, CT, 9, Proofs, Jobs), Want));
-    test::expectSamePathProfiles(profilePaths(Cands, CT, 4, Jobs), WantPaths);
-  }
+  for (size_t Chunk : Sizes)
+    for (unsigned Jobs : JobCounts) {
+      SCOPED_TRACE("chunk " + std::to_string(Chunk) + " jobs " +
+                   std::to_string(Jobs));
+      ColumnarTrace Sharded = CT;
+      Sharded.finalize(PA.numBranches(), Jobs, Chunk);
+      expectSameIndex(Sharded, CT);
+      EXPECT_TRUE(sameProfiles(
+          buildLoopAwareProfiles(PA, CT, 9, Proofs, Jobs, Chunk), Want));
+      test::expectSamePathProfiles(profilePaths(Cands, CT, 4, Jobs, Chunk),
+                                   WantPaths);
+    }
 }
 
 } // namespace
@@ -168,7 +92,7 @@ TEST(ShardedPasses, WorkloadsMatchOneJobAtEveryJobCount) {
       Module M;
       ColumnarTrace CT = traceWorkloadColumnar(W, Seed, M, 200'000);
       ProgramAnalysis PA(M);
-      expectShardingExact(PA, CT);
+      expectShardingExact(PA, CT, nullptr, {4096, TraceChunkEvents});
       sa::BranchProofs Proofs = sa::computeBranchProofs(M);
       EXPECT_TRUE(sameProfiles(buildLoopAwareProfiles(PA, CT, 9, &Proofs, 4),
                                buildLoopAwareProfiles(PA, CT, 9, &Proofs)));
@@ -184,24 +108,24 @@ TEST(ShardedPasses, TracingFinalizesTheSameIndexAtAnyJobCount) {
   expectIndexOfEvents(Four);
 }
 
-TEST(ShardedPasses, EventRangesCoverTheTraceInOrder) {
+TEST(ShardedPasses, TraceChunksCoverTheTraceInOrder) {
   for (size_t N : {0u, 1u, 5u, 64u, 1000u})
-    for (unsigned Jobs : JobCounts) {
-      std::vector<EventRange> Ranges = eventRanges(N, Jobs);
-      ASSERT_EQ(Ranges.size(), Jobs);
+    for (size_t Chunk : {1u, 3u, 64u, 4096u}) {
+      std::vector<EventRange> Chunks = traceChunks(N, Chunk);
+      ASSERT_EQ(Chunks.size(), (N + Chunk - 1) / Chunk);
       size_t Next = 0;
-      for (const EventRange &R : Ranges) {
+      for (const EventRange &R : Chunks) {
         EXPECT_EQ(R.Begin, Next);
-        EXPECT_LE(R.Begin, R.End);
-        EXPECT_LE(R.End - R.Begin, N / Jobs + 1);
+        EXPECT_LT(R.Begin, R.End);
+        EXPECT_LE(R.End - R.Begin, Chunk);
         Next = R.End;
       }
       EXPECT_EQ(Next, N);
     }
 }
 
-TEST(ShardedPasses, IndexMatchesEventsAcrossWordAndRangeBoundaries) {
-  // Few branches and lengths around word multiples, so ranges split
+TEST(ShardedPasses, IndexMatchesEventsAcrossWordAndChunkBoundaries) {
+  // Few branches and lengths around word multiples, so chunks split
   // per-branch words at every offset; ids outside the index included.
   Rng G(77);
   for (size_t N : {0u, 1u, 3u, 63u, 64u, 65u, 127u, 130u, 1000u, 4099u}) {
@@ -210,20 +134,21 @@ TEST(ShardedPasses, IndexMatchesEventsAcrossWordAndRangeBoundaries) {
       Events.emplace_back(static_cast<int32_t>(G.below(4)) - (G.chance(1, 50)),
                           G.chance(1, 2));
     const ColumnarTrace One = makeTrace(Events, 3);
-    for (unsigned Jobs : JobCounts) {
-      SCOPED_TRACE("events " + std::to_string(N) + " jobs " +
-                   std::to_string(Jobs));
-      ColumnarTrace Sharded = makeTrace(Events);
-      Sharded.finalize(3, Jobs);
-      expectSameIndex(Sharded, One);
-      expectIndexOfEvents(Sharded);
-    }
+    for (size_t Chunk : ChunkSizes)
+      for (unsigned Jobs : JobCounts) {
+        SCOPED_TRACE("events " + std::to_string(N) + " chunk " +
+                     std::to_string(Chunk) + " jobs " + std::to_string(Jobs));
+        ColumnarTrace Sharded = makeTrace(Events);
+        Sharded.finalize(3, Jobs, Chunk);
+        expectSameIndex(Sharded, One);
+        expectIndexOfEvents(Sharded);
+      }
   }
 }
 
 TEST(ShardedPasses, RandomTracesMatchTheReference) {
-  // Random events over the module's ids and two ids with no branch, short
-  // enough that many ranges are shorter than the path window.
+  // Random events over the module's ids and two ids with no branch, with
+  // chunks shorter than the path window.
   Module M = preambleAndNestedLoops();
   ProgramAnalysis PA(M);
   ASSERT_EQ(PA.numBranches(), 3u);
@@ -238,108 +163,108 @@ TEST(ShardedPasses, RandomTracesMatchTheReference) {
   }
 }
 
-TEST(ShardedPasses, EmptyTraceAndMoreJobsThanEvents) {
+TEST(ShardedPasses, EmptyTraceAndMoreJobsThanChunks) {
   Module M = preambleAndNestedLoops();
   ProgramAnalysis PA(M);
   expectShardingExact(PA, traceOf({}, 3));
   expectShardingExact(PA, traceOf({Inner, Latch}, 3));
   ColumnarTrace Empty = traceOf({}, 3);
-  Empty.finalize(3, 7);
+  Empty.finalize(3, 7, 4);
   EXPECT_EQ(Empty.branch(Inner).Executions, 0u);
-  EXPECT_TRUE(buildLoopAwareProfiles(PA, Empty, 9, nullptr, 7)
+  EXPECT_TRUE(buildLoopAwareProfiles(PA, Empty, 9, nullptr, 7, 4)
                   .branch(Inner)
                   .ResetPositions.empty());
 }
 
-// The scenarios below run 12 events at three jobs: ranges [0,4), [4,8)
-// and [8,12).
+// The scenarios below run 12 events in chunks of 4: [0,4), [4,8) and
+// [8,12).
 
-TEST(ShardedPasses, OnlyExecutionOpensARange) {
+TEST(ShardedPasses, OnlyExecutionOpensAChunk) {
   Module M = preambleAndNestedLoops();
   ProgramAnalysis PA(M);
   ASSERT_EQ(PA.classOf(Pre).Kind, BranchKind::NonLoop);
   ASSERT_NE(PA.classOf(Inner).Kind, BranchKind::NonLoop);
   ASSERT_NE(PA.classOf(Latch).Kind, BranchKind::NonLoop);
 
-  // The inner header runs once, first in range 1, after events outside
+  // The inner header runs once, first in chunk 1, after events outside
   // its loop: that execution resets.
   ColumnarTrace A = traceOf({Pre, Pre, Pre, Pre, Inner, Latch, Latch, Latch,
                              Latch, Latch, Latch, Latch},
                             3);
   expectShardingExact(PA, A);
-  EXPECT_EQ(buildLoopAwareProfiles(PA, A, 9, nullptr, 3)
+  EXPECT_EQ(buildLoopAwareProfiles(PA, A, 9, nullptr, 3, 4)
                 .branch(Inner)
                 .ResetPositions,
             std::vector<uint64_t>{0});
 
-  // The latch runs first in range 1, after only inner-header events, which
+  // The latch runs first in chunk 1, after only inner-header events, which
   // are inside the outer loop too: no reset.
   ColumnarTrace B = traceOf({Inner, Inner, Inner, Inner, Latch, Inner, Inner,
                              Latch, Inner, Inner, Inner, Inner},
                             3);
   expectShardingExact(PA, B);
-  EXPECT_TRUE(buildLoopAwareProfiles(PA, B, 9, nullptr, 3)
+  EXPECT_TRUE(buildLoopAwareProfiles(PA, B, 9, nullptr, 3, 4)
                   .branch(Latch)
                   .ResetPositions.empty());
 }
 
-TEST(ShardedPasses, LoopNeverEnteredInARange) {
+TEST(ShardedPasses, LoopNeverEnteredInAChunk) {
   Module M = preambleAndNestedLoops();
   ProgramAnalysis PA(M);
 
-  // Range 1 runs only the latch, outside the inner loop: the inner header
-  // resets when range 2 re-enters it.
+  // Chunk 1 runs only the latch, outside the inner loop: the inner header
+  // resets when chunk 2 re-enters it.
   ColumnarTrace A = traceOf({Inner, Inner, Inner, Inner, Latch, Latch, Latch,
                              Latch, Inner, Inner, Inner, Inner},
                             3);
   expectShardingExact(PA, A);
-  EXPECT_EQ(buildLoopAwareProfiles(PA, A, 9, nullptr, 3)
+  EXPECT_EQ(buildLoopAwareProfiles(PA, A, 9, nullptr, 3, 4)
                 .branch(Inner)
                 .ResetPositions,
             std::vector<uint64_t>{4});
 
-  // Range 1 runs only the preamble: both loops are left, and the latch
-  // resets in range 2 although it never ran in range 1.
+  // Chunk 1 runs only the preamble: both loops are left, and the latch
+  // resets in chunk 2 although it never ran in chunk 1.
   ColumnarTrace B = traceOf({Latch, Latch, Latch, Latch, Pre, Pre, Pre, Pre,
                              Latch, Latch, Latch, Latch},
                             3);
   expectShardingExact(PA, B);
-  EXPECT_EQ(buildLoopAwareProfiles(PA, B, 9, nullptr, 3)
+  EXPECT_EQ(buildLoopAwareProfiles(PA, B, 9, nullptr, 3, 4)
                 .branch(Latch)
                 .ResetPositions,
             std::vector<uint64_t>{4});
 
-  // Range 1 stays inside the outer loop without the latch: no reset.
+  // Chunk 1 stays inside the outer loop without the latch: no reset.
   ColumnarTrace C = traceOf({Latch, Latch, Latch, Latch, Inner, Inner, Inner,
                              Inner, Latch, Latch, Latch, Latch},
                             3);
   expectShardingExact(PA, C);
-  EXPECT_TRUE(buildLoopAwareProfiles(PA, C, 9, nullptr, 3)
+  EXPECT_TRUE(buildLoopAwareProfiles(PA, C, 9, nullptr, 3, 4)
                   .branch(Latch)
                   .ResetPositions.empty());
 }
 
-TEST(ShardedPasses, ResetAtARangeBoundary) {
+TEST(ShardedPasses, ResetAtAChunkBoundary) {
   Module M = preambleAndNestedLoops();
   ProgramAnalysis PA(M);
 
-  // The event that leaves the inner loop closes range 0; the reset lands
-  // on the first event of range 1.
+  // The event that leaves the inner loop closes chunk 0; the reset lands
+  // on the first event of chunk 1.
   ColumnarTrace A = traceOf({Inner, Inner, Inner, Latch, Inner, Inner, Inner,
                              Inner, Inner, Inner, Inner, Inner},
                             3);
   expectShardingExact(PA, A);
-  EXPECT_EQ(buildLoopAwareProfiles(PA, A, 9, nullptr, 3)
+  EXPECT_EQ(buildLoopAwareProfiles(PA, A, 9, nullptr, 3, 4)
                 .branch(Inner)
                 .ResetPositions,
             std::vector<uint64_t>{3});
 
-  // The leaving event opens range 1; the reset follows inside it.
+  // The leaving event opens chunk 1; the reset follows inside it.
   ColumnarTrace B = traceOf({Inner, Inner, Inner, Inner, Latch, Inner, Inner,
                              Inner, Latch, Inner, Inner, Inner},
                             3);
   expectShardingExact(PA, B);
-  EXPECT_EQ(buildLoopAwareProfiles(PA, B, 9, nullptr, 3)
+  EXPECT_EQ(buildLoopAwareProfiles(PA, B, 9, nullptr, 3, 4)
                 .branch(Inner)
                 .ResetPositions,
             (std::vector<uint64_t>{4, 7}));
@@ -356,7 +281,7 @@ TEST(ShardedPasses, IdsWithoutABranchAreOutsideEveryLoop) {
                              3);
   EXPECT_EQ(CT.outOfRange(), 4u);
   expectShardingExact(PA, CT);
-  const ProfileSet P = buildLoopAwareProfiles(PA, CT, 9, nullptr, 3);
+  const ProfileSet P = buildLoopAwareProfiles(PA, CT, 9, nullptr, 3, 4);
   EXPECT_EQ(P.branch(Inner).ResetPositions, (std::vector<uint64_t>{2, 3, 4}));
   EXPECT_EQ(P.branch(Latch).ResetPositions,
             (std::vector<uint64_t>{0, 1, 2}));

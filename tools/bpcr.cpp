@@ -70,6 +70,7 @@
 #include "core/LoopAwareProfiles.h"
 #include "core/Pipeline.h"
 #include "core/SizeSweep.h"
+#include "core/TraceProfiles.h"
 #include "ir/Printer.h"
 #include "ir/Serializer.h"
 #include "ir/Verifier.h"
@@ -751,12 +752,25 @@ int cmdDump(const Args &A) {
   return 0;
 }
 
+/// Reports a workload run that stopped on an error (a truncated trace
+/// must not pass for a whole one); \returns whether the run succeeded.
+bool runSucceeded(const Workload &W, const ExecResult &Run) {
+  if (!Run.Ok)
+    std::fprintf(stderr, "bpcr: error: the %s run failed: %s\n", W.Name,
+                 Run.Error.c_str());
+  return Run.Ok;
+}
+
 int cmdTrace(const Args &A) {
   const Workload *W = findWorkload(A.Target);
   if (!W)
     return 1;
   Module M;
-  ColumnarTrace T = traceWorkloadColumnar(*W, A.Seed, M, A.Events);
+  ExecResult Run;
+  ColumnarTrace T =
+      traceWorkloadColumnar(*W, A.Seed, M, A.Events, /*Jobs=*/1, &Run);
+  if (!runSucceeded(*W, Run))
+    return 1;
   std::printf("%s seed=%llu: %zu branch events\n", W->Name,
               static_cast<unsigned long long>(A.Seed), T.size());
   std::string Out =
@@ -779,7 +793,11 @@ int cmdAnalyze(const Args &A) {
   if (!W)
     return 1;
   Module M;
-  ColumnarTrace T = traceWorkloadColumnar(*W, A.Seed, M, A.Events);
+  ExecResult Run;
+  ColumnarTrace T =
+      traceWorkloadColumnar(*W, A.Seed, M, A.Events, /*Jobs=*/1, &Run);
+  if (!runSucceeded(*W, Run))
+    return 1;
   ProgramAnalysis PA(M);
   ProfileSet Profiles = buildLoopAwareProfiles(PA, T);
 
@@ -849,11 +867,30 @@ PipelineOptions pipelineOptions(const Args &A) {
   return Opts;
 }
 
-/// Shared by replicate and report: trace + pipeline + verification.
+/// The trace side of a replicating command: the streamed trace and the
+/// profiles the pipeline reads. \returns false after a diagnostic when
+/// the run failed.
+bool tracePipelineInputs(const Args &A, const Workload &W, Module &M,
+                         const PipelineOptions &Opts, TraceProfiles &TP) {
+  TraceProfileOptions TO;
+  TO.MaxBranchEvents = A.Events;
+  TO.Jobs = A.Jobs;
+  TO.MaxStates = Opts.Strategy.MaxStates;
+  TO.UseProofs = Opts.UseProofPruning;
+  traceProfiles(W, A.Seed, M, TO, TP);
+  return runSucceeded(W, TP.Run);
+}
+
+/// Shared by replicate, report, explain and timeline: trace + pipeline +
+/// verification.
 bool runPipeline(const Args &A, const Workload &W, Module &M,
                  ColumnarTrace &T, PipelineResult &PR) {
-  T = traceWorkloadColumnar(W, A.Seed, M, A.Events, A.Jobs);
-  PR = replicateModule(M, T, pipelineOptions(A));
+  const PipelineOptions Opts = pipelineOptions(A);
+  TraceProfiles TP;
+  if (!tracePipelineInputs(A, W, M, Opts, TP))
+    return false;
+  PR = replicateModule(M, TP.Trace, Opts, TP);
+  T = std::move(TP.Trace);
   if (!verifyModule(PR.Transformed).empty()) {
     std::fprintf(stderr,
                  "bpcr: error: transformed module failed verification\n");
@@ -1011,10 +1048,14 @@ int cmdSweep(const Args &A) {
   if (!W)
     return 1;
   Module M;
-  ColumnarTrace T = traceWorkloadColumnar(*W, A.Seed, M, A.Events, A.Jobs);
-  ProgramAnalysis PA(M);
-  ProfileSet Profiles = buildLoopAwareProfiles(PA, T, /*MaxBits=*/9,
-                                               /*Proofs=*/nullptr, A.Jobs);
+  TraceProfileOptions TO;
+  TO.MaxBranchEvents = A.Events;
+  TO.Jobs = A.Jobs;
+  TO.MaxStates = A.States;
+  TraceProfiles TP;
+  traceProfiles(*W, A.Seed, M, TO, TP);
+  if (!runSucceeded(*W, TP.Run))
+    return 1;
 
   SweepOptions Opts;
   Opts.MaxStates = A.States;
@@ -1023,7 +1064,8 @@ int cmdSweep(const Args &A) {
   Opts.MaxSizeFactor = A.BudgetSet ? A.Budget : 16.0;
   Opts.NodeBudget = 50'000;
   Opts.Jobs = A.Jobs;
-  std::vector<SweepPoint> Points = computeSizeSweep(PA, Profiles, T, Opts);
+  std::vector<SweepPoint> Points =
+      computeSizeSweep(*TP.PA, TP.Profiles, TP.Trace, Opts, TP.Paths);
 
   // Deliberately no timings or rates anywhere in this output: the
   // determinism test byte-compares it across --jobs values.
@@ -1586,8 +1628,11 @@ int cmdLint(const Args &A) {
       return 2;
     }
     Module Traced;
-    ColumnarTrace T = traceWorkloadColumnar(*W, A.Seed, Traced, A.Events);
-    PipelineResult PR = replicateModule(Traced, T, pipelineOptions(A));
+    const PipelineOptions Opts = pipelineOptions(A);
+    TraceProfiles TP;
+    if (!tracePipelineInputs(A, *W, Traced, Opts, TP))
+      return 1;
+    PipelineResult PR = replicateModule(Traced, TP.Trace, Opts, TP);
     Rules.push_back(
         {"replication-soundness",
          "the replicated module simulates its original: paired blocks run "
