@@ -62,8 +62,7 @@ bool applySequential(Module &X, const std::vector<int32_t> &Members,
     MO.MaxStates = MaxStates;
     MO.NodeBudget = 20'000;
     SuffixMachine M = buildIntraLoopMachine(Profiles.branch(Id).Table, MO);
-    if (!applyLoopReplication(F, L.Blocks, L.Header, Id, M).Applied)
-      return false;
+    applyLoopReplication(F, L.Blocks, BranchLoopMachine(M, Id));
   }
   return true;
 }
@@ -172,10 +171,8 @@ int main(int Argc, char **Argv) {
       const Loop &L = D.PA->loopInfoFor(Members[0])
                           .loops()[static_cast<size_t>(C.LoopIdx)];
       uint32_t FuncIdx = D.PA->ref(Members[0]).FuncIdx;
-      if (applyJointLoopReplication(Jnt.Functions[FuncIdx], L.Blocks,
-                                    L.Header, JM)
-              .Applied &&
-          verifyModule(Jnt).empty()) {
+      applyLoopReplication(Jnt.Functions[FuncIdx], L.Blocks, JM);
+      if (verifyModule(Jnt).empty()) {
         annotateProfilePredictions(Jnt, Stats);
         JntRate = measureMembers(Jnt, Members).mispredictionPercent();
         JntSize = static_cast<double>(Jnt.instructionCount()) /

@@ -99,8 +99,8 @@ int main() {
   const BranchClass &Cls = PA.classOf(0);
   const Loop &L = PA.loopInfoFor(0).loops()[static_cast<size_t>(Cls.LoopIdx)];
   uint64_t BlocksBefore = X.Functions[0].Blocks.size();
-  ReplicationStats RS =
-      applyLoopReplication(X.Functions[0], L.Blocks, L.Header, 0, Machine);
+  ReplicationStats RS = applyLoopReplication(X.Functions[0], L.Blocks,
+                                             BranchLoopMachine(Machine, 0));
   X.assignBranchIds();
   std::printf("== Replicated loop ==\n%s\n",
               printFunction(X.Functions[0], &X).c_str());

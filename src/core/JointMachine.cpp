@@ -80,32 +80,6 @@ unsigned JointLoopMachine::next(unsigned State, int MemberIdx,
   return 0; // the empty state
 }
 
-std::vector<uint8_t> JointLoopMachine::reachableStates() const {
-  std::vector<uint8_t> Seen(numStates(), 0);
-  std::vector<unsigned> Work{initialState()};
-  Seen[initialState()] = 1;
-  while (!Work.empty()) {
-    unsigned S = Work.back();
-    Work.pop_back();
-    for (size_t J = 0; J < Members.size(); ++J)
-      for (bool Taken : {false, true}) {
-        unsigned N = next(S, static_cast<int>(J), Taken);
-        if (!Seen[N]) {
-          Seen[N] = 1;
-          Work.push_back(N);
-        }
-      }
-  }
-  return Seen;
-}
-
-unsigned JointLoopMachine::reachableStateCount() const {
-  unsigned N = 0;
-  for (uint8_t Bit : reachableStates())
-    N += Bit;
-  return N;
-}
-
 std::string JointLoopMachine::describe() const {
   std::string Out = "joint{members=" + std::to_string(Members.size());
   Out += ",states=";
@@ -393,81 +367,4 @@ PredictionStats bpcr::evaluateJointMachine(const JointLoopMachine &M,
     State = M.next(State, MI, Taken);
   }
   return Stats;
-}
-
-ReplicationStats bpcr::applyJointLoopReplication(
-    Function &F, const std::vector<uint32_t> &LoopBlocks, uint32_t Header,
-    const JointLoopMachine &M) {
-  ReplicationStats Out;
-  (void)Header;
-
-  unsigned NumStates = M.numStates();
-  std::vector<uint8_t> Reachable = M.reachableStates();
-
-  auto InLoop = [&LoopBlocks](uint32_t B) {
-    return std::binary_search(LoopBlocks.begin(), LoopBlocks.end(), B);
-  };
-  auto LoopPos = [&LoopBlocks](uint32_t B) {
-    return static_cast<size_t>(
-        std::lower_bound(LoopBlocks.begin(), LoopBlocks.end(), B) -
-        LoopBlocks.begin());
-  };
-
-  unsigned Init = M.initialState();
-  std::vector<std::vector<uint32_t>> CopyIdx(
-      NumStates, std::vector<uint32_t>(LoopBlocks.size(), UINT32_MAX));
-  for (size_t P = 0; P < LoopBlocks.size(); ++P)
-    CopyIdx[Init][P] = LoopBlocks[P];
-  for (unsigned S = 0; S < NumStates; ++S) {
-    if (S == Init || !Reachable[S])
-      continue;
-    for (size_t P = 0; P < LoopBlocks.size(); ++P) {
-      BasicBlock Clone = F.Blocks[LoopBlocks[P]];
-      Clone.Name += "@j" + std::to_string(S);
-      CopyIdx[S][P] = static_cast<uint32_t>(F.Blocks.size());
-      F.Blocks.push_back(std::move(Clone));
-      ++Out.BlocksAdded;
-    }
-  }
-
-  for (unsigned S = 0; S < NumStates; ++S) {
-    if (!Reachable[S])
-      continue;
-    for (size_t P = 0; P < LoopBlocks.size(); ++P) {
-      BasicBlock &BB = F.Blocks[CopyIdx[S][P]];
-      if (!BB.isComplete())
-        continue;
-      Instruction &T = BB.terminator();
-
-      auto Retarget = [&](uint32_t Old, unsigned NextState) {
-        if (!InLoop(Old))
-          return Old;
-        return CopyIdx[NextState][LoopPos(Old)];
-      };
-
-      if (T.Op == Opcode::Jmp) {
-        T.TrueTarget = Retarget(T.TrueTarget, S);
-        continue;
-      }
-      if (!T.isConditionalBranch())
-        continue;
-
-      int MI = M.memberIndex(T.OrigBranchId);
-      if (MI >= 0) {
-        T.TrueTarget = Retarget(T.TrueTarget, M.next(S, MI, true));
-        T.FalseTarget = Retarget(T.FalseTarget, M.next(S, MI, false));
-        T.Predicted = M.predictTaken(S, MI) ? Prediction::Taken
-                                            : Prediction::NotTaken;
-      } else {
-        T.TrueTarget = Retarget(T.TrueTarget, S);
-        T.FalseTarget = Retarget(T.FalseTarget, S);
-      }
-    }
-  }
-
-  for (uint8_t R : Reachable)
-    Out.StatesMaterialized += R;
-  Out.BlocksPruned = pruneUnreachableBlocks(F);
-  Out.Applied = true;
-  return Out;
 }

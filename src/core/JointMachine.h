@@ -18,7 +18,9 @@
 /// — symbols (member-branch index, direction) — matched by longest suffix,
 /// with per-(state, branch) predictions. Replicating a loop once for a
 /// joint machine with S states costs S copies, where separate per-branch
-/// machines with s1..sk states cost s1*...*sk copies.
+/// machines with s1..sk states cost s1*...*sk copies. Replication itself is
+/// the one loop transform, applyLoopReplication (core/Replication.h): a
+/// per-branch machine is the one-member case of a joint machine.
 ///
 /// The branch-and-bound is core/SuffixSelect's engine, the one the
 /// per-branch machines use: one count channel per member, the empty string
@@ -30,8 +32,8 @@
 #ifndef BPCR_CORE_JOINTMACHINE_H
 #define BPCR_CORE_JOINTMACHINE_H
 
+#include "core/Machines.h"
 #include "core/ProgramAnalysis.h"
-#include "core/Replication.h" // ReplicationStats
 #include "core/SuffixSelect.h"
 #include "support/Statistics.h"
 
@@ -43,8 +45,8 @@ namespace bpcr {
 
 class ColumnarTrace;
 
-/// A fitted joint machine for one loop.
-class JointLoopMachine {
+/// A fitted joint machine for one loop. Copies are tagged "@j".
+class JointLoopMachine final : public LoopMachine {
 public:
   /// Member branches (original ids), sorted; their index is the tag used
   /// in state symbols.
@@ -59,26 +61,26 @@ public:
   uint64_t Correct = 0;
   uint64_t Total = 0;
 
-  unsigned numStates() const { return static_cast<unsigned>(States.size()); }
-  unsigned initialState() const { return 0; }
+  unsigned numStates() const override {
+    return static_cast<unsigned>(States.size());
+  }
+  unsigned initialState() const override { return 0; }
+  unsigned numMembers() const override {
+    return static_cast<unsigned>(Members.size());
+  }
 
   /// Tag of \p OrigId within this machine, or -1.
-  int memberIndex(int32_t OrigId) const;
+  int memberIndex(int32_t OrigId) const override;
 
   /// Transition on member \p MemberIdx going \p Taken: append the symbol
   /// and rematch by longest suffix.
-  unsigned next(unsigned State, int MemberIdx, bool Taken) const;
+  unsigned next(unsigned State, int MemberIdx, bool Taken) const override;
 
-  bool predictTaken(unsigned State, int MemberIdx) const {
+  bool predictTaken(unsigned State, int MemberIdx) const override {
     return Predictions[State][static_cast<size_t>(MemberIdx)] != 0;
   }
 
-  /// States reachable from the initial state under every member's
-  /// transitions (replication prunes the rest).
-  std::vector<uint8_t> reachableStates() const;
-
-  /// Number of reachableStates(): the loop copies replication builds.
-  unsigned reachableStateCount() const;
+  char copyTag() const override { return 'j'; }
 
   std::string describe() const;
 };
@@ -124,13 +126,6 @@ JointLoopMachine buildJointLoopMachine(const std::vector<int32_t> &Members,
 PredictionStats evaluateJointMachine(const JointLoopMachine &M,
                                      const ProgramAnalysis &PA,
                                      const ColumnarTrace &CT);
-
-/// Materializes a joint machine: one copy of \p LoopBlocks per state;
-/// every member branch drives the transitions and carries its per-state
-/// prediction. Unreachable copies are pruned.
-ReplicationStats applyJointLoopReplication(
-    Function &F, const std::vector<uint32_t> &LoopBlocks, uint32_t Header,
-    const JointLoopMachine &M);
 
 } // namespace bpcr
 

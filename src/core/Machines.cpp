@@ -105,25 +105,28 @@ BranchMachine::simulateSegmented(const BranchProfile &P) const {
   return Stats;
 }
 
-std::vector<uint8_t> BranchMachine::reachableStates() const {
+LoopMachine::~LoopMachine() = default;
+
+std::vector<uint8_t> LoopMachine::reachableStates() const {
   std::vector<uint8_t> Seen(numStates(), 0);
   std::vector<unsigned> Work{initialState()};
   Seen[initialState()] = 1;
   while (!Work.empty()) {
     unsigned S = Work.back();
     Work.pop_back();
-    for (bool Taken : {false, true}) {
-      unsigned N = next(S, Taken);
-      if (!Seen[N]) {
-        Seen[N] = 1;
-        Work.push_back(N);
+    for (unsigned J = 0; J < numMembers(); ++J)
+      for (bool Taken : {false, true}) {
+        unsigned N = next(S, static_cast<int>(J), Taken);
+        if (!Seen[N]) {
+          Seen[N] = 1;
+          Work.push_back(N);
+        }
       }
-    }
   }
   return Seen;
 }
 
-unsigned BranchMachine::reachableStateCount() const {
+unsigned LoopMachine::reachableStateCount() const {
   unsigned N = 0;
   for (uint8_t Bit : reachableStates())
     N += Bit;

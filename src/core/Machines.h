@@ -16,6 +16,10 @@
 ///    saturating at the chain end or alternating between the two longest
 ///    states for even/odd trip counts (figure 5).
 ///
+/// Loop replication reads a machine as a LoopMachine over the member
+/// branches of one loop: a per-branch machine is the one-member case
+/// (BranchLoopMachine), a joint machine (core/JointMachine.h) has several.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BPCR_CORE_MACHINES_H
@@ -55,16 +59,60 @@ public:
   /// loop re-entry — exactly the behaviour of the replicated program.
   PredictionStats simulateSegmented(const BranchProfile &P) const;
 
-  /// States reachable from the initial state (replication prunes the rest,
-  /// like the paper discards blocks "2b" and "3a" in figure 1).
+  /// Construction-time assignment score.
+  uint64_t Correct = 0;
+  uint64_t Total = 0;
+};
+
+/// A prediction automaton over the member branches of one loop, as loop
+/// replication (core/Replication.h) materializes it: one loop copy per
+/// reachable state, in which every member branch carries the state's
+/// prediction for it and moves control to the copy of its next state.
+class LoopMachine {
+public:
+  virtual ~LoopMachine();
+
+  virtual unsigned numStates() const = 0;
+  virtual unsigned initialState() const = 0;
+  virtual unsigned numMembers() const = 0;
+  /// Member index of the branch with original id \p OrigId, or -1.
+  virtual int memberIndex(int32_t OrigId) const = 0;
+  virtual unsigned next(unsigned State, int Member, bool Taken) const = 0;
+  virtual bool predictTaken(unsigned State, int Member) const = 0;
+  /// Letter after the '@' in the names of the loop copies.
+  virtual char copyTag() const = 0;
+
+  /// States reachable from the initial state under every member's
+  /// transitions (replication prunes the rest, like the paper discards
+  /// blocks "2b" and "3a" in figure 1).
   std::vector<uint8_t> reachableStates() const;
 
   /// Number of reachableStates(): the loop copies replication builds.
   unsigned reachableStateCount() const;
+};
 
-  /// Construction-time assignment score.
-  uint64_t Correct = 0;
-  uint64_t Total = 0;
+/// A per-branch machine as the loop machine of its one member, the branch
+/// with original id \p OrigId. Copies are tagged "@s".
+class BranchLoopMachine final : public LoopMachine {
+public:
+  BranchLoopMachine(const BranchMachine &M, int32_t OrigId)
+      : M(M), OrigId(OrigId) {}
+
+  unsigned numStates() const override { return M.numStates(); }
+  unsigned initialState() const override { return M.initialState(); }
+  unsigned numMembers() const override { return 1; }
+  int memberIndex(int32_t Id) const override { return Id == OrigId ? 0 : -1; }
+  unsigned next(unsigned State, int, bool Taken) const override {
+    return M.next(State, Taken);
+  }
+  bool predictTaken(unsigned State, int) const override {
+    return M.predictTaken(State);
+  }
+  char copyTag() const override { return 's'; }
+
+private:
+  const BranchMachine &M;
+  int32_t OrigId;
 };
 
 /// Densifies \p M into the kernel representation (core/ScoreKernels.h):

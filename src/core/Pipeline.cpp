@@ -55,24 +55,31 @@ void publishTimelineCounters(const TimeSeriesData &TS) {
   Tracer.addCounterTrack("timeline.window_events", std::move(Events));
 }
 
-/// Finds the function and block of one instance of \p OrigId in \p M;
-/// returns false when absent.
-bool findInstance(const Module &M, int32_t OrigId, uint32_t &FuncIdx,
-                  uint32_t &BlockIdx) {
-  for (uint32_t FI = 0; FI < M.Functions.size(); ++FI) {
-    const Function &F = M.Functions[FI];
-    for (uint32_t BI = 0; BI < F.Blocks.size(); ++BI) {
-      if (!F.Blocks[BI].isComplete())
+/// Locates the first instance of \p OrigId in the transformed module \p M:
+/// its function \p F and, when \p L is non-null, the innermost loop around
+/// it. \returns why a transform of the branch is skipped, or nullptr.
+const char *locateInstance(Module &M, int32_t OrigId, Function *&F,
+                           Loop *L) {
+  for (Function &Fn : M.Functions)
+    for (uint32_t BI = 0; BI < Fn.Blocks.size(); ++BI) {
+      if (!Fn.Blocks[BI].isComplete())
         continue;
-      const Instruction &T = F.Blocks[BI].terminator();
-      if (T.isConditionalBranch() && T.OrigBranchId == OrigId) {
-        FuncIdx = FI;
-        BlockIdx = BI;
-        return true;
-      }
+      const Instruction &T = Fn.Blocks[BI].terminator();
+      if (!T.isConditionalBranch() || T.OrigBranchId != OrigId)
+        continue;
+      F = &Fn;
+      if (!L)
+        return nullptr;
+      CFG G(Fn);
+      Dominators D(G);
+      LoopInfo LI(G, D);
+      int32_t LoopIdx = LI.innermostLoop(BI);
+      if (LoopIdx < 0)
+        return "no innermost loop around the branch instance";
+      *L = LI.loops()[static_cast<size_t>(LoopIdx)];
+      return nullptr;
     }
-  }
-  return false;
+  return "branch instance vanished from the transformed module";
 }
 
 /// replicateModule, analyzing and profiling \p T itself or reading the
@@ -80,8 +87,8 @@ bool findInstance(const Module &M, int32_t OrigId, uint32_t &FuncIdx,
 PipelineResult replicate(const Module &M, const ColumnarTrace &T,
                          const PipelineOptions &Opts,
                          const TraceProfiles *Pre) {
-  assert((!Pre || Pre->HasProofs == Opts.UseProofPruning) &&
-         "the trace run and the pipeline disagree on proof pruning");
+  assert((!Pre || Pre->HasProofs) &&
+         "the trace run did not compute the branch proofs");
   PipelineResult R;
   R.Transformed = M;
   R.OrigInstructions = M.instructionCount();
@@ -136,11 +143,9 @@ PipelineResult replicate(const Module &M, const ColumnarTrace &T,
   // fold the static prediction after annotation.
   Span SProof("pipeline.phase.proof_analysis");
   sa::BranchProofs OwnProofs;
-  if (Opts.UseProofPruning && !Pre)
+  if (!Pre)
     OwnProofs = sa::computeBranchProofs(M);
   const sa::BranchProofs &Proofs = Pre ? Pre->Proofs : OwnProofs;
-  const sa::BranchProofs *ProofsPtr =
-      Opts.UseProofPruning ? &Proofs : nullptr;
   SProof.arg("proven", static_cast<uint64_t>(Proofs.provenCount()));
   SProof.end();
   if (ObsOn)
@@ -152,7 +157,7 @@ PipelineResult replicate(const Module &M, const ColumnarTrace &T,
   Span SProfile("pipeline.phase.profiling");
   ProfileSet OwnProfiles(0);
   if (!Pre)
-    OwnProfiles = buildLoopAwareProfiles(PA, T, /*MaxBits=*/9, ProofsPtr,
+    OwnProfiles = buildLoopAwareProfiles(PA, T, /*MaxBits=*/9, &Proofs,
                                          Opts.Strategy.Jobs);
   const ProfileSet &Profiles = Pre ? Pre->Profiles : OwnProfiles;
   TraceStats Stats(PA.numBranches());
@@ -163,7 +168,7 @@ PipelineResult replicate(const Module &M, const ColumnarTrace &T,
   Span SSearch("pipeline.phase.machine_search");
   SelectionTrace SelTrace;
   StrategyOptions StratOpts = Opts.Strategy;
-  StratOpts.Proofs = ProofsPtr;
+  StratOpts.Proofs = &Proofs;
   R.Strategies = selectStrategies(PA, Profiles, T, StratOpts,
                                   ObsOn ? &SelTrace : nullptr,
                                   Pre ? &Pre->Paths : nullptr);
@@ -183,7 +188,7 @@ PipelineResult replicate(const Module &M, const ColumnarTrace &T,
                         .loops()[static_cast<size_t>(C.LoopIdx)];
     return loopCopyCost(
         loopInstructionCount(M.Functions[PA.ref(S.BranchId).FuncIdx], L),
-        S.Machine->reachableStateCount());
+        BranchLoopMachine(*S.Machine, S.BranchId).reachableStateCount());
   };
 
   auto Gain = [&R, &Profiles](size_t I) -> uint64_t {
@@ -322,64 +327,37 @@ PipelineResult replicate(const Module &M, const ColumnarTrace &T,
     SApplyJoint.arg("members", static_cast<uint64_t>(Plan.Members.size()));
     SApplyJoint.arg("gain", Plan.Gain);
     SApplyJoint.arg("cost", Plan.Cost);
-    bool Applied = false;
-    DecisionAction SkipAction = DecisionAction::SkippedStructure;
-    const char *SkipReason = "";
-    do {
-      if (R.Transformed.instructionCount() + Plan.Cost > SizeCap) {
-        ++R.SkippedBudget;
-        SkipAction = DecisionAction::SkippedBudget;
-        SkipReason = "joint machine copies exceed the code-size budget";
-        break;
-      }
-      uint32_t FuncIdx = 0, BlockIdx = 0;
-      if (!findInstance(R.Transformed, Plan.Members[0], FuncIdx,
-                        BlockIdx)) {
-        ++R.SkippedStructure;
-        SkipReason = "branch instance vanished from the transformed module";
-        break;
-      }
-      Function &F = R.Transformed.Functions[FuncIdx];
-      CFG G(F);
-      Dominators D(G);
-      LoopInfo LI(G, D);
-      int32_t LoopIdx = LI.innermostLoop(BlockIdx);
-      if (LoopIdx < 0) {
-        ++R.SkippedStructure;
-        SkipReason = "no innermost loop around the branch instance";
-        break;
-      }
-      const Loop &L = LI.loops()[static_cast<size_t>(LoopIdx)];
-      if (!applyJointLoopReplication(F, L.Blocks, L.Header, Plan.Machine)
-               .Applied) {
-        ++R.SkippedStructure;
-        SkipReason = "joint loop transform refused the loop shape";
-        break;
-      }
+    Function *F = nullptr;
+    Loop L;
+    const bool OverBudget =
+        R.Transformed.instructionCount() + Plan.Cost > SizeCap;
+    const char *SkipReason =
+        OverBudget ? "joint machine copies exceed the code-size budget"
+                   : locateInstance(R.Transformed, Plan.Members[0], F, &L);
+    if (!SkipReason) {
+      applyLoopReplication(*F, L.Blocks, Plan.Machine);
       ++R.JointReplications;
-      Applied = true;
-    } while (false);
-    if (Applied)
       CheckSoundness("joint replication");
-    if (Applied) {
       std::string Reason = "joint loop machine over " +
                            std::to_string(Plan.Members.size()) + " branches";
       for (size_t I : Plan.StrategyIndices)
         LogStrategy(I, DecisionAction::AppliedJoint, Plan.Gain, Plan.Cost,
                     Reason);
-    } else {
-      BranchDecision D;
-      D.BranchId = Plan.Members[0];
-      D.Strategy = "joint";
-      D.Action = SkipAction;
-      D.EstimatedGain = Plan.Gain;
-      D.SizeCost = Plan.Cost;
-      D.Reason = std::string(SkipReason) +
-                 "; members fall back to per-branch machines";
-      R.Decisions.add(std::move(D));
-      for (size_t I : Plan.StrategyIndices)
-        HandledJointly[I] = false;
+      continue;
     }
+    ++(OverBudget ? R.SkippedBudget : R.SkippedStructure);
+    BranchDecision D;
+    D.BranchId = Plan.Members[0];
+    D.Strategy = "joint";
+    D.Action = OverBudget ? DecisionAction::SkippedBudget
+                          : DecisionAction::SkippedStructure;
+    D.EstimatedGain = Plan.Gain;
+    D.SizeCost = Plan.Cost;
+    D.Reason = std::string(SkipReason) +
+               "; members fall back to per-branch machines";
+    R.Decisions.add(std::move(D));
+    for (size_t I : Plan.StrategyIndices)
+      HandledJointly[I] = false;
   }
 
   // Apply the best gain-per-instruction per-branch machines next.
@@ -414,16 +392,20 @@ PipelineResult replicate(const Module &M, const ColumnarTrace &T,
       continue;
     }
 
-    uint32_t FuncIdx = 0, BlockIdx = 0;
-    if (!findInstance(R.Transformed, S.BranchId, FuncIdx, BlockIdx)) {
+    // Loop machines act on the instance's innermost loop in the
+    // *transformed* function.
+    const bool Correlated = S.Kind == StrategyKind::Correlated;
+    Function *F = nullptr;
+    Loop L;
+    if (const char *Why = locateInstance(R.Transformed, S.BranchId, F,
+                                         Correlated ? nullptr : &L)) {
       ++R.SkippedStructure;
       LogStrategy(I, DecisionAction::SkippedStructure, Gain(I), Costs[I],
-                  "branch instance vanished from the transformed module");
+                  Why);
       continue;
     }
-    Function &F = R.Transformed.Functions[FuncIdx];
 
-    if (S.Kind == StrategyKind::Correlated) {
+    if (Correlated) {
       if (R.Transformed.instructionCount() + Costs[I] > SizeCap) {
         ++R.SkippedBudget;
         LogStrategy(I, DecisionAction::SkippedBudget, Gain(I), Costs[I],
@@ -431,7 +413,7 @@ PipelineResult replicate(const Module &M, const ColumnarTrace &T,
         continue;
       }
       ReplicationStats RS =
-          applyCorrelatedReplication(F, S.BranchId, *S.Corr);
+          applyCorrelatedReplication(*F, S.BranchId, *S.Corr);
       if (RS.Applied) {
         ++R.CorrelatedReplications;
         CheckSoundness("correlated replication");
@@ -446,24 +428,11 @@ PipelineResult replicate(const Module &M, const ColumnarTrace &T,
       continue;
     }
 
-    // Loop replication: locate the instance's innermost loop in the
-    // *transformed* function.
-    CFG G(F);
-    Dominators D(G);
-    LoopInfo LI(G, D);
-    int32_t LoopIdx = LI.innermostLoop(BlockIdx);
-    if (LoopIdx < 0) {
-      ++R.SkippedStructure;
-      LogStrategy(I, DecisionAction::SkippedStructure, Gain(I), Costs[I],
-                  "no innermost loop around the branch instance");
-      continue;
-    }
-    const Loop &L = LI.loops()[static_cast<size_t>(LoopIdx)];
-
     // Budget check against the *current* loop size: replicating a loop a
     // second branch shares multiplies the copies (paper sec. 6).
-    uint64_t Cost = loopCopyCost(loopInstructionCount(F, L),
-                                 S.Machine->reachableStateCount());
+    const BranchLoopMachine Machine(*S.Machine, S.BranchId);
+    uint64_t Cost = loopCopyCost(loopInstructionCount(*F, L),
+                                 Machine.reachableStateCount());
     if (R.Transformed.instructionCount() + Cost > SizeCap) {
       ++R.SkippedBudget;
       LogStrategy(I, DecisionAction::SkippedBudget, Gain(I), Cost,
@@ -471,20 +440,12 @@ PipelineResult replicate(const Module &M, const ColumnarTrace &T,
       continue;
     }
 
-    ReplicationStats RS =
-        applyLoopReplication(F, L.Blocks, L.Header, S.BranchId, *S.Machine);
-    if (RS.Applied) {
-      ++R.LoopReplications;
-      CheckSoundness("loop replication");
-      LogStrategy(I, DecisionAction::Applied, Gain(I), Cost,
-                  "materialized " +
-                      std::to_string(RS.StatesMaterialized) +
-                      " machine states as loop copies");
-    } else {
-      ++R.SkippedStructure;
-      LogStrategy(I, DecisionAction::SkippedStructure, Gain(I), Cost,
-                  "loop transform refused the loop shape");
-    }
+    ReplicationStats RS = applyLoopReplication(*F, L.Blocks, Machine);
+    ++R.LoopReplications;
+    CheckSoundness("loop replication");
+    LogStrategy(I, DecisionAction::Applied, Gain(I), Cost,
+                "materialized " + std::to_string(RS.StatesMaterialized) +
+                    " machine states as loop copies");
   }
 
   // Branches that kept the profile strategy close out the decision log.
@@ -509,7 +470,7 @@ PipelineResult replicate(const Module &M, const ColumnarTrace &T,
   annotateProfilePredictions(R.Transformed, Stats);
   R.Transformed.assignBranchIds();
 
-  if (ProofsPtr && Proofs.provenCount() > 0) {
+  if (Proofs.provenCount() > 0) {
     // Fold the proofs into the static predictions. For executed proven
     // branches the trace majority already equals the proven direction, so
     // this is an identity rewrite; for proven branches the training trace

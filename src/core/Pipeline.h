@@ -47,16 +47,6 @@ struct PipelineOptions {
   /// TimeSeriesOptions default of 1024). Surfaced as `bpcr timeline
   /// --window`.
   uint64_t TimelineWindowEvents = 0;
-  /// Run the const-prop proof engine (sa/Dataflow.h) first and fold its
-  /// branch-direction proofs through the pipeline: proven branches skip
-  /// the pattern-table fill and the machine search (counted in
-  /// `search.pruned_by_proof`; proven total in the
-  /// `sa.proofs.pruned_branches` gauge), their static prediction is folded
-  /// from the proof after annotation, and the soundness report gains an
-  /// error if the training trace ever contradicts a proof. Quality gauges
-  /// are identical with the flag off — pruning only skips work that could
-  /// not have changed the outcome.
-  bool UseProofPruning = true;
 };
 
 /// Outcome of replicateModule.
@@ -112,14 +102,22 @@ struct PipelineResult {
 /// result once (PipelineResult::Measured). \p M must have
 /// branch ids assigned, \p CT must stem from it and be finalized for the
 /// module's branch count.
+///
+/// The const-prop proof engine (sa/Dataflow.h) runs first: proven branches
+/// skip the pattern-table fill and the machine search (counted in
+/// `search.pruned_by_proof`; proven total in the
+/// `sa.proofs.pruned_branches` gauge), their static prediction is folded
+/// from the proof after annotation, and the soundness report gains an
+/// error if the training trace ever contradicts a proof. Pruning only skips
+/// work that could not have changed the outcome.
 PipelineResult replicateModule(const Module &M, const ColumnarTrace &CT,
                                const PipelineOptions &Opts);
 
 /// The same pipeline reading the program analysis, the branch proofs, the
 /// loop-aware profiles and the path profiles from a streamed trace run of
 /// \p M (core/TraceProfiles.h) instead of computing them from \p CT; \p
-/// Pre must have been taken with the proofs iff Opts.UseProofPruning, and
-/// with Opts.Strategy.MaxStates.
+/// Pre must have been taken with the proofs and with
+/// Opts.Strategy.MaxStates.
 PipelineResult replicateModule(const Module &M, const ColumnarTrace &CT,
                                const PipelineOptions &Opts,
                                const TraceProfiles &Pre);

@@ -20,11 +20,8 @@ using namespace bpcr;
 ReplicationStats
 bpcr::applyLoopReplication(Function &F,
                            const std::vector<uint32_t> &LoopBlocks,
-                           uint32_t Header, int32_t TargetOrigId,
-                           const BranchMachine &M) {
+                           const LoopMachine &M) {
   ReplicationStats Out;
-  (void)Header;
-
   std::vector<uint8_t> Reachable = M.reachableStates();
   unsigned NumStates = M.numStates();
   unsigned Init = M.initialState();
@@ -45,7 +42,9 @@ bpcr::applyLoopReplication(Function &F,
       continue;
     for (size_t P = 0; P < LoopBlocks.size(); ++P) {
       BasicBlock Clone = F.Blocks[LoopBlocks[P]];
-      Clone.Name += "@s" + std::to_string(S);
+      Clone.Name += '@';
+      Clone.Name += M.copyTag();
+      Clone.Name += std::to_string(S);
       CopyIdx[S][P] = static_cast<uint32_t>(F.Blocks.size());
       F.Blocks.push_back(std::move(Clone));
       ++Out.BlocksAdded;
@@ -81,13 +80,13 @@ bpcr::applyLoopReplication(Function &F,
       if (!T.isConditionalBranch())
         continue;
 
-      if (T.OrigBranchId == TargetOrigId) {
-        // The improved branch drives the state transitions and carries the
+      if (int MI = M.memberIndex(T.OrigBranchId); MI >= 0) {
+        // A member branch drives the state transitions and carries the
         // state's prediction.
-        T.TrueTarget = Retarget(T.TrueTarget, M.next(S, true));
-        T.FalseTarget = Retarget(T.FalseTarget, M.next(S, false));
-        T.Predicted =
-            M.predictTaken(S) ? Prediction::Taken : Prediction::NotTaken;
+        T.TrueTarget = Retarget(T.TrueTarget, M.next(S, MI, true));
+        T.FalseTarget = Retarget(T.FalseTarget, M.next(S, MI, false));
+        T.Predicted = M.predictTaken(S, MI) ? Prediction::Taken
+                                            : Prediction::NotTaken;
       } else {
         T.TrueTarget = Retarget(T.TrueTarget, S);
         T.FalseTarget = Retarget(T.FalseTarget, S);

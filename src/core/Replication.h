@@ -12,7 +12,9 @@
 ///    state; the improved branch's edges switch between copies according to
 ///    the machine transitions, and each copy of the branch carries a single
 ///    static prediction. Copies unreachable from the initial state are
-///    discarded, exactly as the paper discards blocks "2b" and "3a".
+///    discarded, exactly as the paper discards blocks "2b" and "3a". A
+///    joint machine (sec. 6) improves several branches of the loop at once
+///    the same way; a per-branch machine is its one-member case.
 ///
 ///  - Correlated replication (sec. 4.3, after Mueller/Whalley): the
 ///    selected decision paths into the branch's block are materialized by
@@ -53,17 +55,18 @@ struct ReplicationStats {
   unsigned StatesMaterialized = 0;
 };
 
-/// Replicates the natural loop \p LoopBlocks (header \p Header) of \p F so
-/// that every instance of the branch with original id \p TargetOrigId
-/// switches between one loop copy per state of \p M.
+/// Replicates the natural loop \p LoopBlocks of \p F so that every
+/// instance of a member branch of \p M switches between one loop copy per
+/// reachable state of \p M and carries that state's prediction for it.
+/// A copy's name is its block's name, '@', the machine's copyTag() and the
+/// state (for example "loop@s2").
 ///
 /// The original blocks serve as the initial-state copy, so edges entering
 /// the loop need no rewiring (natural loops are only entered through their
 /// header). Unreachable copies are pruned afterwards.
 ReplicationStats applyLoopReplication(Function &F,
                                       const std::vector<uint32_t> &LoopBlocks,
-                                      uint32_t Header, int32_t TargetOrigId,
-                                      const BranchMachine &M);
+                                      const LoopMachine &M);
 
 /// Materializes the correlated machine \p M for the branch with original id
 /// \p TargetOrigId by tail-duplicating the blocks along each selected path,

@@ -19,16 +19,11 @@ using namespace bpcr;
 
 namespace {
 
-/// Flattened-name patterns that vary with wall clock, scheduling or
-/// machine — the ledger's "perf" partition. Mirrors the built-in compare
-/// skip rules plus the wall_ms/speedup gauges the bench thresholds skip.
-const char *const WallClockPatterns[] = {
-    "phases.*",       "*_ns*",
-    "*per_sec*",      "*wall_ms*",
-    "*speedup*",      "counters.obs.trace.*",
-    "counters.pool.*", "gauges.pool.*",
-    "histograms.pool.*", "*overlap_share*",
-};
+/// Wall-clock and schedule-dependent names the built-in compare rules do
+/// not skip: the wall_ms/speedup gauges the bench thresholds skip, and the
+/// pool's task counters and histograms.
+const char *const LedgerOnlyWallClockPatterns[] = {
+    "*wall_ms*", "*speedup*", "counters.pool.*", "histograms.pool.*"};
 
 /// Flattened numbers serialize as integers when they are integral and
 /// exactly representable, keeping counter series tidy and round-trippable.
@@ -64,15 +59,15 @@ bool parseMetricsObject(const JsonValue *Obj,
 } // namespace
 
 bool bpcr::isWallClockMetric(const std::string &Name) {
-  // The span-open counts are the one schedule-independent corner of the
-  // profile section (see defaultCompareRules).
-  if (globMatch("profile.categories.*.opened", Name))
-    return false;
-  if (globMatch("profile.*", Name))
-    return true;
-  for (const char *Pattern : WallClockPatterns)
+  for (const char *Pattern : LedgerOnlyWallClockPatterns)
     if (globMatch(Pattern, Name))
       return true;
+  // Otherwise the first matching built-in compare rule decides; its
+  // catch-all "*" gates everything else.
+  static const std::vector<CompareRule> Rules = defaultCompareRules();
+  for (const CompareRule &Rule : Rules)
+    if (globMatch(Rule.Pattern, Name))
+      return Rule.Skip;
   return false;
 }
 

@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CFG.h"
+#include "core/LoopAwareProfiles.h"
 #include "core/Pipeline.h"
 #include "ir/IRBuilder.h"
 #include "ir/Serializer.h"
@@ -714,11 +715,11 @@ TEST(PassManagerJobs, DiagnosticsAreIdenticalAcrossWorkerCounts) {
 
 // -- Proof pruning: quality identity and counters -----------------------------
 
-TEST(ProofPruning, PrunedPipelineChoosesIdenticalStrategies) {
+TEST(ProofPruning, PrunedSearchChoosesIdenticalStrategies) {
   // The soundness argument made executable: a proven branch's profile
   // prediction is already perfect, so no machine can beat it and skipping
-  // its search must change nothing about the outcome — strategies, scores,
-  // replication counts and code size all identical.
+  // its pattern-table fill and its search must change nothing about the
+  // chosen strategies or their scores.
   for (const char *Name : {"compress", "c-compiler"}) {
     const Workload *W = nullptr;
     for (const Workload &Cand : allWorkloads())
@@ -727,29 +728,30 @@ TEST(ProofPruning, PrunedPipelineChoosesIdenticalStrategies) {
     ASSERT_NE(W, nullptr);
     Module M;
     ColumnarTrace T = traceWorkloadColumnar(*W, 1, M, 20'000);
+    ProgramAnalysis PA(M);
+    sa::BranchProofs Proofs = sa::computeBranchProofs(M);
+    ASSERT_GT(Proofs.provenCount(), 0u) << Name;
 
-    PipelineOptions On;
-    On.Strategy.MaxStates = 4;
-    On.Strategy.NodeBudget = 50'000;
-    PipelineOptions Off = On;
-    Off.UseProofPruning = false;
+    StrategyOptions Off;
+    Off.MaxStates = 4;
+    Off.NodeBudget = 50'000;
+    StrategyOptions On = Off;
+    On.Proofs = &Proofs;
 
-    PipelineResult ROn = replicateModule(M, T, On);
-    PipelineResult ROff = replicateModule(M, T, Off);
+    std::vector<BranchStrategy> SOn = selectStrategies(
+        PA, buildLoopAwareProfiles(PA, T, 9, &Proofs), T, On);
+    std::vector<BranchStrategy> SOff =
+        selectStrategies(PA, buildLoopAwareProfiles(PA, T), T, Off);
 
-    EXPECT_TRUE(ROn.Soundness.empty()) << renderAll(ROn.Soundness);
-    ASSERT_EQ(ROn.Strategies.size(), ROff.Strategies.size());
-    for (size_t I = 0; I < ROn.Strategies.size(); ++I) {
-      const BranchStrategy &A = ROn.Strategies[I];
-      const BranchStrategy &B = ROff.Strategies[I];
+    ASSERT_EQ(SOn.size(), SOff.size());
+    for (size_t I = 0; I < SOn.size(); ++I) {
+      const BranchStrategy &A = SOn[I];
+      const BranchStrategy &B = SOff[I];
       EXPECT_EQ(A.Kind, B.Kind) << Name << " branch " << I;
       EXPECT_EQ(A.Correct, B.Correct) << Name << " branch " << I;
       EXPECT_EQ(A.Total, B.Total) << Name << " branch " << I;
       EXPECT_EQ(A.States, B.States) << Name << " branch " << I;
     }
-    EXPECT_EQ(ROn.LoopReplications, ROff.LoopReplications) << Name;
-    EXPECT_EQ(ROn.JointReplications, ROff.JointReplications) << Name;
-    EXPECT_EQ(ROn.NewInstructions, ROff.NewInstructions) << Name;
   }
 }
 

@@ -261,8 +261,7 @@ TEST(JointReplication, TwoStatesInsteadOfFour) {
   for (uint32_t Bl : L.Blocks)
     LoopSize += M.Functions[0].Blocks[Bl].Insts.size();
 
-  ReplicationStats RS =
-      applyJointLoopReplication(X.Functions[0], L.Blocks, L.Header, JM);
+  ReplicationStats RS = applyLoopReplication(X.Functions[0], L.Blocks, JM);
   ASSERT_TRUE(RS.Applied);
   X.assignBranchIds();
   ASSERT_TRUE(verifyModule(X).empty());
@@ -300,7 +299,7 @@ TEST(JointReplication, TwoStatesInsteadOfFour) {
     MO.MaxStates = 2;
     SuffixMachine M1 = buildIntraLoopMachine(Profiles.branch(1).Table, MO);
     SuffixMachine M2 = buildIntraLoopMachine(Profiles.branch(2).Table, MO);
-    applyLoopReplication(Y.Functions[0], L.Blocks, L.Header, 1, M1);
+    applyLoopReplication(Y.Functions[0], L.Blocks, BranchLoopMachine(M1, 1));
     // Recompute the merged loop for the second transform.
     CFG G(Y.Functions[0]);
     Dominators D(G);
@@ -317,7 +316,8 @@ TEST(JointReplication, TwoStatesInsteadOfFour) {
     int32_t LI2 = LI.innermostLoop(B2Block);
     ASSERT_GE(LI2, 0);
     const Loop &L2 = LI.loops()[static_cast<size_t>(LI2)];
-    applyLoopReplication(Y.Functions[0], L2.Blocks, L2.Header, 2, M2);
+    applyLoopReplication(Y.Functions[0], L2.Blocks,
+                         BranchLoopMachine(M2, 2));
   }
   Y.assignBranchIds();
   ASSERT_TRUE(verifyModule(Y).empty());

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "obs/Compare.h"
 #include "obs/Json.h"
 #include "obs/Ledger.h"
 #include "obs/Report.h"
@@ -90,6 +91,24 @@ TEST(Ledger, WallClockPartitionMirrorsCompareSkips) {
   EXPECT_TRUE(isWallClockMetric("profile.categories.search.self_wall_ns"));
   EXPECT_TRUE(isWallClockMetric("profile.memory.peak_rss_bytes"));
   EXPECT_FALSE(isWallClockMetric("profile.categories.search.opened"));
+}
+
+TEST(Ledger, EveryCompareSkipRuleIsWallClock) {
+  // A name spelled from each skip rule's pattern (every '*' filled in)
+  // lands in the perf partition: nothing `bpcr compare` skips is kept with
+  // the ledger's deterministic metrics.
+  unsigned SkipRules = 0;
+  for (const CompareRule &Rule : defaultCompareRules()) {
+    if (!Rule.Skip)
+      continue;
+    ++SkipRules;
+    std::string Name;
+    for (char C : Rule.Pattern)
+      Name += C == '*' ? 'x' : C;
+    ASSERT_TRUE(globMatch(Rule.Pattern, Name)) << Name;
+    EXPECT_TRUE(isWallClockMetric(Name)) << Rule.Pattern << " -> " << Name;
+  }
+  EXPECT_GT(SkipRules, 0u);
 }
 
 TEST(Ledger, MakeRecordPartitionsAndFillsMetaFromReport) {

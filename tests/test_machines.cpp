@@ -111,7 +111,7 @@ TEST(SuffixMachine, ReachableStatesFromInitial) {
   Sel.States = {{0}, {1}, {0, 1}, {1, 1}};
   Sel.StatePred = {0, 1, 1, 0};
   SuffixMachine M = SuffixMachine::fromSelection(Sel);
-  std::vector<uint8_t> Reach = M.reachableStates();
+  std::vector<uint8_t> Reach = BranchLoopMachine(M, 0).reachableStates();
   // From "0": push 1 -> "01"; push 1 -> "11"; push 0 -> "0". The bare "1"
   // is shadowed (every ...1 history matches "01" or "11") and stays
   // unreachable, like the discarded copies in the paper's figure 1.

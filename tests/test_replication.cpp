@@ -106,8 +106,8 @@ TEST(LoopReplication, Figure1TwoStateMachine) {
   const BranchClass &C = PA.classOf(1);
   ASSERT_EQ(C.Kind, BranchKind::IntraLoop);
   const Loop &L = PA.loopInfoFor(1).loops()[static_cast<size_t>(C.LoopIdx)];
-  ReplicationStats RS =
-      applyLoopReplication(X.Functions[0], L.Blocks, L.Header, 1, Machine);
+  ReplicationStats RS = applyLoopReplication(X.Functions[0], L.Blocks,
+                                             BranchLoopMachine(Machine, 1));
   ASSERT_TRUE(RS.Applied);
   X.assignBranchIds();
 
@@ -186,8 +186,8 @@ TEST(LoopReplication, ExitChainOnConstantTripLoop) {
   Module X = M;
   const Loop &L =
       PA.loopInfoFor(0).loops()[static_cast<size_t>(C0.LoopIdx)];
-  ReplicationStats RS =
-      applyLoopReplication(X.Functions[0], L.Blocks, L.Header, 0, Machine);
+  ReplicationStats RS = applyLoopReplication(X.Functions[0], L.Blocks,
+                                             BranchLoopMachine(Machine, 0));
   ASSERT_TRUE(RS.Applied);
   X.assignBranchIds();
   EXPECT_TRUE(verifyModule(X).empty());
@@ -219,8 +219,8 @@ TEST(LoopReplication, HandlesAllMachineSizes) {
     const BranchClass &C = PA.classOf(1);
     const Loop &L =
         PA.loopInfoFor(1).loops()[static_cast<size_t>(C.LoopIdx)];
-    ReplicationStats RS =
-        applyLoopReplication(X.Functions[0], L.Blocks, L.Header, 1, Machine);
+    ReplicationStats RS = applyLoopReplication(
+        X.Functions[0], L.Blocks, BranchLoopMachine(Machine, 1));
     ASSERT_TRUE(RS.Applied);
     X.assignBranchIds();
     ASSERT_TRUE(verifyModule(X).empty()) << "states=" << States;

@@ -876,7 +876,7 @@ bool tracePipelineInputs(const Args &A, const Workload &W, Module &M,
   TO.MaxBranchEvents = A.Events;
   TO.Jobs = A.Jobs;
   TO.MaxStates = Opts.Strategy.MaxStates;
-  TO.UseProofs = Opts.UseProofPruning;
+  TO.UseProofs = true;
   traceProfiles(W, A.Seed, M, TO, TP);
   return runSucceeded(W, TP.Run);
 }
