@@ -27,7 +27,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace bpcr;
@@ -187,6 +190,78 @@ Streamed streamEvents(const ProgramAnalysis &PA,
   S.Profiles = Scan.profiles(S.CT, Jobs);
   S.Paths = Paths.profiles();
   return S;
+}
+
+/// Where streamFailing throws.
+enum class FailAt { Prepare, HelperWalk, TailWalk, Produce };
+
+/// Streams five and a half chunks of 64 events, publishing each full
+/// chunk, and throws at \p At: in the prepare step; in the walk of chunk 1
+/// (with helpers, on a helper while the run waits for it); in the walk of
+/// the partial last chunk, which only the post-run tail walks; or in the
+/// run after it has published three chunks. streamChunks must rethrow
+/// that exception once every thread has joined, and must not hang.
+void expectStreamRethrows(FailAt At, const std::string &Want) {
+  constexpr size_t Chunk = 64;
+  constexpr size_t Events = 5 * Chunk + Chunk / 2;
+  for (unsigned Jobs : {1u, 2u, 4u}) {
+    SCOPED_TRACE("jobs " + std::to_string(Jobs));
+    ColumnarTrace CT;
+    CT.reserve(Events);
+    std::atomic<int> InWalk{0};
+    std::atomic<unsigned> Walks{0};
+    std::atomic<bool> Thrown{false};
+    std::atomic<unsigned> ThrowingWorker{~0u};
+    bool Streamed = false;
+    std::string Caught;
+    try {
+      streamChunks(
+          CT, Jobs, Chunk,
+          [&] {
+            if (At == FailAt::Prepare)
+              throw std::runtime_error("prepare");
+          },
+          [&](ChunkStream *Stream) {
+            Streamed = Stream != nullptr;
+            for (size_t I = 0; I < Events; ++I) {
+              CT.append(static_cast<int32_t>(I % 3), I % 2 == 0);
+              if (Stream && (I + 1) % Chunk == 0) {
+                Stream->publish(I + 1);
+                if (At == FailAt::HelperWalk && I + 1 == 2 * Chunk)
+                  while (!Thrown.load())
+                    std::this_thread::yield();
+              }
+              if (At == FailAt::Produce && I + 1 == 3 * Chunk)
+                throw std::runtime_error("produce");
+            }
+          },
+          [&](size_t K, EventRange R, TraceColumns, unsigned Worker) {
+            ++InWalk;
+            ++Walks;
+            EXPECT_EQ(R.Begin, K * Chunk);
+            const bool Fail = (At == FailAt::HelperWalk && K == 1) ||
+                              (At == FailAt::TailWalk && K == 5);
+            if (Fail) {
+              ThrowingWorker = Worker;
+              --InWalk;
+              Thrown = true;
+              throw std::runtime_error("walk " + std::to_string(K));
+            }
+            --InWalk;
+          });
+    } catch (const std::runtime_error &E) {
+      Caught = E.what();
+    }
+    EXPECT_EQ(Caught, Want);
+    EXPECT_EQ(InWalk.load(), 0) << "a walk outlived streamChunks";
+    EXPECT_LE(Walks.load(), 6u);
+    if (At == FailAt::Prepare) {
+      EXPECT_EQ(Walks.load(), 0u) << "a chunk was walked unprepared";
+    }
+    if (At == FailAt::HelperWalk && Streamed) {
+      EXPECT_NE(ThrowingWorker.load(), 0u) << "chunk 1 not walked mid-run";
+    }
+  }
 }
 
 /// Streamed walks of \p Events at every job count in chunks of 64 against
@@ -364,6 +439,22 @@ TEST(StreamedTrace, EventCapMidChunk) {
   TraceProfiles TP = expectStreamedRunsExact(M, Exec, 4096, true);
   EXPECT_TRUE(TP.Run.HitBranchLimit);
   EXPECT_EQ(TP.Trace.size(), 1000u);
+}
+
+TEST(StreamedTrace, PrepareThrows) {
+  expectStreamRethrows(FailAt::Prepare, "prepare");
+}
+
+TEST(StreamedTrace, WalkThrowsOnAHelperMidRun) {
+  expectStreamRethrows(FailAt::HelperWalk, "walk 1");
+}
+
+TEST(StreamedTrace, WalkThrowsInThePostRunTail) {
+  expectStreamRethrows(FailAt::TailWalk, "walk 5");
+}
+
+TEST(StreamedTrace, ProduceThrowsAfterPublishing) {
+  expectStreamRethrows(FailAt::Produce, "produce");
 }
 
 TEST(StreamedTrace, IdsWithoutABranchAreOutsideEveryLoop) {
