@@ -343,7 +343,7 @@ std::vector<PathProfile> bpcr::profilePaths(
     size_t ChunkEvents) {
   Span S("profiles.paths", "kernel");
   S.arg("events", static_cast<uint64_t>(CT.size()));
-  PathWalk Walk(CandidatesByBranch, MaxPathLen, ThreadPool::threadsFor(Jobs));
+  PathWalk Walk(CandidatesByBranch, MaxPathLen, threadsFor(Jobs));
   walkChunks(CT.columns(), CT.size(), ChunkEvents, Jobs,
              [&Walk](size_t Chunk, EventRange R, TraceColumns Cols,
                      unsigned Worker) {

@@ -376,7 +376,7 @@ ProfileSet bpcr::buildLoopAwareProfiles(const ProgramAnalysis &PA,
                                         const sa::BranchProofs *Proofs,
                                         unsigned Jobs, size_t ChunkEvents) {
   Span FillSpan("profiles.columnar_fill", "kernel");
-  const unsigned Workers = ThreadPool::threadsFor(Jobs);
+  const unsigned Workers = threadsFor(Jobs);
   LoopResetScan Scan(PA, Workers, MaxBits, Proofs);
   std::vector<ColumnarTrace::ChunkIndex> Slices(Workers);
   walkChunks(CT.columns(), CT.size(), ChunkEvents, Jobs,

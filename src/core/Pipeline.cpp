@@ -236,7 +236,6 @@ PipelineResult replicate(const Module &M, const ColumnarTrace &T,
     JointOptions JO;
     JO.MaxStates = Opts.JointMaxStates;
     JO.MaxLen = 4;
-    JO.Exhaustive = Opts.Strategy.Exhaustive;
     JO.NodeBudget = Opts.Strategy.NodeBudget;
     JointProfile JP = profileJointLoop(PA, Plan.Members, T, JO.MaxLen);
     if (JP.Executions == 0)

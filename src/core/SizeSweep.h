@@ -54,7 +54,7 @@ struct SweepOptions {
   /// Branches executed fewer times are never grown.
   uint64_t MinExecutions = 64;
   /// Worker threads for the per-branch ladder construction: 0 = one per
-  /// hardware core, 1 = serial (no pool). The sweep result is identical
+  /// hardware core, 1 = serial (inline). The sweep result is identical
   /// for every value.
   unsigned Jobs = 0;
   /// Branch-direction proofs from sa const-prop (sa/Dataflow.h). Proven

@@ -129,7 +129,6 @@ std::vector<BranchLadders> searchLadders(const ProgramAnalysis &PA,
       MachineOptions MO;
       MO.MaxStates = Spec.MaxStates;
       MO.MaxPatternLen = Table.maxBits();
-      MO.Exhaustive = Spec.Exhaustive;
       MO.NodeBudget = Spec.NodeBudget;
       L.IntraLoop = Cache.intraLoopLadder(Table, MO, Spec.MinBudget);
     } else if (!L.Recursive && C.Kind == BranchKind::LoopExit) {
@@ -139,7 +138,6 @@ std::vector<BranchLadders> searchLadders(const ProgramAnalysis &PA,
       CorrelatedOptions CO;
       CO.MaxStates = Spec.MaxStates;
       CO.MaxPathLen = PathLen;
-      CO.Exhaustive = Spec.Exhaustive;
       CO.NodeBudget = Spec.NodeBudget;
       L.Correlated =
           Cache.correlatedLadder(B, PathProfiles[Idx], CO, Spec.MinBudget);
@@ -191,7 +189,6 @@ bpcr::selectStrategies(const ProgramAnalysis &PA, const ProfileSet &Profiles,
   Spec.MaxStates = Opts.MaxStates;
   Spec.MinBudget = Opts.MaxStates; // one search per family on a cold cache
   Spec.MinExecutions = Opts.MinExecutions;
-  Spec.Exhaustive = Opts.Exhaustive;
   Spec.NodeBudget = Opts.NodeBudget;
   Spec.Jobs = Opts.Jobs;
   Spec.Proofs = Opts.Proofs;

@@ -75,10 +75,9 @@ struct LadderSearchSpec {
   unsigned MinBudget = 2;
   /// Branches executed fewer times are not searched.
   uint64_t MinExecutions = 16;
-  bool Exhaustive = true;
   uint64_t NodeBudget = 200'000;
   /// Worker threads for the per-branch ladder lookups: 0 = one per
-  /// hardware core, 1 = serial (no pool). The result is identical for
+  /// hardware core, 1 = serial (inline). The result is identical for
   /// every value.
   unsigned Jobs = 0;
   /// Proven branches (sa/Dataflow.h) are not searched: their profile
@@ -161,7 +160,10 @@ std::vector<BranchLadders> searchBranchLadders(const ProgramAnalysis &PA,
 struct StrategyOptions {
   /// State budget per branch (see LadderSearchSpec).
   unsigned MaxStates = 4;
-  bool Exhaustive = true;
+  /// Every search the pipeline runs is exhaustive; only the search-depth
+  /// ablation sets MachineOptions::Exhaustive to false. A constant, which
+  /// perfbench/layers.cpp reads to mirror the pipeline's joint options.
+  static constexpr bool Exhaustive = true;
   uint64_t NodeBudget = 200'000;
   /// Branches executed fewer times keep the plain profile strategy; very
   /// cold branches cannot amortize any replication.

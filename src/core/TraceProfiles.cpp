@@ -27,7 +27,7 @@ public:
   StreamedWalks(const Module &M, const TraceProfileOptions &Opts,
                 TraceProfiles &Out)
       : M(M), Opts(Opts), Out(Out),
-        Index(ThreadPool::threadsFor(Opts.Jobs)) {}
+        Index(threadsFor(Opts.Jobs)) {}
   StreamedWalks(const StreamedWalks &) = delete;
   StreamedWalks &operator=(const StreamedWalks &) = delete;
 
@@ -40,7 +40,7 @@ public:
                                 : sa::BranchProofs();
     Out.Paths = BranchPathProfiles::candidates(*Out.PA, Opts.MaxStates,
                                                Out.proofs());
-    const unsigned Workers = ThreadPool::threadsFor(Opts.Jobs);
+    const unsigned Workers = threadsFor(Opts.Jobs);
     Scan = std::make_unique<LoopResetScan>(*Out.PA, Workers, MaxBits,
                                            Out.proofs());
     Paths = std::make_unique<PathWalk>(Out.Paths.Candidates,

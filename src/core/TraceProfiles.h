@@ -43,8 +43,8 @@ namespace bpcr {
 struct TraceProfileOptions {
   /// The paper's trace cap.
   uint64_t MaxBranchEvents = 1'000'000;
-  /// Threads: the run and ThreadPool::threadsFor(Jobs) - 1 helpers, then
-  /// the post-run passes.
+  /// Threads: the run and threadsFor(Jobs) - 1 helpers, then the
+  /// post-run passes.
   unsigned Jobs = 1;
   /// State budget of the search the path profiles serve
   /// (BranchPathProfiles::candidates).

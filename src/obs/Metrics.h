@@ -13,14 +13,15 @@
 /// can record metrics without a link dependency; the JSON report writer
 /// lives in obs/Report.{h,cpp}.
 ///
-/// Thread safety: the machine-search layer fans work out over a pool
-/// (support/ThreadPool.h), so every metric update is lock-free — counters,
-/// gauges and histogram fields are relaxed atomics. The registry's
-/// fetch-or-create accessors take a mutex, but they run once per metric per
-/// phase, never per event; returned references stay valid until clear().
+/// Thread safety: the machine search and the trace walks fan work out over
+/// fork-join rounds (support/ThreadPool.h), so every metric update is
+/// lock-free — counters, gauges and histogram fields are relaxed atomics.
+/// The registry's fetch-or-create accessors take a mutex, but they run once
+/// per metric per phase, never per event; returned references stay valid
+/// until clear().
 /// Readers (report writers, tests) iterate the maps without a lock and must
 /// be quiescent: no concurrent metric *creation* or clear(). That holds by
-/// construction — reports are written after the pool has joined.
+/// construction — reports are written after every round has joined.
 ///
 /// Naming convention: dot-separated lowercase paths, coarse-to-fine
 /// (`interp.branch_events`, `pipeline.phase.machine_search`). The full list

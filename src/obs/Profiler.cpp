@@ -423,20 +423,17 @@ std::string bpcr::profileTable(const ProfileData &P, const Registry *Reg) {
   }
 
   if (Reg && Reg->enabled()) {
-    double Threads = 0, Util = 0, Hwm = 0;
+    double Threads = 0, Util = 0;
     for (const auto &[Name, G] : Reg->gauges()) {
       if (Name == "pool.threads")
         Threads = G.value();
       else if (Name == "pool.utilization_percent")
         Util = G.value();
-      else if (Name == "pool.queue_depth_hwm")
-        Hwm = G.value();
     }
     if (Threads > 0) {
       std::snprintf(Buf, sizeof(Buf),
-                    "\nThread pool: %.0f workers, %.1f%% busy, queue "
-                    "high-water %.0f\n",
-                    Threads, Util, Hwm);
+                    "\nThread pool: %.0f workers, %.1f%% busy\n", Threads,
+                    Util);
       Out += Buf;
     }
   }

@@ -65,7 +65,7 @@ std::vector<Diagnostic> PassManager::run(const Module &M,
   std::vector<Diagnostic> All;
   Registry &Reg = Registry::global();
   const bool ObsOn = Reg.enabled();
-  unsigned Workers = ThreadPool::resolveJobs(Jobs);
+  unsigned Workers = resolveJobs(Jobs);
   for (const std::unique_ptr<Pass> &P : Passes) {
     Span S(P->id(), "sa.pass");
     size_t Before = All.size();

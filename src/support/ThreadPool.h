@@ -1,28 +1,23 @@
-//===- support/ThreadPool.h - Fixed worker pool -----------------*- C++ -*-===//
+//===- support/ThreadPool.h - Fork-join rounds ------------------*- C++ -*-===//
 //
 // Part of the bpcr project (Krall, PLDI 1994 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-size worker pool for the machine-search hot paths. Tasks are
-/// plain std::function thunks; submit() hands back a future per task and
-/// tasks start in submission order, so callers that write results into
-/// pre-sized slots indexed by submission position get deterministic output
-/// regardless of which worker finishes first.
+/// The one parallel primitive of bpcr: a fork-join round. Every parallel
+/// pass has the same shape — the paper's search treats each branch on its
+/// own, and the trace walks split into independent chunks — so the calling
+/// thread and up to threadsFor(--jobs) - 1 helpers start together and are
+/// joined before the pass returns. runOnThreads() is that round.
+/// parallelForJobs() hands loop indices 0..N-1 to its threads through one
+/// shared cursor; the chunk walks (trace/TraceStream.h) claim chunks from
+/// a stream the same way.
 ///
-/// parallelFor() is the primary entry point: it dispatches loop indices
-/// 0..N-1 over the workers and the calling thread through a shared atomic
-/// cursor. Every index runs exactly once; exceptions are captured and the
-/// first one (by index order) is rethrown on the calling thread after all
-/// work drains.
-///
-/// The pool deliberately has no work stealing, priorities, or dynamic
-/// sizing: per-branch machine searches are coarse, independent tasks and a
-/// queue plus condition variable saturates every core. Callers that want
-/// today's serial behaviour simply do not construct a pool (the convention
-/// used by the `Jobs` knobs: a resolved job count of 1 never touches this
-/// class).
+/// There is no queue, no work stealing and no thread kept between rounds:
+/// per-branch searches and chunk walks are coarse, independent work, and a
+/// shared cursor saturates every core. A resolved job count of 1 spawns
+/// nothing and runs the body inline, bit-for-bit what a plain loop does.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,116 +25,42 @@
 #define BPCR_SUPPORT_THREADPOOL_H
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <functional>
-#include <future>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace bpcr {
 
-/// A quiesced snapshot of a pool's utilization telemetry. Valid once every
-/// submitted future has been waited on (or after the pool is destroyed —
-/// callers keeping a copy): per-worker slots are written lock-free by their
-/// owning worker, so sampling mid-task reads whatever has been flushed.
-struct PoolStats {
-  uint64_t TasksSubmitted = 0;
-  /// Deepest the queue ever got (measured at each enqueue).
-  uint64_t QueueDepthHwm = 0;
-  /// Per-worker nanoseconds spent running tasks / waiting for work.
-  std::vector<uint64_t> WorkerBusyNs;
-  std::vector<uint64_t> WorkerIdleNs;
-  /// Submission-to-start latency: time tasks sat in the queue.
-  uint64_t SubmitLatencyCount = 0;
-  uint64_t SubmitLatencyTotalNs = 0;
-  uint64_t SubmitLatencyMaxNs = 0;
-};
+/// std::thread::hardware_concurrency() clamped to at least 1.
+unsigned hardwareThreads();
 
-class ThreadPool {
-public:
-  /// Spawns \p Threads workers; 0 means one per hardware core.
-  explicit ThreadPool(unsigned Threads = 0);
+/// Resolves a user-facing jobs knob: 0 (auto) becomes the hardware thread
+/// count, anything else passes through.
+inline unsigned resolveJobs(unsigned Jobs) {
+  return Jobs == 0 ? hardwareThreads() : Jobs;
+}
 
-  ThreadPool(const ThreadPool &) = delete;
-  ThreadPool &operator=(const ThreadPool &) = delete;
+/// Threads a parallel pass on \p Jobs may run, the calling thread
+/// included: the resolved knob, capped at the hardware thread count (a
+/// larger `--jobs` would only oversubscribe the cores).
+inline unsigned threadsFor(unsigned Jobs) {
+  return std::min(resolveJobs(Jobs), hardwareThreads());
+}
 
-  /// Drains the queue and joins every worker.
-  ~ThreadPool();
+/// One fork-join round: runs Body(0..Threads-1) at once, worker 0 on the
+/// calling thread and each other worker on a thread spawned for the round,
+/// and returns once every call has returned. If any call threw, the
+/// exception of the lowest worker that threw is rethrown here. One thread
+/// runs Body(0) inline and records nothing; a round of more records the
+/// `pool.*` metrics when the registry is on.
+void runOnThreads(unsigned Threads,
+                  const std::function<void(unsigned Worker)> &Body);
 
-  unsigned size() const { return static_cast<unsigned>(Workers.size()); }
-
-  /// Enqueues one task. Tasks are started in submission order.
-  std::future<void> submit(std::function<void()> Task);
-
-  /// Runs Body(0..N-1), each index exactly once, across the workers and
-  /// the calling thread, which returns once every index completed. The
-  /// first exception (lowest index) is rethrown here.
-  void parallelFor(size_t N, const std::function<void(size_t)> &Body);
-
-  /// Utilization telemetry so far; see PoolStats for when it is exact.
-  PoolStats stats() const;
-
-  /// std::thread::hardware_concurrency() clamped to at least 1.
-  static unsigned hardwareThreads();
-
-  /// Resolves a user-facing jobs knob: 0 (auto) becomes the hardware
-  /// thread count, anything else passes through.
-  static unsigned resolveJobs(unsigned Jobs) {
-    return Jobs == 0 ? hardwareThreads() : Jobs;
-  }
-
-  /// Threads a parallel pass on \p Jobs may run, the calling thread
-  /// included: the resolved knob, capped at the hardware thread count (a
-  /// larger `--jobs` would only oversubscribe the cores).
-  static unsigned threadsFor(unsigned Jobs) {
-    return std::min(resolveJobs(Jobs), hardwareThreads());
-  }
-
-private:
-  /// Queued task plus its enqueue timestamp, for submit-to-start latency.
-  struct QueueItem {
-    std::packaged_task<void()> Task;
-    std::chrono::steady_clock::time_point EnqueuedAt;
-  };
-
-  /// One worker's telemetry slot. The owning worker writes with relaxed
-  /// atomics (tearing-free for concurrent stats() readers); LatencySamples
-  /// is owner-written and only read after join, in the destructor's
-  /// metrics flush.
-  struct WorkerTelemetry {
-    std::atomic<uint64_t> BusyNs{0};
-    std::atomic<uint64_t> IdleNs{0};
-    std::atomic<uint64_t> LatCount{0};
-    std::atomic<uint64_t> LatTotalNs{0};
-    std::atomic<uint64_t> LatMaxNs{0};
-    std::vector<uint64_t> LatencySamples;
-  };
-
-  void workerLoop(unsigned WorkerIndex);
-  void flushMetrics();
-
-  std::vector<std::thread> Workers;
-  std::deque<QueueItem> Queue;
-  mutable std::mutex Mu;
-  std::condition_variable CV;
-  bool Stopping = false;
-  uint64_t QueueDepthHwm = 0; // guarded by Mu
-  std::atomic<uint64_t> TasksSubmitted{0};
-  std::unique_ptr<WorkerTelemetry[]> WorkerTel;
-};
-
-/// Runs Body(0..N-1) on ThreadPool::threadsFor(Jobs) threads: the calling
-/// thread and a pool of the others (fewer when N is smaller). One thread
-/// (or N <= 1) runs inline on the calling thread — the serial path,
-/// bit-for-bit what a plain loop does — so `--jobs 1` never constructs a
-/// pool.
+/// Runs Body(0..N-1), each index exactly once, on threadsFor(Jobs) threads
+/// (fewer when N is smaller) that share one cursor; the calling thread is
+/// one of them. One thread (or N <= 1) runs inline on the calling thread —
+/// the serial path, bit-for-bit what a plain loop does. Every index runs
+/// even when some throw; the exception of the lowest failing index is
+/// rethrown here.
 void parallelForJobs(unsigned Jobs, size_t N,
                      const std::function<void(size_t)> &Body);
 

@@ -6,56 +6,35 @@
 
 #include "trace/TraceStream.h"
 
-#include "obs/Metrics.h"
 #include "support/ThreadPool.h"
 
 #include <cassert>
 #include <exception>
-#include <future>
-#include <vector>
 
 using namespace bpcr;
 
-namespace {
-
-/// A worker body that walks Chunks[Next...] until none is left; every
-/// worker of one walk shares \p Next.
-std::function<void(size_t)> chunkWorker(const std::vector<EventRange> &Chunks,
-                                        std::atomic<size_t> &Next,
-                                        TraceColumns Cols,
-                                        const ChunkWalk &Walk) {
-  return [&Chunks, &Next, Cols, &Walk](size_t Worker) {
-    for (;;) {
-      const size_t K = Next.fetch_add(1, std::memory_order_relaxed);
-      if (K >= Chunks.size())
-        return;
-      Walk(K, Chunks[K], Cols, static_cast<unsigned>(Worker));
-    }
-  };
-}
-
-} // namespace
-
 void bpcr::walkChunks(TraceColumns Cols, size_t NumEvents, size_t ChunkEvents,
                       unsigned Jobs, const ChunkWalk &Walk) {
-  const std::vector<EventRange> Chunks = traceChunks(NumEvents, ChunkEvents);
-  const size_t Threads = std::min<size_t>(ThreadPool::threadsFor(Jobs),
-                                          std::max<size_t>(Chunks.size(), 1));
-  std::atomic<size_t> Next{0};
-  parallelForJobs(static_cast<unsigned>(Threads), Threads,
-                  chunkWorker(Chunks, Next, Cols, Walk));
+  ChunkStream Stream(Cols, ChunkEvents);
+  Stream.finish(Cols, NumEvents);
+  const size_t Chunks = (NumEvents + ChunkEvents - 1) / ChunkEvents;
+  const size_t Threads =
+      std::min<size_t>(threadsFor(Jobs), std::max<size_t>(Chunks, 1));
+  runOnThreads(static_cast<unsigned>(Threads),
+               [&](unsigned W) { Stream.consume(W, Walk); });
 }
 
-ChunkStream::ChunkStream(TraceColumns Cols, size_t ChunkEvents)
-    : Cols(Cols), ChunkEvents(ChunkEvents) {
-  assert(ChunkEvents % 64 == 0 &&
-         "a streamed chunk ends on a direction word");
+ChunkStream::ChunkStream(TraceColumns Cols, size_t ChunkEvents, bool Prepared)
+    : Cols(Cols), ChunkEvents(ChunkEvents), IsPrepared(Prepared) {
+  assert(ChunkEvents > 0 && "a chunk holds at least one event");
 }
 
 void ChunkStream::publish(size_t Events) {
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    assert(Events % ChunkEvents == 0 && Events >= Published);
+    assert(ChunkEvents % 64 == 0 &&
+           "a published chunk ends on a direction word");
+    assert(Events % ChunkEvents == 0 && Events >= Published && !Finished);
     Published = Events;
   }
   Ready.notify_one();
@@ -63,31 +42,64 @@ void ChunkStream::publish(size_t Events) {
 
 void ChunkStream::close() {
   std::unique_lock<std::mutex> Lock(Mu);
-  Closed = true;
-  Ready.notify_all();
+  Paused = true;
   Idle.wait(Lock, [this] { return InFlight == 0; });
 }
 
-size_t ChunkStream::claimed() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Claimed;
+void ChunkStream::finish(TraceColumns Final, size_t Events) {
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    assert(Events >= Published && "a finished trace keeps its events");
+    Cols = Final;
+    Published = Events;
+    Paused = false;
+    Finished = true;
+  }
+  Ready.notify_all();
+}
+
+void ChunkStream::prepared() {
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    IsPrepared = true;
+  }
+  Ready.notify_all();
+}
+
+void ChunkStream::fail() {
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Failed = true;
+  }
+  Ready.notify_all();
+}
+
+bool ChunkStream::claimable() const {
+  const size_t Begin = Claimed * ChunkEvents;
+  return IsPrepared && !Paused &&
+         (Finished ? Begin < Published : Begin + ChunkEvents <= Published);
+}
+
+bool ChunkStream::drained() const {
+  return Failed || (Finished && Claimed * ChunkEvents >= Published);
 }
 
 void ChunkStream::consume(unsigned Worker, const ChunkWalk &Walk) {
   std::unique_lock<std::mutex> Lock(Mu);
   for (;;) {
-    Ready.wait(Lock, [this] {
-      return Closed || (Claimed + 1) * ChunkEvents <= Published;
-    });
-    if (Closed)
+    Ready.wait(Lock, [this] { return drained() || claimable(); });
+    if (drained())
       return;
     const size_t K = Claimed++;
+    const EventRange R{K * ChunkEvents,
+                       std::min((K + 1) * ChunkEvents, Published)};
+    const TraceColumns C = Cols;
     ++InFlight;
     Lock.unlock();
     std::exception_ptr Err;
     try {
-      Walk(K, {K * ChunkEvents, (K + 1) * ChunkEvents}, Cols, Worker);
-      Walked.fetch_add(ChunkEvents, std::memory_order_relaxed);
+      Walk(K, R, C, Worker);
+      Walked.fetch_add(R.End - R.Begin, std::memory_order_relaxed);
     } catch (...) {
       Err = std::current_exception();
     }
@@ -95,8 +107,7 @@ void ChunkStream::consume(unsigned Worker, const ChunkWalk &Walk) {
     if (--InFlight == 0)
       Idle.notify_all();
     if (Err) {
-      // The chunk stays unwalked; the caller rethrows after the run.
-      Closed = true;
+      Failed = true;
       Ready.notify_all();
       std::rethrow_exception(Err);
     }
@@ -109,7 +120,7 @@ uint64_t bpcr::streamChunks(const ColumnarTrace &Trace, unsigned Jobs,
                             const std::function<void(ChunkStream *)> &Produce,
                             const ChunkWalk &Walk) {
   assert(Trace.empty() && "a stream starts from an empty trace");
-  const unsigned Threads = ThreadPool::threadsFor(Jobs);
+  const unsigned Threads = threadsFor(Jobs);
   if (Threads <= 1) {
     Produce(nullptr);
     Prepare();
@@ -117,58 +128,27 @@ uint64_t bpcr::streamChunks(const ColumnarTrace &Trace, unsigned Jobs,
     return 0;
   }
 
-  ChunkStream Stream(Trace.columns(), ChunkEvents);
-  ThreadPool Pool(Threads - 1);
-  Registry &Obs = Registry::global();
-  if (Obs.enabled())
-    Obs.gauge("pool.threads").set(static_cast<double>(Threads));
-  // The first helper prepares; every helper waits for it before walking.
-  // Whatever happens, the stream is closed and the helpers are joined
-  // before anything they read goes away.
-  std::promise<void> Prepared;
-  std::shared_future<void> Ready = Prepared.get_future().share();
-  std::vector<std::future<void>> Helpers;
+  // One round: worker 0 produces and then walks what is left with the
+  // others, worker 1 prepares before it walks, and no chunk is claimed
+  // before it has. A failure anywhere fails the stream, so every worker
+  // returns and the round rethrows it.
+  ChunkStream Stream(Trace.columns(), ChunkEvents, /*Prepared=*/false);
   uint64_t Overlap = 0;
-  std::exception_ptr Err;
-  try {
-    Helpers.push_back(Pool.submit([&] {
-      try {
-        Prepare();
-      } catch (...) {
-        Prepared.set_exception(std::current_exception());
-        throw;
-      }
-      Prepared.set_value();
-      Stream.consume(1, Walk);
-    }));
-    for (unsigned W = 2; W < Threads; ++W)
-      Helpers.push_back(Pool.submit([&Stream, &Walk, Ready, W] {
-        Ready.get();
-        Stream.consume(W, Walk);
-      }));
-    Produce(&Stream);
-    Overlap = Stream.eventsWalked();
-  } catch (...) {
-    Err = std::current_exception();
-  }
-  Stream.close();
-  for (std::future<void> &F : Helpers) {
+  runOnThreads(Threads, [&](unsigned W) {
     try {
-      F.get();
+      if (W == 0) {
+        Produce(&Stream);
+        Overlap = Stream.eventsWalked();
+        Stream.finish(Trace.columns(), Trace.size());
+      } else if (W == 1) {
+        Prepare();
+        Stream.prepared();
+      }
+      Stream.consume(W, Walk);
     } catch (...) {
-      if (!Err)
-        Err = std::current_exception();
+      Stream.fail();
+      throw;
     }
-  }
-  if (Err)
-    std::rethrow_exception(Err);
-
-  // The tail: the last partial chunk and every chunk no helper claimed,
-  // on every thread however many are left, so the pool's task count does
-  // not depend on the schedule.
-  const std::vector<EventRange> Chunks =
-      traceChunks(Trace.size(), ChunkEvents);
-  std::atomic<size_t> Next{Stream.claimed()};
-  Pool.parallelFor(Threads, chunkWorker(Chunks, Next, Trace.columns(), Walk));
+  });
   return Overlap;
 }

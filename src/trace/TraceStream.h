@@ -20,7 +20,8 @@
 /// reads, and the columns do not move while they stay within their
 /// reservation. A producer about to outgrow the reservation closes the
 /// stream first; close() returns once no helper reads the columns, and
-/// the chunks left unclaimed are walked after the run.
+/// the chunks left unclaimed are walked after the run, through the same
+/// claim loop (ChunkStream::finish).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,59 +85,77 @@ private:
 };
 
 /// Walks every chunk of the first \p NumEvents events of \p Cols, in any
-/// order, on ThreadPool::threadsFor(Jobs) workers (the calling thread is
-/// worker 0).
+/// order, on threadsFor(Jobs) workers (the calling thread is worker 0):
+/// a finished stream that every worker consumes.
 void walkChunks(TraceColumns Cols, size_t NumEvents, size_t ChunkEvents,
                 unsigned Jobs, const ChunkWalk &Walk);
 
-/// The hand-off between the producer of a trace and the helpers walking
-/// its finished chunks.
+/// The one chunk-claim loop of every walk. Workers claim chunks in order
+/// and walk them. A producer still writing the trace publishes each chunk
+/// it completes, pauses claiming (close) before the columns may move, and
+/// once the trace is final hands every chunk left, the partial last one
+/// included, to the same workers (finish).
 class ChunkStream {
 public:
-  ChunkStream(TraceColumns Cols, size_t ChunkEvents);
+  /// A stream over the chunks of \p Cols. Unless \p Prepared, no chunk
+  /// is claimed before prepared().
+  ChunkStream(TraceColumns Cols, size_t ChunkEvents, bool Prepared = true);
 
   size_t chunkEvents() const { return ChunkEvents; }
 
   /// Producer: the first \p Events events (a multiple of chunkEvents())
   /// are final.
   void publish(size_t Events);
-  /// Producer: nothing more will be published. Returns once no helper
-  /// walks a chunk; helpers claim no chunk afterwards. Idempotent.
+  /// Producer: claiming pauses until finish(). Returns once no chunk is
+  /// being walked. Idempotent.
   void close();
+  /// The trace is final: its first \p Events events, read through \p Cols
+  /// (the columns may have moved since the stream began). Every chunk not
+  /// claimed yet can be claimed, and consume() returns once none is left.
+  void finish(TraceColumns Cols, size_t Events);
+  /// The walk's set-up is done: chunks may be claimed.
+  void prepared();
+  /// Something failed: no chunk is claimed any more. Idempotent.
+  void fail();
 
-  /// Helper: walks published chunks in order, as worker \p Worker, until
-  /// the stream closes.
+  /// Claims and walks chunks, as worker \p Worker, until the stream is
+  /// finished and none is left, or it failed. A walk that throws fails the
+  /// stream and the exception propagates.
   void consume(unsigned Worker, const ChunkWalk &Walk);
 
-  /// Chunks 0..claimed()-1 have been handed to helpers; once close() has
-  /// returned, each of them has been walked.
-  size_t claimed() const;
   /// Events of the chunks whose walk has finished.
   uint64_t eventsWalked() const {
     return Walked.load(std::memory_order_relaxed);
   }
 
 private:
-  const TraceColumns Cols;
+  bool claimable() const;
+  bool drained() const;
+
+  TraceColumns Cols; // guarded by Mu
   const size_t ChunkEvents;
-  mutable std::mutex Mu;
-  std::condition_variable Ready; // a chunk was published, or closed
+  std::mutex Mu;
+  std::condition_variable Ready; // a chunk can be claimed, or none will be
   std::condition_variable Idle;  // the last walk in flight finished
   size_t Published = 0;          // events; guarded by Mu
   size_t Claimed = 0;            // chunks; guarded by Mu
   unsigned InFlight = 0;         // guarded by Mu
-  bool Closed = false;           // guarded by Mu
+  bool IsPrepared;               // guarded by Mu
+  bool Paused = false;           // guarded by Mu
+  bool Finished = false;         // guarded by Mu
+  bool Failed = false;           // guarded by Mu
   std::atomic<uint64_t> Walked{0};
 };
 
-/// Runs \p Produce on the calling thread while ThreadPool::threadsFor(Jobs)
-/// - 1 helpers walk the chunks of \p Trace it publishes through the
-/// stream it is given (null when there are no helpers, then nothing is
-/// walked during the run). \p Prepare runs before the first walk, on a
-/// helper while Produce starts (after Produce without helpers): the
-/// set-up a walk needs and the run does not. Once Produce returns, every
-/// chunk of the finished trace that no helper walked is walked on all
-/// threads. \p Trace must be empty and reserved before the call.
+/// Runs \p Produce on the calling thread while threadsFor(Jobs) - 1
+/// helpers walk the chunks of \p Trace it publishes through the stream it
+/// is given (null when there are no helpers, then nothing is walked during
+/// the run). \p Prepare runs before the first walk, on a helper while
+/// Produce starts (after Produce without helpers): the set-up a walk needs
+/// and the run does not. Once Produce returns, every chunk of the finished
+/// trace that no helper claimed is walked on all threads. One fork-join
+/// round: an exception from any of the three is rethrown once every
+/// thread has joined. \p Trace must be empty and reserved before the call.
 /// \returns the events whose walk finished before Produce returned.
 uint64_t streamChunks(const ColumnarTrace &Trace, unsigned Jobs,
                       size_t ChunkEvents, const std::function<void()> &Prepare,

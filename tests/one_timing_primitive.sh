@@ -3,7 +3,7 @@
 # the metrics registry timer of its name. This guard fails when the deleted
 # RAII phase timer class reappears anywhere in the sources, or when src/
 # reads the steady clock outside the span header and the thread pool's
-# queue-wait/busy telemetry.
+# busy telemetry.
 #
 # usage: one_timing_primitive.sh SOURCE_ROOT
 set -u

@@ -571,7 +571,7 @@ TEST(Compare, PoolGaugesAreReportOnlyByDefault) {
   auto ReportWith = [](double Utilization, double Other) {
     JsonValue Gauges = JsonValue::object();
     Gauges.set("pool.utilization_percent", JsonValue::number(Utilization));
-    Gauges.set("pool.queue_depth_hwm", JsonValue::number(Utilization));
+    Gauges.set("pool.threads", JsonValue::number(Utilization));
     Gauges.set("search.quality", JsonValue::number(Other));
     JsonValue Metrics = JsonValue::object();
     Metrics.set("gauges", Gauges);

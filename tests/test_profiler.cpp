@@ -20,7 +20,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -341,34 +340,39 @@ TEST(CountingAlloc, TagNamesAreStable) {
 
 // -- Thread pool telemetry ---------------------------------------------------
 
-TEST(ThreadPoolTelemetry, StatsCoverSubmissionsWorkersAndLatency) {
-  PoolStats S;
-  {
-    ThreadPool Pool(2);
-    std::vector<std::future<void>> Futures;
-    for (int I = 0; I < 8; ++I)
-      Futures.push_back(Pool.submit([] { busySpin(200); }));
-    for (auto &F : Futures)
-      F.wait();
-    S = Pool.stats();
+TEST(PoolTelemetry, ParallelForRecordsItsRound) {
+  // One round at --jobs 3: T threads, T - 1 of them spawned, one busy and
+  // one idle sample per thread. An inline --jobs 1 loop records nothing.
+  Registry &Obs = Registry::global();
+  const bool Was = Obs.enabled();
+  Obs.clear();
+  Obs.setEnabled(true);
+  const unsigned T = threadsFor(3);
+  parallelForJobs(3, 100, [](size_t) { busySpin(20); });
+  const auto &Gauges = Obs.gauges();
+  const auto &Counters = Obs.counters();
+  const auto &Histograms = Obs.histograms();
+  if (T > 1) {
+    ASSERT_TRUE(Gauges.count("pool.threads"));
+    EXPECT_EQ(Gauges.at("pool.threads").value(), static_cast<double>(T));
+    ASSERT_TRUE(Counters.count("pool.tasks"));
+    EXPECT_EQ(Counters.at("pool.tasks").value(), T - 1);
+    ASSERT_TRUE(Histograms.count("pool.worker.busy_ns"));
+    EXPECT_EQ(Histograms.at("pool.worker.busy_ns").count(), T);
+    ASSERT_TRUE(Histograms.count("pool.worker.idle_ns"));
+    EXPECT_EQ(Histograms.at("pool.worker.idle_ns").count(), T);
+    ASSERT_TRUE(Gauges.count("pool.utilization_percent"));
+    EXPECT_GT(Gauges.at("pool.utilization_percent").value(), 0.0);
+    EXPECT_LE(Gauges.at("pool.utilization_percent").value(), 100.0);
   }
-  EXPECT_EQ(S.TasksSubmitted, 8u);
-  ASSERT_EQ(S.WorkerBusyNs.size(), 2u);
-  ASSERT_EQ(S.WorkerIdleNs.size(), 2u);
-  uint64_t Busy = S.WorkerBusyNs[0] + S.WorkerBusyNs[1];
-  EXPECT_GT(Busy, 0u);
-  EXPECT_EQ(S.SubmitLatencyCount, 8u);
-  EXPECT_GE(S.SubmitLatencyMaxNs, S.SubmitLatencyTotalNs / 8);
-  // Eight tasks on two workers: the queue must have backed up at least once.
-  EXPECT_GE(S.QueueDepthHwm, 1u);
-}
 
-TEST(ThreadPoolTelemetry, IdlePoolReportsNoWork) {
-  ThreadPool Pool(2);
-  PoolStats S = Pool.stats();
-  EXPECT_EQ(S.TasksSubmitted, 0u);
-  EXPECT_EQ(S.SubmitLatencyCount, 0u);
-  EXPECT_EQ(S.QueueDepthHwm, 0u);
+  Obs.clear();
+  parallelForJobs(1, 100, [](size_t) {});
+  EXPECT_FALSE(Obs.gauges().count("pool.threads"));
+  EXPECT_FALSE(Obs.counters().count("pool.tasks"));
+  EXPECT_FALSE(Obs.histograms().count("pool.worker.busy_ns"));
+  Obs.clear();
+  Obs.setEnabled(Was);
 }
 
 // -- Profiler switch and RSS sampling ----------------------------------------

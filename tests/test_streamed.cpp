@@ -167,7 +167,7 @@ Streamed streamEvents(const ProgramAnalysis &PA,
                       size_t Chunk) {
   Streamed S;
   S.CT.reserve(Events.size());
-  const unsigned Workers = ThreadPool::threadsFor(Jobs);
+  const unsigned Workers = threadsFor(Jobs);
   ChunkResults<ColumnarTrace::ChunkIndex> Index(Workers);
   LoopResetScan Scan(PA, Workers);
   PathWalk Paths(Cands, 4, Workers);
@@ -403,7 +403,7 @@ TEST(StreamedTrace, RunFallsOffABlock) {
     CT.reserve(4096);
     ExecResult Run;
     ChunkResults<ColumnarTrace::ChunkIndex> Index(
-        ThreadPool::threadsFor(Jobs));
+        threadsFor(Jobs));
     streamChunks(
         CT, Jobs, 64, [] {},
         [&](ChunkStream *Stream) {

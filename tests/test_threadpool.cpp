@@ -4,10 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The thread pool underpins every `--jobs` knob, so these tests pin down
-// the contracts the parallel callers rely on: each index runs exactly
-// once, results written into pre-sized slots are schedule-independent,
-// exceptions surface deterministically (lowest index wins), and the
+// The fork-join round underpins every `--jobs` knob, so these tests pin
+// down the contracts the parallel callers rely on: each worker and each
+// index runs exactly once, results written into pre-sized slots are
+// schedule-independent, exceptions surface deterministically (lowest
+// worker or index wins, after every thread has joined), and the
 // observability layer stays exact under contention.
 //
 //===----------------------------------------------------------------------===//
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -28,52 +30,65 @@
 using namespace bpcr;
 
 TEST(ThreadPool, HardwareThreadsIsAtLeastOne) {
-  EXPECT_GE(ThreadPool::hardwareThreads(), 1u);
+  EXPECT_GE(hardwareThreads(), 1u);
 }
 
 TEST(ThreadPool, ResolveJobsMapsZeroToHardware) {
-  EXPECT_EQ(ThreadPool::resolveJobs(0), ThreadPool::hardwareThreads());
-  EXPECT_EQ(ThreadPool::resolveJobs(1), 1u);
-  EXPECT_EQ(ThreadPool::resolveJobs(7), 7u);
+  EXPECT_EQ(resolveJobs(0), hardwareThreads());
+  EXPECT_EQ(resolveJobs(1), 1u);
+  EXPECT_EQ(resolveJobs(7), 7u);
 }
 
-TEST(ThreadPool, SubmittedTasksAllRun) {
-  ThreadPool Pool(4);
-  EXPECT_EQ(Pool.size(), 4u);
-  std::atomic<int> Count{0};
-  std::vector<std::future<void>> Futures;
-  for (int I = 0; I < 64; ++I)
-    Futures.push_back(Pool.submit([&Count] { ++Count; }));
-  for (auto &F : Futures)
-    F.get();
-  EXPECT_EQ(Count.load(), 64);
+TEST(ThreadPool, RunOnThreadsRunsEveryWorkerOnceWithWorkerZeroInline) {
+  const std::thread::id Main = std::this_thread::get_id();
+  std::vector<std::atomic<int>> Hits(4);
+  std::vector<std::thread::id> Ids(4);
+  runOnThreads(4, [&](unsigned W) {
+    ++Hits[W];
+    Ids[W] = std::this_thread::get_id();
+  });
+  for (unsigned W = 0; W < 4; ++W)
+    EXPECT_EQ(Hits[W].load(), 1) << "worker " << W;
+  EXPECT_EQ(Ids[0], Main);
+  for (unsigned W = 1; W < 4; ++W)
+    EXPECT_NE(Ids[W], Main) << "worker " << W;
 }
 
-TEST(ThreadPool, SingleWorkerRunsTasksInSubmissionOrder) {
-  ThreadPool Pool(1);
-  std::vector<int> Order;
-  std::vector<std::future<void>> Futures;
-  for (int I = 0; I < 16; ++I)
-    Futures.push_back(Pool.submit([&Order, I] { Order.push_back(I); }));
-  for (auto &F : Futures)
-    F.get();
-  ASSERT_EQ(Order.size(), 16u);
-  for (int I = 0; I < 16; ++I)
-    EXPECT_EQ(Order[static_cast<size_t>(I)], I);
+TEST(ThreadPool, RunOnThreadsOneThreadRunsInline) {
+  const std::thread::id Main = std::this_thread::get_id();
+  unsigned Calls = 0;
+  runOnThreads(1, [&](unsigned W) {
+    EXPECT_EQ(W, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), Main);
+    ++Calls;
+  });
+  EXPECT_EQ(Calls, 1u);
 }
 
-TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool Pool(2);
-  std::future<void> F =
-      Pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(F.get(), std::runtime_error);
+TEST(ThreadPool, RunOnThreadsRethrowsLowestThrowingWorkerAfterJoin) {
+  // Workers 1..3 throw, the last one only after a pause; the caller must
+  // see worker 1's exception, and only once every worker has returned.
+  std::atomic<int> Returned{0};
+  std::string Caught;
+  try {
+    runOnThreads(4, [&](unsigned W) {
+      if (W == 3)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      ++Returned;
+      if (W > 0)
+        throw std::runtime_error(std::to_string(W));
+    });
+  } catch (const std::runtime_error &E) {
+    Caught = E.what();
+  }
+  EXPECT_EQ(Caught, "1");
+  EXPECT_EQ(Returned.load(), 4);
 }
 
 TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce) {
-  ThreadPool Pool(4);
   constexpr size_t N = 1000;
   std::vector<std::atomic<int>> Hits(N);
-  Pool.parallelFor(N, [&Hits](size_t I) { ++Hits[I]; });
+  parallelForJobs(4, N, [&Hits](size_t I) { ++Hits[I]; });
   for (size_t I = 0; I < N; ++I)
     EXPECT_EQ(Hits[I].load(), 1) << "index " << I;
 }
@@ -81,21 +96,19 @@ TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce) {
 TEST(ThreadPool, ParallelForIndexedSlotsAreScheduleIndependent) {
   // The determinism convention of every parallel caller: write results
   // into a slot indexed by the loop index, never append.
-  ThreadPool Pool(4);
   constexpr size_t N = 256;
   std::vector<uint64_t> Slots(N, 0);
-  Pool.parallelFor(N, [&Slots](size_t I) { Slots[I] = I * I + 1; });
+  parallelForJobs(4, N, [&Slots](size_t I) { Slots[I] = I * I + 1; });
   for (size_t I = 0; I < N; ++I)
     EXPECT_EQ(Slots[I], I * I + 1);
 }
 
 TEST(ThreadPool, ParallelForRethrowsLowestFailingIndex) {
-  ThreadPool Pool(4);
   // Every index past 4 fails; whatever the schedule, index 5's exception
   // must be the one the caller sees.
   std::string Caught;
   try {
-    Pool.parallelFor(64, [](size_t I) {
+    parallelForJobs(4, 64, [](size_t I) {
       if (I > 4)
         throw std::runtime_error(std::to_string(I));
     });
@@ -134,9 +147,8 @@ TEST(ThreadPool, CountersAreExactUnderContention) {
   Registry R;
   R.setEnabled(true);
   Counter &C = R.counter("contended");
-  ThreadPool Pool(4);
   constexpr int PerTask = 10'000;
-  Pool.parallelFor(8, [&C](size_t) {
+  runOnThreads(8, [&C](unsigned) {
     for (int I = 0; I < PerTask; ++I)
       C.inc();
   });
@@ -146,9 +158,8 @@ TEST(ThreadPool, CountersAreExactUnderContention) {
 TEST(ThreadPool, GaugeAndHistogramSurviveConcurrentUpdates) {
   Registry R;
   R.setEnabled(true);
-  ThreadPool Pool(4);
-  Pool.parallelFor(8, [&R](size_t I) {
-    R.gauge("g").set(static_cast<double>(I));
+  runOnThreads(8, [&R](unsigned W) {
+    R.gauge("g").set(static_cast<double>(W));
     for (int K = 0; K < 1000; ++K)
       R.histogram("h").record(static_cast<double>(K));
   });
@@ -162,8 +173,7 @@ TEST(ThreadPool, SpansUsePerThreadBuffersUnderConcurrency) {
   SpanTracer &T = SpanTracer::global();
   T.clear();
   T.setEnabled(true);
-  ThreadPool Pool(4);
-  Pool.parallelFor(16, [](size_t I) {
+  parallelForJobs(4, 16, [](size_t I) {
     Span S("pool.test.outer", "test");
     S.arg("index", static_cast<uint64_t>(I));
     { Span Inner("pool.test.inner", "test"); }
