@@ -28,22 +28,28 @@ uint64_t elapsedNs(Clock::time_point From, Clock::time_point To) {
           .count());
 }
 
+/// What one worker of a round leaves behind.
+struct WorkerResult {
+  uint64_t BusyNs = 0;
+  std::exception_ptr Err;
+};
+
 /// The `pool.*` metrics of one round: its threads, the threads it spawned,
 /// and each worker's busy time and the rest of the round as idle time.
-void recordRound(Registry &Obs, const std::vector<uint64_t> &BusyNs,
+void recordRound(Registry &Obs, const std::vector<WorkerResult> &Workers,
                  uint64_t RoundNs) {
-  Obs.gauge("pool.threads").set(static_cast<double>(BusyNs.size()));
-  Obs.counter("pool.tasks").add(BusyNs.size() - 1);
+  Obs.gauge("pool.threads").set(static_cast<double>(Workers.size()));
+  Obs.counter("pool.tasks").add(Workers.size() - 1);
   Histogram &Busy = Obs.histogram("pool.worker.busy_ns");
   Histogram &Idle = Obs.histogram("pool.worker.idle_ns");
   uint64_t TotalBusy = 0;
-  for (uint64_t B : BusyNs) {
-    B = std::min(B, RoundNs);
+  for (const WorkerResult &W : Workers) {
+    const uint64_t B = std::min(W.BusyNs, RoundNs);
     TotalBusy += B;
     Busy.record(static_cast<double>(B));
     Idle.record(static_cast<double>(RoundNs - B));
   }
-  const uint64_t Total = RoundNs * BusyNs.size();
+  const uint64_t Total = RoundNs * Workers.size();
   if (Total > 0)
     Obs.gauge("pool.utilization_percent")
         .set(100.0 * static_cast<double>(TotalBusy) /
@@ -64,19 +70,17 @@ void bpcr::runOnThreads(unsigned Threads,
     return;
   }
   const Clock::time_point Start = Clock::now();
-  std::vector<uint64_t> BusyNs(Threads, 0);
-  std::vector<std::exception_ptr> Errs(Threads);
+  std::vector<WorkerResult> Results(Threads);
   auto Worker = [&](unsigned W) {
     const Clock::time_point From = Clock::now();
     try {
       Body(W);
     } catch (...) {
-      Errs[W] = std::current_exception();
+      Results[W].Err = std::current_exception();
     }
-    BusyNs[W] = elapsedNs(From, Clock::now());
+    Results[W].BusyNs = elapsedNs(From, Clock::now());
   };
   std::vector<std::thread> Helpers;
-  Helpers.reserve(Threads - 1);
   for (unsigned W = 1; W < Threads; ++W)
     Helpers.emplace_back(Worker, W);
   Worker(0);
@@ -85,10 +89,10 @@ void bpcr::runOnThreads(unsigned Threads,
 
   Registry &Obs = Registry::global();
   if (Obs.enabled())
-    recordRound(Obs, BusyNs, elapsedNs(Start, Clock::now()));
-  for (const std::exception_ptr &E : Errs)
-    if (E)
-      std::rethrow_exception(E);
+    recordRound(Obs, Results, elapsedNs(Start, Clock::now()));
+  for (const WorkerResult &R : Results)
+    if (R.Err)
+      std::rethrow_exception(R.Err);
 }
 
 void bpcr::parallelForJobs(unsigned Jobs, size_t N,

@@ -9,7 +9,6 @@
 #include "support/ThreadPool.h"
 
 #include <cassert>
-#include <exception>
 
 using namespace bpcr;
 
@@ -96,21 +95,20 @@ void ChunkStream::consume(unsigned Worker, const ChunkWalk &Walk) {
     const TraceColumns C = Cols;
     ++InFlight;
     Lock.unlock();
-    std::exception_ptr Err;
     try {
       Walk(K, R, C, Worker);
-      Walked.fetch_add(R.End - R.Begin, std::memory_order_relaxed);
     } catch (...) {
-      Err = std::current_exception();
+      Lock.lock();
+      if (--InFlight == 0)
+        Idle.notify_all();
+      Failed = true;
+      Ready.notify_all();
+      throw;
     }
+    Walked.fetch_add(R.End - R.Begin, std::memory_order_relaxed);
     Lock.lock();
     if (--InFlight == 0)
       Idle.notify_all();
-    if (Err) {
-      Failed = true;
-      Ready.notify_all();
-      std::rethrow_exception(Err);
-    }
   }
 }
 
