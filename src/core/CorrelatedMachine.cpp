@@ -343,8 +343,9 @@ std::vector<PathProfile> bpcr::profilePaths(
     size_t ChunkEvents) {
   Span S("profiles.paths", "kernel");
   S.arg("events", static_cast<uint64_t>(CT.size()));
-  PathWalk Walk(CandidatesByBranch, MaxPathLen, threadsFor(Jobs));
-  walkChunks(CT.columns(), CT.size(), ChunkEvents, Jobs,
+  const unsigned Workers = threadsFor(Jobs);
+  PathWalk Walk(CandidatesByBranch, MaxPathLen, Workers);
+  walkChunks(CT.columns(), CT.size(), ChunkEvents, Workers,
              [&Walk](size_t Chunk, EventRange R, TraceColumns Cols,
                      unsigned Worker) {
                Walk.walkChunk(Chunk, R, Cols, Worker);

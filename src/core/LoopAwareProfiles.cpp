@@ -379,7 +379,7 @@ ProfileSet bpcr::buildLoopAwareProfiles(const ProgramAnalysis &PA,
   const unsigned Workers = threadsFor(Jobs);
   LoopResetScan Scan(PA, Workers, MaxBits, Proofs);
   std::vector<ColumnarTrace::ChunkIndex> Slices(Workers);
-  walkChunks(CT.columns(), CT.size(), ChunkEvents, Jobs,
+  walkChunks(CT.columns(), CT.size(), ChunkEvents, Workers,
              [&](size_t Chunk, EventRange R, TraceColumns Cols,
                  unsigned Worker) {
                ColumnarTrace::indexChunk(Cols, R, PA.numBranches(),

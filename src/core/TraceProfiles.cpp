@@ -26,8 +26,8 @@ class StreamedWalks {
 public:
   StreamedWalks(const Module &M, const TraceProfileOptions &Opts,
                 TraceProfiles &Out)
-      : M(M), Opts(Opts), Out(Out),
-        Index(threadsFor(Opts.Jobs)) {}
+      : M(M), Opts(Opts), Out(Out), Workers(threadsFor(Opts.Jobs)),
+        Index(Workers) {}
   StreamedWalks(const StreamedWalks &) = delete;
   StreamedWalks &operator=(const StreamedWalks &) = delete;
 
@@ -40,7 +40,6 @@ public:
                                 : sa::BranchProofs();
     Out.Paths = BranchPathProfiles::candidates(*Out.PA, Opts.MaxStates,
                                                Out.proofs());
-    const unsigned Workers = threadsFor(Opts.Jobs);
     Scan = std::make_unique<LoopResetScan>(*Out.PA, Workers, MaxBits,
                                            Out.proofs());
     Paths = std::make_unique<PathWalk>(Out.Paths.Candidates,
@@ -55,10 +54,16 @@ public:
     ColumnarTrace &CT = Out.Trace;
     CT.clear();
     CT.reserve(ReserveEvents);
+    uint64_t RunCpuNs = 0, RunWallNs = 0;
     const uint64_t Overlap = streamChunks(
-        CT, Opts.Jobs, Opts.ChunkEvents, [this] { prepare(); },
+        CT, Workers, Opts.ChunkEvents, [this] { prepare(); },
         [&](ChunkStream *Stream) {
+          // The producer's wall and CPU time: the stalls of the run.
+          Span RunSpan("trace.stream.run", "interp");
+          const uint64_t Cpu = Span::threadCpuNowNs();
           Out.Run = executeColumnar(M, CT, /*UseOrigIds=*/false, Exec, Stream);
+          RunCpuNs = Span::threadCpuNowNs() - Cpu;
+          RunWallNs = RunSpan.end();
         },
         [this](size_t Chunk, EventRange R, TraceColumns Cols,
                unsigned Worker) {
@@ -76,8 +81,15 @@ public:
                                   : static_cast<double>(Overlap) /
                                         static_cast<double>(CT.size());
     Registry &Obs = Registry::global();
-    if (Obs.enabled())
+    if (Obs.enabled()) {
       Obs.gauge("trace.stream.overlap_share").set(Out.OverlapShare);
+      // Below 1 when the run waited off its CPU: queued behind another
+      // thread, or blocked.
+      if (RunWallNs > 0)
+        Obs.gauge("trace.stream.run_cpu_share")
+            .set(static_cast<double>(RunCpuNs) /
+                 static_cast<double>(RunWallNs));
+    }
   }
 
   /// The post-run tail of the profiles: the fill of the reset segments no
@@ -99,6 +111,9 @@ private:
   const Module &M;
   const TraceProfileOptions &Opts;
   TraceProfiles &Out;
+  /// The stream's threads, the run's included; read once, so the
+  /// per-worker state and the stream agree.
+  const unsigned Workers;
   ChunkResults<ColumnarTrace::ChunkIndex> Index;
   std::unique_ptr<LoopResetScan> Scan;
   std::unique_ptr<PathWalk> Paths;

@@ -84,7 +84,8 @@ struct TraceProfiles {
 /// Builds \p W's module for \p Seed into \p OutModule (branch ids
 /// assigned), runs it capped at Opts.MaxBranchEvents and profiles the
 /// trace. \returns false when the run failed (Out.Run.Error says why).
-/// Records the `trace.stream.overlap_share` gauge.
+/// Records the `trace.stream.overlap_share` and
+/// `trace.stream.run_cpu_share` gauges.
 bool traceProfiles(const Workload &W, uint64_t Seed, Module &OutModule,
                    const TraceProfileOptions &Opts, TraceProfiles &Out);
 

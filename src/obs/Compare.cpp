@@ -53,9 +53,14 @@ std::vector<CompareRule> bpcr::defaultCompareRules() {
       {"counters.obs.trace.*", 0.0, DeltaDirection::Both, /*Skip=*/true});
   // Pool telemetry (queue depth, utilization) varies with scheduling.
   Rules.push_back({"gauges.pool.*", 0.0, DeltaDirection::Both, /*Skip=*/true});
-  // So does the share of a streamed trace walked during its run.
+  // So do the share of a streamed trace walked during its run, the share
+  // of that run spent on a CPU, and the page faults the interpreter takes.
   Rules.push_back(
       {"*overlap_share*", 0.0, DeltaDirection::Both, /*Skip=*/true});
+  Rules.push_back(
+      {"*run_cpu_share*", 0.0, DeltaDirection::Both, /*Skip=*/true});
+  Rules.push_back(
+      {"*minor_faults*", 0.0, DeltaDirection::Both, /*Skip=*/true});
   // In the profile section only the span-open counts are schedule- and
   // machine-independent; recorded counts, times, RSS and allocator bytes
   // all vary with thread count, clock or stdlib version.

@@ -16,6 +16,11 @@
 #include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#include <unistd.h>
+#endif
+
 using namespace bpcr;
 
 namespace {
@@ -56,9 +61,66 @@ void recordRound(Registry &Obs, const std::vector<WorkerResult> &Workers,
              static_cast<double>(Total));
 }
 
+#ifdef __linux__
+/// The CPUs the process may run on: the main thread's affinity mask (not
+/// the calling thread's, which is one CPU on a pinned helper).
+bool processCpus(cpu_set_t &Allowed) {
+  CPU_ZERO(&Allowed);
+  return sched_getaffinity(getpid(), sizeof(Allowed), &Allowed) == 0;
+}
+#endif
+
+/// Where a round's helpers run: helper W on the (W-1)-th of the process's
+/// CPUs other than the one the caller runs on as the round starts. A
+/// helper that wakes on the caller's CPU would queue the caller behind it
+/// (the scheduler prefers the waker's CPU for a woken thread), so each
+/// helper gets a CPU of its own. When either is unknown, or off Linux,
+/// the helpers run wherever the scheduler puts them.
+class HelperCpus {
+public:
+  HelperCpus() {
+#ifdef __linux__
+    const int Caller = sched_getcpu();
+    Known = Caller >= 0 && processCpus(Others);
+    if (Known)
+      CPU_CLR(Caller, &Others);
+#endif
+  }
+
+  /// Pins the calling thread, helper \p W, to its CPU; a failed call, or
+  /// a helper past the CPUs there are, leaves it as it was.
+  void pin([[maybe_unused]] unsigned W) const {
+#ifdef __linux__
+    if (!Known)
+      return;
+    unsigned Seen = 0;
+    for (int Cpu = 0; Cpu < CPU_SETSIZE; ++Cpu)
+      if (CPU_ISSET(Cpu, &Others) && ++Seen == W) {
+        cpu_set_t One;
+        CPU_ZERO(&One);
+        CPU_SET(Cpu, &One);
+        (void)sched_setaffinity(0, sizeof(One), &One);
+        return;
+      }
+#endif
+  }
+
+private:
+#ifdef __linux__
+  cpu_set_t Others{};
+  bool Known = false;
+#endif
+};
+
 } // namespace
 
 unsigned bpcr::hardwareThreads() {
+#ifdef __linux__
+  cpu_set_t Allowed;
+  if (processCpus(Allowed))
+    if (const int N = CPU_COUNT(&Allowed); N > 0)
+      return static_cast<unsigned>(N);
+#endif
   unsigned N = std::thread::hardware_concurrency();
   return N == 0 ? 1 : N;
 }
@@ -80,9 +142,14 @@ void bpcr::runOnThreads(unsigned Threads,
     }
     Results[W].BusyNs = elapsedNs(From, Clock::now());
   };
+  // Each helper ends at the join, so no pin outlives its round.
+  const HelperCpus Cpus;
   std::vector<std::thread> Helpers;
   for (unsigned W = 1; W < Threads; ++W)
-    Helpers.emplace_back(Worker, W);
+    Helpers.emplace_back([&, W] {
+      Cpus.pin(W);
+      Worker(W);
+    });
   Worker(0);
   for (std::thread &T : Helpers)
     T.join();

@@ -30,7 +30,11 @@
 
 namespace bpcr {
 
-/// std::thread::hardware_concurrency() clamped to at least 1.
+/// The CPUs the process may run on: the size of the main thread's
+/// affinity mask, or std::thread::hardware_concurrency() (at least 1)
+/// where the mask cannot be read. The mask can change while the process
+/// runs, so a pass sizes its per-worker state and its rounds from one
+/// threadsFor() value.
 unsigned hardwareThreads();
 
 /// Resolves a user-facing jobs knob: 0 (auto) becomes the hardware thread
@@ -40,18 +44,22 @@ inline unsigned resolveJobs(unsigned Jobs) {
 }
 
 /// Threads a parallel pass on \p Jobs may run, the calling thread
-/// included: the resolved knob, capped at the hardware thread count (a
-/// larger `--jobs` would only oversubscribe the cores).
+/// included: the resolved knob, capped at hardwareThreads() (a larger
+/// `--jobs` would only oversubscribe the CPUs). One job reads no mask.
 inline unsigned threadsFor(unsigned Jobs) {
-  return std::min(resolveJobs(Jobs), hardwareThreads());
+  const unsigned Resolved = resolveJobs(Jobs);
+  return Resolved <= 1 ? 1 : std::min(Resolved, hardwareThreads());
 }
 
 /// One fork-join round: runs Body(0..Threads-1) at once, worker 0 on the
 /// calling thread and each other worker on a thread spawned for the round,
-/// and returns once every call has returned. If any call threw, the
-/// exception of the lowest worker that threw is rethrown here. One thread
-/// runs Body(0) inline and records nothing; a round of more records the
-/// `pool.*` metrics when the registry is on.
+/// and returns once every call has returned. Helper W is pinned to the
+/// (W-1)-th CPU the process may run on other than the one the caller runs
+/// on as the round starts (helpers past those CPUs, and the caller, stay
+/// unpinned), so no helper queues the caller behind it. If any call
+/// threw, the exception of the lowest worker that threw is rethrown here.
+/// One thread runs Body(0) inline and records nothing; a round of more
+/// records the `pool.*` metrics when the registry is on.
 void runOnThreads(unsigned Threads,
                   const std::function<void(unsigned Worker)> &Body);
 

@@ -23,6 +23,16 @@
 /// the chunks left unclaimed are walked after the run, through the same
 /// claim loop (ChunkStream::finish).
 ///
+/// While the producer writes, the helpers also fault in the pages it is
+/// about to write: once chunk k is published, a helper faults in the
+/// column pages of chunk k+2 before it claims a chunk (the preparing
+/// helper takes chunks 0 and 1 before it prepares, and idle helpers keep
+/// faulting in while it does), so the producer's first touch of a page
+/// finds it mapped. Faulting in leaves the page's contents alone, so it
+/// is safe beside the producer's writes; it stays inside the reservation
+/// and stops when the stream closes, so at most two chunks past the
+/// written events become resident.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BPCR_TRACE_TRACESTREAM_H
@@ -98,8 +108,11 @@ void walkChunks(TraceColumns Cols, size_t NumEvents, size_t ChunkEvents,
 class ChunkStream {
 public:
   /// A stream over the chunks of \p Cols. Unless \p Prepared, no chunk
-  /// is claimed before prepared().
-  ChunkStream(TraceColumns Cols, size_t ChunkEvents, bool Prepared = true);
+  /// is claimed before prepared(). The columns hold \p ReservedEvents
+  /// events without moving; while the stream is open, the pages of chunks
+  /// below that are faulted in ahead of the producer (0: none).
+  ChunkStream(TraceColumns Cols, size_t ChunkEvents, bool Prepared = true,
+              size_t ReservedEvents = 0);
 
   size_t chunkEvents() const { return ChunkEvents; }
 
@@ -117,6 +130,11 @@ public:
   void prepared();
   /// Something failed: no chunk is claimed any more. Idempotent.
   void fail();
+  /// Faults in the column pages of every chunk up to the one after the
+  /// chunk the producer writes, within the reservation, unless the stream
+  /// has closed; close() waits for it. consume() does the same before it
+  /// claims a chunk.
+  void faultAhead();
 
   /// Claims and walks chunks, as worker \p Worker, until the stream is
   /// finished and none is left, or it failed. A walk that throws fails the
@@ -131,14 +149,24 @@ public:
 private:
   bool claimable() const;
   bool drained() const;
+  bool faultable() const;
+  /// Faults in the next chunk's pages, with \p Lock released meanwhile,
+  /// if the stream is open and that chunk is at most the one after the
+  /// chunk being written. \returns whether it did.
+  bool faultNext(std::unique_lock<std::mutex> &Lock);
+  /// A walk or a fault-in that began under Mu has ended.
+  void endInFlight();
 
   TraceColumns Cols; // guarded by Mu
   const size_t ChunkEvents;
+  const size_t Reserved;
   std::mutex Mu;
-  std::condition_variable Ready; // a chunk can be claimed, or none will be
-  std::condition_variable Idle;  // the last walk in flight finished
+  std::condition_variable Ready; // a chunk can be claimed or faulted in,
+                                 // or none will be
+  std::condition_variable Idle;  // the last walk or fault-in finished
   size_t Published = 0;          // events; guarded by Mu
   size_t Claimed = 0;            // chunks; guarded by Mu
+  size_t Faulted = 0;            // chunks; guarded by Mu
   unsigned InFlight = 0;         // guarded by Mu
   bool IsPrepared;               // guarded by Mu
   bool Paused = false;           // guarded by Mu
@@ -149,8 +177,9 @@ private:
 
 /// Runs \p Produce on the calling thread while threadsFor(Jobs) - 1
 /// helpers walk the chunks of \p Trace it publishes through the stream it
-/// is given (null when there are no helpers, then nothing is walked during
-/// the run). \p Prepare runs before the first walk, on a helper while
+/// is given (null when there are no helpers, then nothing is walked or
+/// faulted in during the run), and fault in the reserved pages ahead of
+/// it. \p Prepare runs before the first walk, on a helper while
 /// Produce starts (after Produce without helpers): the set-up a walk needs
 /// and the run does not. Once Produce returns, every chunk of the finished
 /// trace that no helper claimed is walked on all threads. One fork-join

@@ -87,6 +87,10 @@ TEST(Ledger, WallClockPartitionMirrorsCompareSkips) {
   EXPECT_TRUE(isWallClockMetric("gauges.sweep.wall_ms"));
   EXPECT_TRUE(isWallClockMetric("gauges.pool.utilization_percent"));
   EXPECT_TRUE(isWallClockMetric("counters.obs.trace.spans"));
+  // Both follow the schedule: how long the run waited for a CPU, and
+  // whether a helper had faulted the trace pages in first.
+  EXPECT_TRUE(isWallClockMetric("gauges.trace.stream.run_cpu_share"));
+  EXPECT_TRUE(isWallClockMetric("counters.interp.minor_faults"));
   // The profile section is timing-dominated except the span-open counts.
   EXPECT_TRUE(isWallClockMetric("profile.categories.search.self_wall_ns"));
   EXPECT_TRUE(isWallClockMetric("profile.memory.peak_rss_bytes"));

@@ -28,10 +28,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 using namespace bpcr;
 using bpcr::test::Event;
@@ -500,3 +506,92 @@ TEST(StreamedTrace, ResetAndFirstExecutionAtAChunkBoundary) {
                 .ResetPositions,
             std::vector<uint64_t>{0});
 }
+
+#if defined(__linux__) && defined(MADV_POPULATE_WRITE)
+namespace {
+
+uintptr_t pageSize() { return static_cast<uintptr_t>(sysconf(_SC_PAGESIZE)); }
+
+/// Start address of each page of [P, P + Bytes) and whether it is
+/// resident.
+std::vector<std::pair<uintptr_t, bool>> residentPages(const void *P,
+                                                      size_t Bytes) {
+  const uintptr_t Page = pageSize();
+  const uintptr_t From = reinterpret_cast<uintptr_t>(P) & ~(Page - 1);
+  const uintptr_t To = reinterpret_cast<uintptr_t>(P) + Bytes;
+  std::vector<unsigned char> In((To - From + Page - 1) / Page);
+  EXPECT_EQ(mincore(reinterpret_cast<void *>(From), To - From, In.data()), 0);
+  std::vector<std::pair<uintptr_t, bool>> Out;
+  for (size_t I = 0; I < In.size(); ++I)
+    Out.emplace_back(From + I * Page, (In[I] & 1) != 0);
+  return Out;
+}
+
+/// The pages at or past \p Limit that are resident now but were not in
+/// \p Before.
+size_t newlyResidentFrom(const std::vector<std::pair<uintptr_t, bool>> &Before,
+                         const void *P, size_t Bytes, const void *Limit) {
+  const std::vector<std::pair<uintptr_t, bool>> After = residentPages(P, Bytes);
+  size_t N = 0;
+  for (size_t I = 0; I < After.size(); ++I)
+    N += After[I].first >= reinterpret_cast<uintptr_t>(Limit) &&
+         After[I].second && !Before[I].second;
+  return N;
+}
+
+bool populateWriteSupported() {
+  const size_t Page = pageSize();
+  void *P = mmap(nullptr, Page, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (P == MAP_FAILED)
+    return false;
+  const bool Ok = madvise(P, Page, MADV_POPULATE_WRITE) == 0;
+  munmap(P, Page);
+  return Ok;
+}
+
+} // namespace
+
+TEST(StreamedTrace, PagesAreFaultedInAtMostTwoChunksAhead) {
+  // Helpers fault in the trace pages ahead of the run, but never more than
+  // two chunks past the events written: a run that stops early leaves the
+  // rest of its reservation unmapped.
+  if (!populateWriteSupported())
+    GTEST_SKIP() << "MADV_POPULATE_WRITE needs Linux 5.14";
+  Module M = countedLoop(-1, 0);
+  ExecOptions Exec;
+  Exec.MaxBranchEvents = 100'000;
+  constexpr size_t Reserve = size_t{1} << 22;
+  for (unsigned Jobs : {2u, 4u}) {
+    SCOPED_TRACE("jobs " + std::to_string(Jobs));
+    ColumnarTrace CT;
+    CT.reserve(Reserve);
+    const TraceColumns Cols = CT.columns();
+    const size_t IdBytes = Reserve * sizeof(int32_t);
+    const size_t DirBytes = Reserve / 8;
+    // A huge page would map past any limit on its first write.
+    madvise(reinterpret_cast<void *>(reinterpret_cast<uintptr_t>(Cols.Ids) &
+                                     ~(pageSize() - 1)),
+            IdBytes, MADV_NOHUGEPAGE);
+    const auto IdsBefore = residentPages(Cols.Ids, IdBytes);
+    const auto DirsBefore = residentPages(Cols.Dirs, DirBytes);
+    ChunkResults<ColumnarTrace::ChunkIndex> Index(threadsFor(Jobs));
+    streamChunks(
+        CT, Jobs, TraceChunkEvents, [] {},
+        [&](ChunkStream *Stream) {
+          executeColumnar(M, CT, /*UseOrigIds=*/false, Exec, Stream);
+        },
+        [&](size_t K, EventRange Range, TraceColumns C, unsigned W) {
+          ColumnarTrace::indexChunk(C, Range, 2, Index.add(K, W));
+        });
+    ASSERT_EQ(CT.size(), 100'000u);
+    ASSERT_EQ(CT.columns().Ids, Cols.Ids);
+    const size_t Limit = CT.size() + 2 * TraceChunkEvents;
+    EXPECT_EQ(newlyResidentFrom(IdsBefore, Cols.Ids, IdBytes, Cols.Ids + Limit),
+              0u);
+    EXPECT_EQ(newlyResidentFrom(DirsBefore, Cols.Dirs, DirBytes,
+                                Cols.Dirs + (Limit + 63) / 64),
+              0u);
+  }
+}
+#endif

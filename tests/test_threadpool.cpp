@@ -19,13 +19,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 using namespace bpcr;
 
@@ -190,3 +196,105 @@ TEST(ThreadPool, SpansUsePerThreadBuffersUnderConcurrency) {
   T.setEnabled(false);
   T.clear();
 }
+
+#ifdef __linux__
+//===----------------------------------------------------------------------===//
+// CPU placement
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+cpu_set_t threadMask() {
+  cpu_set_t Mask;
+  CPU_ZERO(&Mask);
+  EXPECT_EQ(sched_getaffinity(0, sizeof(Mask), &Mask), 0);
+  return Mask;
+}
+
+/// Restricts the calling thread to the CPU it runs on, and restores its
+/// mask at the end of the scope.
+class OneCpuScope {
+public:
+  OneCpuScope() : Saved(threadMask()) {
+    cpu_set_t One;
+    CPU_ZERO(&One);
+    CPU_SET(sched_getcpu(), &One);
+    Ok = sched_setaffinity(0, sizeof(One), &One) == 0;
+  }
+  OneCpuScope(const OneCpuScope &) = delete;
+  OneCpuScope &operator=(const OneCpuScope &) = delete;
+  ~OneCpuScope() { sched_setaffinity(0, sizeof(Saved), &Saved); }
+
+  bool ok() const { return Ok; }
+
+private:
+  cpu_set_t Saved;
+  bool Ok = false;
+};
+
+} // namespace
+
+TEST(ThreadPool, HelpersRunOffTheCallersCpu) {
+  const cpu_set_t Allowed = threadMask();
+  const int NumAllowed = CPU_COUNT(&Allowed);
+  if (NumAllowed < 2)
+    GTEST_SKIP() << "needs two allowed CPUs";
+  const unsigned Threads = static_cast<unsigned>(std::min(NumAllowed, 4));
+  // The round reads the caller's CPU as it starts. A round during which
+  // the test thread was seen on another CPU says nothing, so it is run
+  // again.
+  for (int Attempt = 0; Attempt < 50; ++Attempt) {
+    const int Before = sched_getcpu();
+    std::vector<cpu_set_t> Masks(Threads);
+    int During = -1;
+    runOnThreads(Threads, [&](unsigned W) {
+      if (W == 0)
+        During = sched_getcpu();
+      else
+        sched_getaffinity(0, sizeof(Masks[W]), &Masks[W]);
+    });
+    if (During != Before || sched_getcpu() != Before)
+      continue;
+    std::set<int> Seen;
+    for (unsigned W = 1; W < Threads; ++W) {
+      ASSERT_EQ(CPU_COUNT(&Masks[W]), 1) << "helper " << W;
+      int Cpu = 0;
+      while (!CPU_ISSET(Cpu, &Masks[W]))
+        ++Cpu;
+      EXPECT_TRUE(CPU_ISSET(Cpu, &Allowed)) << "helper " << W;
+      EXPECT_NE(Cpu, Before) << "helper " << W << " on the caller's CPU";
+      EXPECT_TRUE(Seen.insert(Cpu).second) << "helper " << W << " shares "
+                                           << Cpu;
+    }
+    return;
+  }
+  GTEST_SKIP() << "the test thread migrated during every round";
+}
+
+TEST(ThreadPool, OneCpuMaskRunsInline) {
+  OneCpuScope One;
+  ASSERT_TRUE(One.ok());
+  EXPECT_EQ(hardwareThreads(), 1u);
+  EXPECT_EQ(threadsFor(4), 1u);
+
+  Registry &Obs = Registry::global();
+  const bool Was = Obs.enabled();
+  Obs.clear();
+  Obs.setEnabled(true);
+  const std::thread::id Main = std::this_thread::get_id();
+  std::vector<std::thread::id> Seen(16);
+  parallelForJobs(4, Seen.size(),
+                  [&Seen](size_t I) { Seen[I] = std::this_thread::get_id(); });
+  for (size_t I = 0; I < Seen.size(); ++I)
+    EXPECT_EQ(Seen[I], Main) << "index " << I;
+  auto NoPool = [](const auto &Metrics) {
+    for (const auto &Entry : Metrics)
+      EXPECT_NE(Entry.first.rfind("pool.", 0), 0u) << Entry.first;
+  };
+  NoPool(Obs.counters());
+  NoPool(Obs.gauges());
+  NoPool(Obs.histograms());
+  Obs.clear();
+  Obs.setEnabled(Was);
+}
+#endif // __linux__
