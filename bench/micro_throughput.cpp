@@ -15,7 +15,6 @@
 #include "bench/BenchCommon.h"
 #include "core/LoopAwareProfiles.h"
 #include "core/MachineSearch.h"
-#include "core/ScoreKernels.h"
 #include "core/SearchCache.h"
 #include "core/SizeSweep.h"
 #include "core/TraceProfiles.h"
@@ -370,8 +369,8 @@ int runSweepBench(BenchRunOptions RunOpts) {
               "lookups)\n",
               HitRate, static_cast<unsigned long long>(ColdStats.Hits),
               static_cast<unsigned long long>(Lookups));
-  std::printf("event path (%s, %.0f events, simd tier %s):\n",
-              Largest->Name, PathEvents, simdTierName(activeSimdTier()));
+  std::printf("event path (%s, %.0f events):\n", Largest->Name,
+              PathEvents);
   std::printf("  trace + profiles       : %8.1f ms  (%12.0f events/sec, "
               "%5.2f bytes/event)\n",
               PathMs, PathEps, BytesPerEvent);

@@ -127,7 +127,7 @@ struct BranchProfile {
   explicit BranchProfile(unsigned MaxBits = 9) : Table(MaxBits) {}
 
   uint64_t executions() const { return DirBits.size(); }
-  uint64_t takenCount() const { return popcountBitsScalar(DirBits.view()); }
+  uint64_t takenCount() const { return popcountBits(DirBits.view()); }
   bool majorityTaken() const { return 2 * takenCount() >= executions(); }
   /// Mispredictions of profile (majority) prediction.
   uint64_t profileMispredictions() const {

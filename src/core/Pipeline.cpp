@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -209,8 +210,11 @@ PipelineResult replicate(const Module &M, const ColumnarTrace &T,
     uint64_t Gain = 0;
     uint64_t Cost = 1;
   };
-  const uint64_t SizeCap = static_cast<uint64_t>(
-      static_cast<double>(R.OrigInstructions) * Opts.MaxSizeFactor);
+  // Saturates: a factor whose cap does not fit in 64 bits bounds nothing.
+  const double Cap =
+      static_cast<double>(R.OrigInstructions) * Opts.MaxSizeFactor;
+  const uint64_t SizeCap = Cap < 0x1p64 ? static_cast<uint64_t>(Cap)
+                                        : std::numeric_limits<uint64_t>::max();
 
   std::vector<JointPlan> JointPlans;
   std::vector<bool> HandledJointly(R.Strategies.size(), false);

@@ -126,10 +126,8 @@ private:
   uint64_t NumBits = 0;
 };
 
-/// \returns the number of set bits in \p V (taken count of a stream). The
-/// scalar reference used by tests; the tiered kernel lives in
-/// core/ScoreKernels.h.
-inline uint64_t popcountBitsScalar(BitstreamView V) {
+/// \returns the number of set bits in \p V (taken count of a stream).
+inline uint64_t popcountBits(BitstreamView V) {
   uint64_t N = 0;
   for (size_t I = 0, E = V.numWords(); I != E; ++I)
     N += static_cast<uint64_t>(__builtin_popcountll(V.word(I)));

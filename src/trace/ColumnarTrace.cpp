@@ -107,7 +107,7 @@ void ColumnarTrace::finalizeChunks(uint32_t NumBranches,
       }
       Pos += Bits;
     }
-    TakenCounts[B] = popcountBitsScalar(BitstreamView(Dst, Counts[B]));
+    TakenCounts[B] = popcountBits(BitstreamView(Dst, Counts[B]));
   }
   Indexed = true;
 

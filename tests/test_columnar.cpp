@@ -6,8 +6,8 @@
 // kernels (core/ScoreKernels.h) that walk it. The batched paths are held
 // against small per-event oracles: batched emission against per-event sink
 // delivery on all eight workloads, the per-branch index against the event
-// stream, bitstream word-boundary edges, scalar-vs-SIMD kernel equality
-// under fuzz, and the loop-aware profile builder, profile counts, decoder
+// stream, bitstream word-boundary edges, the scoring kernels under fuzz,
+// and the loop-aware profile builder, profile counts, decoder
 // errors and predictor evaluation against per-event references.
 //
 //===----------------------------------------------------------------------===//
@@ -60,24 +60,6 @@ BitstreamBuilder buildStream(const std::vector<uint8_t> &Bits) {
     B.push(Bit != 0);
   return B;
 }
-
-/// The tiers the running CPU/build can actually express; requesting an
-/// unsupported tier clamps, so only distinct resolved tiers are listed.
-std::vector<SimdTier> availableTiers() {
-  std::vector<SimdTier> Tiers{SimdTier::Scalar};
-  for (SimdTier T : {SimdTier::SSE2, SimdTier::AVX2}) {
-    setSimdTierForTest(T);
-    if (activeSimdTier() == T)
-      Tiers.push_back(T);
-  }
-  setSimdTierForTest(SimdTier::AVX2); // restore best supported
-  return Tiers;
-}
-
-/// Restores the best supported tier when a tier-flipping test exits.
-struct TierGuard {
-  ~TierGuard() { setSimdTierForTest(SimdTier::AVX2); }
-};
 
 const Workload &workloadNamed(const std::string &Name) {
   for (const Workload &W : allWorkloads())
@@ -244,28 +226,22 @@ TEST(Bitstream, TailBitsPastLogicalLengthStayZero) {
 }
 
 //===----------------------------------------------------------------------===//
-// Scalar-vs-SIMD kernel equality (fuzz)
+// Scoring kernels against per-event references (fuzz)
 //===----------------------------------------------------------------------===//
 
-TEST(ScoreKernels, PopcountAndConstantScoreMatchScalarOnEveryTier) {
-  TierGuard Restore;
+TEST(ScoreKernels, PopcountMatchesPerBitCount) {
   std::mt19937 Rng(23);
-  for (SimdTier Tier : availableTiers()) {
-    setSimdTierForTest(Tier);
-    for (uint64_t N : {0u, 1u, 64u, 100u, 500u, 4096u}) {
-      std::vector<uint8_t> Bits = randomBits(Rng, N, 3, 7);
-      BitstreamBuilder B = buildStream(Bits);
-      uint64_t Taken = popcountBitsScalar(B.view());
-      EXPECT_EQ(popcountBits(B.view()), Taken)
-          << simdTierName(Tier) << " N=" << N;
-      EXPECT_EQ(scoreConstant(B.view(), true), Taken);
-      EXPECT_EQ(scoreConstant(B.view(), false), N - Taken);
-    }
+  for (uint64_t N : {0u, 1u, 64u, 100u, 500u, 4096u}) {
+    std::vector<uint8_t> Bits = randomBits(Rng, N, 3, 7);
+    BitstreamBuilder B = buildStream(Bits);
+    uint64_t Taken = 0;
+    for (uint8_t Bit : Bits)
+      Taken += Bit;
+    EXPECT_EQ(popcountBits(B.view()), Taken) << "N=" << N;
   }
 }
 
-TEST(ScoreKernels, MachineWalkMatchesVirtualReferenceOnEveryTier) {
-  TierGuard Restore;
+TEST(ScoreKernels, MachineWalkMatchesVirtualReference) {
   std::mt19937 Rng(31);
   for (int Round = 0; Round < 20; ++Round) {
     // A random dense machine: nibble successors < NumStates, random
@@ -298,47 +274,15 @@ TEST(ScoreKernels, MachineWalkMatchesVirtualReferenceOnEveryTier) {
 
     uint64_t Start = Rng() % (N + 1);
     uint64_t Len = N - Start;
-    for (SimdTier Tier : availableTiers()) {
-      setSimdTierForTest(Tier);
-      EXPECT_EQ(scoreMachine(M, B.view()), Reference(0, N))
-          << simdTierName(Tier) << " round " << Round;
-      EXPECT_EQ(scoreMachineRange(M, B.view().data(), Start, Len),
-                Reference(Start, Len))
-          << simdTierName(Tier) << " round " << Round << " start " << Start;
-    }
-  }
-}
-
-TEST(ScoreKernels, BatchScoringEqualsSingleMachineScores) {
-  TierGuard Restore;
-  std::mt19937 Rng(47);
-  for (size_t K : {1u, 2u, 3u, 4u, 5u, 8u, 9u}) {
-    std::vector<DenseMachine> Machines(K);
-    for (DenseMachine &M : Machines) {
-      unsigned NumStates = 1 + Rng() % 16;
-      M.NumStates = static_cast<uint8_t>(NumStates);
-      M.Initial = static_cast<uint8_t>(Rng() % NumStates);
-      M.PredMask = static_cast<uint16_t>(Rng() & 0xffff);
-      for (int Outcome = 0; Outcome < 2; ++Outcome)
-        for (unsigned S = 0; S < 16; ++S)
-          M.NextTab[Outcome] |=
-              static_cast<uint64_t>(Rng() % NumStates) << (S * 4);
-    }
-    std::vector<uint8_t> Bits = randomBits(Rng, 333);
-    BitstreamBuilder B = buildStream(Bits);
-    for (SimdTier Tier : availableTiers()) {
-      setSimdTierForTest(Tier);
-      std::vector<uint64_t> Batch(K);
-      scoreMachines(Machines.data(), K, B.view(), Batch.data());
-      for (size_t I = 0; I < K; ++I)
-        EXPECT_EQ(Batch[I], scoreMachine(Machines[I], B.view()))
-            << simdTierName(Tier) << " K=" << K << " machine " << I;
-    }
+    EXPECT_EQ(scoreMachine(M, B.view()), Reference(0, N))
+        << "round " << Round;
+    EXPECT_EQ(scoreMachineRange(M, B.view().data(), Start, Len),
+              Reference(Start, Len))
+        << "round " << Round << " start " << Start;
   }
 }
 
 TEST(ScoreKernels, FillPatternCountsMatchesRecordLoop) {
-  TierGuard Restore;
   std::mt19937 Rng(59);
   for (unsigned MaxBits : {1u, 3u, 6u, 9u}) {
     std::vector<uint8_t> Bits = randomBits(Rng, 900, 2, 3);
@@ -348,30 +292,26 @@ TEST(ScoreKernels, FillPatternCountsMatchesRecordLoop) {
     for (uint8_t Bit : Bits)
       ByRecord.record(Bit != 0);
 
-    for (SimdTier Tier : availableTiers()) {
-      setSimdTierForTest(Tier);
-      std::vector<uint64_t> Counts(2ull << MaxBits, 0);
-      uint32_t FinalHist = fillPatternCounts(B.view().data(), 0, Bits.size(),
-                                             MaxBits, 0, Counts.data());
-      PatternTable ByFill(MaxBits);
-      ByFill.assignCounts(Counts.data(), FinalHist, Bits.size());
+    std::vector<uint64_t> Counts(2ull << MaxBits, 0);
+    uint32_t FinalHist = fillPatternCounts(B.view().data(), 0, Bits.size(),
+                                           MaxBits, 0, Counts.data());
+    PatternTable ByFill(MaxBits);
+    ByFill.assignCounts(Counts.data(), FinalHist, Bits.size());
 
-      EXPECT_EQ(ByFill.executions(), ByRecord.executions());
-      EXPECT_EQ(ByFill.full().size(), ByRecord.full().size());
-      for (const auto &[Pattern, C] : ByRecord.full()) {
-        auto It = ByFill.full().find(Pattern);
-        ASSERT_NE(It, ByFill.full().end())
-            << simdTierName(Tier) << " bits=" << MaxBits;
-        EXPECT_EQ(It->second.Taken, C.Taken);
-        EXPECT_EQ(It->second.NotTaken, C.NotTaken);
-      }
-      // Recording one more outcome exercises the fast-forwarded history.
-      PatternTable ContinueFill = ByFill, ContinueRecord = ByRecord;
-      ContinueFill.record(true);
-      ContinueRecord.record(true);
-      EXPECT_EQ(ContinueFill.countsFor(1, 1).Taken,
-                ContinueRecord.countsFor(1, 1).Taken);
+    EXPECT_EQ(ByFill.executions(), ByRecord.executions());
+    EXPECT_EQ(ByFill.full().size(), ByRecord.full().size());
+    for (const auto &[Pattern, C] : ByRecord.full()) {
+      auto It = ByFill.full().find(Pattern);
+      ASSERT_NE(It, ByFill.full().end()) << "bits=" << MaxBits;
+      EXPECT_EQ(It->second.Taken, C.Taken);
+      EXPECT_EQ(It->second.NotTaken, C.NotTaken);
     }
+    // Recording one more outcome exercises the fast-forwarded history.
+    PatternTable ContinueFill = ByFill, ContinueRecord = ByRecord;
+    ContinueFill.record(true);
+    ContinueRecord.record(true);
+    EXPECT_EQ(ContinueFill.countsFor(1, 1).Taken,
+              ContinueRecord.countsFor(1, 1).Taken);
   }
 }
 

@@ -96,6 +96,7 @@
 #include "workloads/Workload.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -203,7 +204,8 @@ int usage() {
       "options:\n"
       "  --seed N       workload input seed (default 1)\n"
       "  --events N     branch-event cap (default 1000000)\n"
-      "  --states N     per-branch state budget for replicate (default 6)\n"
+      "  --states N     per-branch state budget for replicate, 1..16\n"
+      "                 (default 6)\n"
       "  --budget X     code-size factor budget for replicate (default 2.0;\n"
       "                 sweep default 16.0)\n"
       "  --jobs N       worker threads for the machine searches (replicate/\n"
@@ -353,15 +355,18 @@ bool parseArgs(int Argc, char **Argv, Args &A) {
     } else if (Opt == "--states") {
       const char *V = Next();
       uint64_t N = 0;
-      if (!V || !ParseU64(V, N) || N == 0)
-        return parseError("option '--states' needs a positive integer value");
+      // 16 is the DenseMachine capacity (core/ScoreKernels.h).
+      if (!V || !ParseU64(V, N) || N == 0 || N > 16)
+        return parseError(
+            "option '--states' needs an integer value between 1 and 16");
       A.States = static_cast<unsigned>(N);
     } else if (Opt == "--budget") {
       const char *V = Next();
       char *End = nullptr;
       A.Budget = V ? std::strtod(V, &End) : 0.0;
-      if (!V || *V == '\0' || !End || *End != '\0')
-        return parseError("option '--budget' needs a numeric value");
+      if (!V || *V == '\0' || !End || *End != '\0' ||
+          !std::isfinite(A.Budget))
+        return parseError("option '--budget' needs a finite numeric value");
       if (A.Budget < 1.0)
         return parseError("option '--budget' must be at least 1.0");
       A.BudgetSet = true;
